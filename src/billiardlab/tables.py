@@ -4,7 +4,8 @@ A table is a model space plus boundary pieces.  Each piece carries a signed
 gauge function, negative inside the domain, so the domain is the set where
 every gauge is nonpositive.  Ball and half-space/cap pieces intersect rays
 in closed form (quadratic, trigonometric, or exponential equations); radial
-Fourier walls fall back to bracketing plus bisection.  Flat-torus tables
+Fourier walls use certified sphere tracing, whose steps never pass the first
+zero of the gauge, so no crossing is skipped.  Flat-torus tables
 trace rays through periodic images window by window.
 """
 
@@ -440,9 +441,19 @@ class HalfSpaceOrCap(BoundaryPiece):
 class RadialFourierCurve(BoundaryPiece):
     """Planar wall r(theta) = a0 + sum a_k cos(k theta) + b_k sin(k theta).
 
-    Euclidean n = 2 only.  Ray intersections use bracketing at a fixed step
-    followed by bisection to hit tolerance.
+    Euclidean n = 2 only.  Construction computes provable bounds r_min <= r <=
+    r_max, |r'| <= R1 and |r''| <= R2, and from them L >= |grad g| and
+    K >= |d^2 g / ds^2| on unit-speed lines in the region |x| >= r_min / 2.
+    Ray intersections use certified sphere tracing: each step is no longer
+    than a lower bound on the distance to the first zero of the gauge (the
+    Lipschitz ball |g| / L, the along-line quadratic bound from g, g' and K,
+    or the exact chord across the disk |x| < r_min), so no crossing is
+    skipped (two closer together than _XTOL * r_max may merge).  Near the
+    wall the quadratic bound is a one-sided Newton step that converges
+    quadratically; the first root is then bracketed to within _XTOL * r_max.
     """
+
+    _XTOL = 1e-14  # hit bracket width, relative to r_max
 
     def __init__(self, base_radius, cos_coeffs=(), sin_coeffs=(), side=OUTER):
         if side not in (OUTER, OBSTACLE):
@@ -452,16 +463,28 @@ class RadialFourierCurve(BoundaryPiece):
         self.base_radius = float(base_radius)
         self.cos_coeffs = np.asarray(cos_coeffs, dtype=float)
         self.sin_coeffs = np.asarray(sin_coeffs, dtype=float)
+        # amplitude of harmonic k = 1..m; |d^j r / d theta^j| <= sum k^j amp_k
+        amp = np.zeros(max(self.cos_coeffs.size, self.sin_coeffs.size))
+        amp[:self.cos_coeffs.size] += np.abs(self.cos_coeffs)
+        amp[:self.sin_coeffs.size] += np.abs(self.sin_coeffs)
+        k = np.arange(1, amp.size + 1)
+        r1, r2, r3 = (float(np.sum(k ** j * amp)) for j in (1, 2, 3))
+        # a grid extremum of f misses the true one by at most max|f''| h^2 / 8
         grid = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        rg = self.r_of(grid)
-        if np.min(rg) <= 0:
+        gap = grid[1] ** 2 / 8.0
+        rg, drg = self.r_of(grid), self.dr_of(grid)
+        self._r_min = max(self.base_radius - float(np.sum(amp)), float(np.min(rg)) - r2 * gap)
+        if self._r_min <= 0:
             raise ConfigError("radial Fourier curve must have positive radius")
-        self._r_min = float(np.min(rg))
-        self._r_max = float(np.max(rg))
-        speed = np.hypot(rg, self.dr_of(grid))
+        self._r_max = min(self.base_radius + float(np.sum(amp)), float(np.max(rg)) + r2 * gap)
+        r1 = min(r1, float(np.max(np.abs(drg))) + r3 * gap)
+        self._lipschitz = float(np.hypot(1.0, 2.0 * r1 / self._r_min))
+        self._curv = 2.0 / self._r_min + 4.0 * (r2 + 2.0 * r1) / self._r_min ** 2
+        speed = np.hypot(rg, drg)
         self._perimeter = float(np.mean(speed) * 2.0 * np.pi)
-        self._speed_max = float(np.max(speed)) * 1.0000001
-        self._step = self._r_min / 256.0
+        # (r^2 + r'^2)'' = 2 (r'^2 + r r'' + r''^2 + r' r''')
+        speed2_curv = 2.0 * (r1 * r1 + self._r_max * r2 + r2 * r2 + r1 * r3)
+        self._speed_max = float(np.sqrt(np.max(speed) ** 2 + speed2_curv * gap))
 
     def _harmonics(self):
         kc = np.arange(1, self.cos_coeffs.size + 1)
@@ -510,50 +533,60 @@ class RadialFourierCurve(BoundaryPiece):
         return -self._sign * grad
 
     def ray_hit(self, space, q, v, s_lo, s_hi):
+        """Certified sphere tracing along unit-speed lines; see the class docstring."""
         self._check_space(space)
         n = q.shape[0]
-        s_hi_arr = np.broadcast_to(np.asarray(s_hi, dtype=float), (n,)).astype(float)
-        if self.side == OUTER:
-            # from the closed domain the wall is reached within one diameter
-            cap = np.minimum(s_hi_arr, 2.0 * self._r_max + 4.0 * self._step + s_lo)
-        else:
-            cap = s_hi_arr.copy()  # caller bounds by the outer wall
+        s_hi = np.broadcast_to(np.asarray(s_hi, dtype=float), (n,))
         s_hit = np.full(n, np.inf)
-        idx = np.arange(n)
-        s_prev = np.full(n, s_lo)
-        g_prev = self.gauge(space, q + s_prev[:, None] * v)
-        active = s_prev < cap
-        lo = np.zeros(n)
-        hi = np.zeros(n)
-        found = np.zeros(n, dtype=bool)
-        h = self._step
-        while np.any(active):
-            ai = idx[active]
-            s_next = np.minimum(s_prev[ai] + h, cap[ai])
-            g_next = self.gauge(space, q[ai] + s_next[:, None] * v[ai])
-            crossed = (g_prev[ai] <= 0.0) != (g_next <= 0.0)
-            ci = ai[crossed]
-            lo[ci] = s_prev[ci]
-            hi[ci] = s_next[crossed]
-            found[ci] = True
-            finished = crossed | (s_next >= cap[ai])
-            s_prev[ai] = s_next
-            g_prev[ai] = g_next
-            active[ai[finished]] = False
-        if np.any(found):
-            fi = idx[found]
-            flo, fhi = lo[fi], hi[fi]
-            g_lo = self.gauge(space, q[fi] + flo[:, None] * v[fi])
-            for _ in range(48):
-                mid = 0.5 * (flo + fhi)
-                g_mid = self.gauge(space, q[fi] + mid[:, None] * v[fi])
-                same = (g_mid <= 0.0) == (g_lo <= 0.0)
-                flo = np.where(same, mid, flo)
-                g_lo = np.where(same, g_mid, g_lo)
-                fhi = np.where(same, fhi, mid)
-            s_hit[fi] = 0.5 * (flo + fhi)
-        s_hit = np.where((s_hit > s_lo) & (s_hit <= s_hi_arr), s_hit, np.inf)
-        return s_hit
+        # every zero of the gauge lies in r_min <= |x| <= r_max: search only
+        # the part of each line inside the disk |x| <= r_max
+        b = _dot(q, v)
+        disc = b * b - _dot(q, q) + self._r_max ** 2
+        half = np.sqrt(np.maximum(disc, 0.0))
+        s_start = np.maximum(-b - half, s_lo)
+        s_end = np.minimum(-b + half, s_hi)
+        idx = np.flatnonzero((disc > 0.0) & (s_start < s_end))
+        qa, va, s, s_end = q[idx], v[idx], s_start[idx], s_end[idx]
+        # a line that starts outside the disk starts where sign(g) = sign of
+        # the piece, whatever the roundoff of g where it enters the disk
+        outside = s > s_lo
+        L, K, r_min = self._lipschitz, self._curv, self._r_min
+        xtol = self._XTOL * self._r_max
+        below = None
+        while idx.size:
+            x = qa + s[:, None] * va
+            g = self.gauge(space, x)
+            rho2 = _dot(x, x)
+            rho = np.sqrt(rho2)
+            radial = _dot(x, va)                              # rho drho/ds
+            angular = x[:, 0] * va[:, 1] - x[:, 1] * va[:, 0]  # rho^2 dtheta/ds
+            dr = self.dr_of(np.arctan2(x[:, 1], x[:, 0]))
+            dg = self._sign * (radial / rho - dr * angular / rho2)
+            if below is None:
+                below = np.where(outside, self._sign < 0.0, g <= 0.0)  # side of the start point
+            crossed = (g <= 0.0) != below  # landed on the root to roundoff
+            a = np.abs(g)
+            d = np.where(below, dg, -dg)  # rate of approach to the zero set
+            # |g''| <= K: no root before `near`; when d^2 >= 2 K a the gauge is
+            # monotone up to `far`, where it has certainly changed sign
+            sq = np.sqrt(d * d + 2.0 * K * a)
+            disc = d * d - 2.0 * K * a
+            with np.errstate(divide="ignore", invalid="ignore"):
+                near = np.where(d > 0.0, 2.0 * a / (d + sq), (sq - d) / K)
+                far = 2.0 * a / (d + np.sqrt(np.maximum(disc, 0.0)))
+            room = rho - 0.5 * r_min  # L and K hold within this distance
+            converged = (d > 0.0) & (disc >= 0.0) & (far <= room) & (far - near <= xtol)
+            done = crossed | converged
+            s_hit[idx[done]] = np.where(crossed, s, s + 0.5 * (near + far))[done]
+            inner = np.sqrt(np.maximum(radial * radial - rho2 + r_min * r_min, 0.0)) - radial
+            step = np.maximum(np.minimum(np.maximum(a / L, near), room),
+                              np.where(rho < r_min, inner, 0.0))
+            # a root may sit exactly at s_end, so the last step lands there
+            keep = ~done & (s < s_end)
+            s = np.minimum(s + np.maximum(step, xtol), s_end)
+            idx, qa, va, s, s_end, below = (idx[keep], qa[keep], va[keep], s[keep],
+                                            s_end[keep], below[keep])
+        return np.where((s_hit > s_lo) & (s_hit <= s_hi), s_hit, np.inf)
 
     def boundary_volume(self, space):
         return self._perimeter

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from billiardlab import presets
+
+# property tests draw the same examples on every run
+settings.register_profile("billiardlab", derandomize=True, deadline=None, database=None)
+settings.load_profile("billiardlab")
 
 
 @pytest.fixture(scope="session")

@@ -190,6 +190,29 @@ def test_fourier_normal_matches_fd(ellipse):
         assert np.allclose(n, -grad / np.linalg.norm(grad), atol=1e-6)
 
 
+def test_fourier_bounds_enclose_the_curve():
+    # a 7-harmonic wall and a k = 30 harmonic: r_min, r_max and the boundary
+    # sampler's speed envelope must bound the curve, not just its 4096-point grid
+    rng = np.random.default_rng(7)
+    walls = [RadialFourierCurve(1.0, cos_coeffs=rng.uniform(-0.02, 0.02, 7),
+                                sin_coeffs=rng.uniform(-0.02, 0.02, 7)),
+             RadialFourierCurve(1.0, cos_coeffs=[0.0] * 29 + [0.01])]
+    grid = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    h = grid[1]
+
+    def refine(f, pick):
+        """f on a 1e-4 h mesh around its grid extremum."""
+        t0 = grid[pick(f(grid))]
+        return f(np.linspace(t0 - h, t0 + h, 20_001))
+
+    for w in walls:
+        def speed(t):
+            return np.hypot(w.r_of(t), w.dr_of(t))
+        assert w._r_min <= np.min(refine(w.r_of, np.argmin))
+        assert w._r_max >= np.max(refine(w.r_of, np.argmax))
+        assert w._speed_max >= np.max(refine(speed, np.argmax))
+
+
 def test_fourier_perimeter_positive_radius():
     with pytest.raises(ConfigError):
         RadialFourierCurve(0.1, cos_coeffs=(0.5,))
