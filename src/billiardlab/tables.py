@@ -5,8 +5,14 @@ gauge function, negative inside the domain, so the domain is the set where
 every gauge is nonpositive.  Ball and half-space/cap pieces intersect rays
 in closed form (quadratic, trigonometric, or exponential equations); radial
 Fourier walls use certified sphere tracing, whose steps never pass the first
-zero of the gauge, so no crossing is skipped.  Flat-torus tables
-trace rays through periodic images window by window.
+zero of the gauge, so no crossing is skipped.  Flat-torus tables trace
+rays through periodic images in windows no longer than the shortest period;
+one vectorized call covers a block of consecutive windows.  A block is one
+window while the active rows fill the row budget and doubles each pass once
+they do not, so a ray in a free channel takes about log2(l_max / window)
+passes.  Since 2r < every period, each window's 2^d nearest images hold every
+image its segment can hit, and the hits are those of a one-window loop, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +34,10 @@ __all__ = [
 OUTER = "outer"
 OBSTACLE = "obstacle"
 
-# periodic-image offsets for torus window tracing
-_STENCILS = {d: np.array(list(np.ndindex(*([3] * d))), dtype=float) - 1.0 for d in (2, 3)}
+# per axis, the two periodic images a torus window can reach: floor and floor + 1
+_IMAGE_PAIR = np.array([0.0, 1.0])[:, None, None]
+# row-windows per window_hit call in a torus block
+_BLOCK_ROWS = 65536
 
 
 class StratumLabel(IntEnum):
@@ -198,23 +206,42 @@ class Ball(BoundaryPiece):
         raise NotImplementedError(space.kind)
 
     def window_hit(self, space, q, v, s0, s1, s_lo):
-        """Torus only: smallest root in (max(s0, s_lo), s1] over periodic images."""
+        """Torus only: per row, the smallest root in any window (max(s0_j, s_lo), s1_j].
+
+        `s0`, `s1` are the bounds of consecutive windows, none longer than the
+        shortest period.  On axis i a window's segment stays within P_i / 2
+        of its midpoint m, and an image it hits lies within r < P_i / 2 of
+        the segment, so only the images floor(y) and floor(y) + 1, with
+        y = (m_i - c_i) / P_i, can be hit: 2^d images per row and window.
+        Each root comes from the same image centre by the same operations
+        whichever window computes it.  The exit root -b + sq can come first
+        only for an image that holds the start point (any other image is
+        entered, and so hit, first), whose exit lies within s_lo + 2r of the
+        start; blocks past that point skip it.
+        """
+        n, dim = q.shape
         periods = space.periods
-        mid = q + (0.5 * (s0 + s1)) * v
-        base = np.round((mid - self.center) / periods)
-        offs = _STENCILS[space.dim]
-        c_img = self.center + (base[None, :, :] + offs[:, None, :]) * periods  # (K, N, d)
-        d = q[None, :, :] - c_img
-        b = np.sum(d * v[None, :, :], axis=-1)
-        c = np.sum(d * d, axis=-1) - self.radius ** 2
-        disc = b * b - c
-        ok = disc >= 0.0
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        lo = max(s0, s_lo)
-        best = np.full(q.shape[0], np.inf)
-        for root in (-b - sq, -b + sq):
-            root = np.where(ok & (root > lo) & (root <= s1), root, np.inf)
-            best = np.minimum(best, np.min(root, axis=0))
+        t = (0.5 * (s0 + s1))[:, None]
+        # b = d.v and c = |d|^2 summed axis by axis in the order np.sum uses
+        for i in range(dim):
+            qi, vi = q[:, i], v[:, i]
+            base = np.floor((qi + t * vi - self.center[i]) / periods[i])
+            d = qi - (self.center[i] + (base + _IMAGE_PAIR) * periods[i])  # (2, W, n)
+            shape = (1,) * i + (2,) + (1,) * (dim - 1 - i) + d.shape[1:]
+            dv, dd = (d * vi).reshape(shape), (d * d).reshape(shape)
+            b, c = (dv, dd) if i == 0 else (b + dv, c + dd)
+        disc = b * b - (c - self.radius ** 2)
+        cand = np.flatnonzero(disc >= 0.0)
+        nb = -b.ravel()[cand]
+        sq = np.sqrt(disc.ravel()[cand])
+        j = (cand // n) % s0.size
+        lo, hi, rows = np.maximum(s0, s_lo)[j], s1[j], cand % n
+        # past s_lo + 2r, with room for roundoff, no exit root can win
+        exits = s0[0] <= s_lo + 2.0 * self.radius + 1e-9 * float(np.max(periods))
+        best = np.full(n, np.inf)
+        for root in ((nb - sq, nb + sq) if exits else (nb - sq,)):
+            ok = (root > lo) & (root <= hi)
+            np.minimum.at(best, rows[ok], root[ok])
         return best
 
     def boundary_volume(self, space):
@@ -784,16 +811,22 @@ class Table:
                 i = parent[i]
             return i
 
+        # one membership call (inside is row-wise) per neighbour rank k probes
+        # the edges from every point to its k-th nearest neighbour; one call
+        # over all ranks would raise the peak memory of a table build
         t = np.linspace(0.02, 0.98, probes)[:, None]
-        for i in range(count):
-            for j in order[i, 1:neighbors + 1]:
-                seg = pts[i][None, :] + t * deltas[i, j][None, :]
-                if isinstance(self.space, Sphere):
-                    seg = seg / np.linalg.norm(seg, axis=1, keepdims=True)
-                elif isinstance(self.space, FlatTorus):
-                    seg = self.space.wrap(seg)
-                if np.all(self.inside(seg, tol=0.0)):
-                    parent[find(i)] = find(j)
+        rows = np.arange(count)
+        for k in range(1, neighbors + 1):
+            nbr = order[:, k]
+            seg = pts[:, None, :] + t * deltas[rows, nbr][:, None, :]
+            seg = seg.reshape(-1, pts.shape[1])
+            if isinstance(self.space, Sphere):
+                seg = seg / np.linalg.norm(seg, axis=1, keepdims=True)
+            elif isinstance(self.space, FlatTorus):
+                seg = self.space.wrap(seg)
+            clear = np.all(self.inside(seg, tol=0.0).reshape(count, probes), axis=1)
+            for i in np.flatnonzero(clear):
+                parent[find(i)] = find(nbr[i])
         roots = {find(i) for i in range(count)}
         if len(roots) > 1:
             raise ConfigError("table domain appears disconnected")
@@ -904,29 +937,40 @@ class Table:
                         cos_in=cos_in, label=label, trapped=trapped)
 
     def _first_hit_torus(self, q, v, s_lo, s_hi):
+        """First hits through windows of length min(periods), traced in blocks.
+
+        The first block is the window [0, window].  After each block the
+        width doubles, capped so that width x active rows stays within
+        _BLOCK_ROWS; while the active rows alone fill that budget a block is
+        one window.  Window bounds come from the same repeated additions as a
+        one-window loop, and windows are disjoint, so the smallest root over
+        a block is the first window's hit, ties to the lower piece index.
+        """
         n = q.shape[0]
         window = float(np.min(self.space.periods))
         best_s = np.full(n, np.inf)
         best_piece = np.full(n, -1)
-        idx = np.arange(n)
-        active = np.ones(n, dtype=bool)
-        s0 = 0.0
-        while np.any(active) and s0 < s_hi:
-            s1 = min(s0 + window, s_hi)
-            ai = idx[active]
+        ai = np.arange(n)
+        s0, width = 0.0, 1
+        while ai.size and s0 < s_hi:
+            edges = [s0]
+            while len(edges) <= width and edges[-1] < s_hi:
+                edges.append(min(edges[-1] + window, s_hi))
+            edges = np.array(edges)
+            qa, va = q[ai], v[ai]
             local_best = np.full(ai.size, np.inf)
             local_piece = np.full(ai.size, -1)
             for k, piece in enumerate(self.pieces):
-                s_k = piece.window_hit(self.space, q[ai], v[ai], s0, s1, s_lo)
+                s_k = piece.window_hit(self.space, qa, va, edges[:-1], edges[1:], s_lo)
                 better = s_k < local_best
                 local_best = np.where(better, s_k, local_best)
                 local_piece = np.where(better, k, local_piece)
             hit = np.isfinite(local_best)
-            hit_idx = ai[hit]
-            best_s[hit_idx] = local_best[hit]
-            best_piece[hit_idx] = local_piece[hit]
-            active[hit_idx] = False
-            s0 = s1
+            best_s[ai[hit]] = local_best[hit]
+            best_piece[ai[hit]] = local_piece[hit]
+            ai = ai[~hit]
+            s0 = edges[-1]
+            width = max(1, min(2 * width, _BLOCK_ROWS // max(ai.size, 1)))
         return best_s, best_piece
 
     def with_l_max(self, l_max):

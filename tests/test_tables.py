@@ -279,6 +279,22 @@ def test_torus_needs_obstacles():
         Table(FlatTorus((1.0, 1.0)), [Ball((0.5, 0.5), 0.2, side="outer")])
 
 
+class _TwoLobes(Ball):
+    """Outer wall of the unit ball whose domain is two disjoint disks inside it."""
+
+    def __init__(self):
+        super().__init__((0.0, 0.0), 1.0, side="outer")
+        self.lobes = (Ball((-0.5, 0.0), 0.3), Ball((0.5, 0.0), 0.3))
+
+    def gauge(self, space, q):
+        return np.minimum(*(lobe.gauge(space, q) for lobe in self.lobes))
+
+
+def test_disconnected_domain_rejected():
+    with pytest.raises(ConfigError, match="disconnected"):
+        Table(Euclidean(2), [_TwoLobes()])
+
+
 def test_obstacle_inside_disk_accepted():
     table = Table(Euclidean(2), [Ball((0.0, 0.0), 1.0, side="outer"),
                                  Ball((0.3, 0.0), 0.2, side="obstacle")])

@@ -1,0 +1,153 @@
+"""Block-traced torus hits against the one-window loop they replace."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from billiardlab import presets
+from billiardlab.errors import ConfigError
+from billiardlab.measure import sample_mu_theta
+from billiardlab.spaces import FlatTorus
+from billiardlab.tables import Ball, Table, Tolerances
+
+_STENCILS = {d: np.array(list(np.ndindex(*([3] * d))), dtype=float) - 1.0 for d in (2, 3)}
+
+
+def _reference_window_hit(ball, space, q, v, s0, s1, s_lo):
+    """Smallest root in (max(s0, s_lo), s1] over the 3^d images around the window."""
+    periods = space.periods
+    mid = q + (0.5 * (s0 + s1)) * v
+    base = np.round((mid - ball.center) / periods)
+    offs = _STENCILS[space.dim]
+    c_img = ball.center + (base[None, :, :] + offs[:, None, :]) * periods  # (K, N, d)
+    d = q[None, :, :] - c_img
+    b = np.sum(d * v[None, :, :], axis=-1)
+    c = np.sum(d * d, axis=-1) - ball.radius ** 2
+    disc = b * b - c
+    ok = disc >= 0.0
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    lo = max(s0, s_lo)
+    best = np.full(q.shape[0], np.inf)
+    for root in (-b - sq, -b + sq):
+        root = np.where(ok & (root > lo) & (root <= s1), root, np.inf)
+        best = np.minimum(best, np.min(root, axis=0))
+    return best
+
+
+def reference_first_hit(table, q, v):
+    """First hits traced one period-length window per pass."""
+    n = q.shape[0]
+    s_lo, s_hi = table.tol.hit_tol, table.l_max
+    window = float(np.min(table.space.periods))
+    best_s = np.full(n, np.inf)
+    best_piece = np.full(n, -1)
+    idx = np.arange(n)
+    active = np.ones(n, dtype=bool)
+    s0 = 0.0
+    while np.any(active) and s0 < s_hi:
+        s1 = min(s0 + window, s_hi)
+        ai = idx[active]
+        local_best = np.full(ai.size, np.inf)
+        local_piece = np.full(ai.size, -1)
+        for k, piece in enumerate(table.pieces):
+            s_k = _reference_window_hit(piece, table.space, q[ai], v[ai], s0, s1, s_lo)
+            better = s_k < local_best
+            local_best = np.where(better, s_k, local_best)
+            local_piece = np.where(better, k, local_piece)
+        hit = np.isfinite(local_best)
+        best_s[ai[hit]] = local_best[hit]
+        best_piece[ai[hit]] = local_piece[hit]
+        active[ai[hit]] = False
+        s0 = s1
+    return best_s, best_piece
+
+
+def _assert_same_hits(table, q, v):
+    hit = table.first_hit(q, v)
+    s_ref, piece_ref = reference_first_hit(table, q, v)
+    assert np.array_equal(hit.s.view(np.int64), s_ref.view(np.int64))
+    assert np.array_equal(hit.piece, piece_ref)
+    return hit
+
+
+def _grazing_starts(table, rng, count):
+    """Starts on obstacle walls whose incidence cosine is 1e-12 to 1e-3."""
+    space = table.space
+    k = rng.integers(len(table.pieces), size=count)
+    u = rng.standard_normal((count, space.dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    t = rng.standard_normal((count, space.dim))
+    t -= np.sum(t * u, axis=1, keepdims=True) * u
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    centers = np.array([p.center for p in table.pieces])[k]
+    radii = np.array([p.radius for p in table.pieces])[k]
+    q = space.wrap(centers + radii[:, None] * u)
+    cos_in = 10.0 ** rng.uniform(-12.0, -3.0, count)
+    v = cos_in[:, None] * u + np.sqrt(1.0 - cos_in * cos_in)[:, None] * t
+    return q, v
+
+
+@st.composite
+def torus_tables(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    periods = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim)))
+    count = draw(st.integers(1, 3))
+    balls = []
+    for _ in range(count):
+        frac = draw(st.lists(st.floats(0.0, 0.999), min_size=dim, max_size=dim))
+        radius = draw(st.floats(0.02, 0.45 / count)) * float(np.min(periods))
+        balls.append(Ball(np.array(frac) * periods, radius, side="obstacle"))
+    # a short cap keeps the one-window reference affordable on trapped rays
+    tol = Tolerances(l_max=200.0 * float(np.min(periods)))
+    try:
+        return Table(FlatTorus(periods), balls, tol, name="random-torus")
+    except ConfigError:
+        assume(False)
+
+
+@settings(max_examples=40)
+@given(table=torus_tables(), seed=st.integers(0, 2**16))
+def test_block_hits_match_one_window_loop(table, seed):
+    rng = np.random.default_rng(seed)
+    s = sample_mu_theta(table, 48, seed)
+    qg, vg = _grazing_starts(table, rng, 32)
+    # anywhere in the torus, inside obstacles too, where exit roots come first
+    qa = rng.uniform(0.0, 1.0, (32, table.space.dim)) * table.space.periods
+    va = rng.standard_normal((32, table.space.dim))
+    va /= np.linalg.norm(va, axis=1, keepdims=True)
+    _assert_same_hits(table, np.concatenate([s.q, qg, qa]), np.concatenate([s.v, vg, va]))
+
+
+@pytest.mark.parametrize("name", ["torus-eps-0.1", "torus-one-ball", "torus-two-balls"])
+def test_block_hits_match_one_window_loop_on_presets(name):
+    table = (presets.torus_one_ball(0.1) if name == "torus-eps-0.1"
+             else presets.preset_table(name))
+    for seed in (1, 2, 3, 4):
+        s = sample_mu_theta(table, 65536, seed)
+        _assert_same_hits(table, s.q, s.v)
+
+
+def test_channel_ray_is_traced_in_few_blocks(one_ball, monkeypatch):
+    calls = []
+    window_hit = Ball.window_hit
+
+    def counted(self, space, q, v, s0, s1, s_lo):
+        calls.append(s1[-1])
+        return window_hit(self, space, q, v, s0, s1, s_lo)
+
+    monkeypatch.setattr(Ball, "window_hit", counted)
+    q = np.array([[0.0, 0.0]])
+    # the horizontal channel |y| < 1/4 (mod 1) misses the obstacle for ever
+    hit = one_ball.first_hit(q, np.array([[1.0, 0.0]]))
+    assert hit.trapped[0] and hit.s[0] == np.inf
+    assert calls[-1] == one_ball.l_max  # traced all the way to the cap
+    assert len(calls) <= 32             # one window per pass takes 14143
+    # drifting 1/4 across the channel ends on the obstacle after about 10^3
+    calls.clear()
+    phi = 2.5e-4
+    v = np.array([[np.cos(phi), np.sin(phi)]])
+    hit = one_ball.first_hit(q, v)
+    assert len(calls) <= 32
+    assert 900.0 < hit.s[0] < 1100.0
+    s_ref, piece_ref = reference_first_hit(one_ball, q, v)
+    assert hit.s[0] == s_ref[0] and hit.piece[0] == piece_ref[0] == 0
