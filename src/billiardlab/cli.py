@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_table_config
-from .dynamics import Elastic, causality_batch, iterate_orbit, trapping_probe
+from .dynamics import Elastic, causality_batch, iterate_orbits, trapping_probe
 from .errors import BilliardError, ConfigError
 from .ergodic import hear_volume, mean_free_path_prediction
 from .holography import (boundary_param_map, conjugacy_residual,
@@ -188,12 +188,9 @@ def _cmd_simulate(args):
     law = Elastic()
     files = []
     summary_rows = []
-    from .spaces import PhasePoint
-
     starts = sample_mu_theta(table, args.orbits, args.seed)
-    for i in range(args.orbits):
-        orbit = iterate_orbit(table, law, PhasePoint(starts.q[i], starts.v[i]),
-                              int(args.bounces))
+    orbits = iterate_orbits(table, law, starts.q, starts.v, int(args.bounces))
+    for i, orbit in enumerate(orbits):
         path = out_dir / f"orbit_{i:03d}.jsonl"
         with open(path, "w") as fh:
             for ch in orbit.chords:

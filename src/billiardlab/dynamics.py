@@ -3,25 +3,34 @@
 The causality map sends an inward boundary phase point to the exit point of
 its geodesic chord; tangent points on a convex outer wall are fixed points
 by convention.  Composing with a boundary reflection involution gives the
-billiard map.  Batch variants operate on arrays and back all Monte Carlo
-drivers; the scalar API mirrors them one phase point at a time.
+billiard map B = tau o C.  Batch variants operate on arrays and back every
+Monte Carlo statistic; the scalar API mirrors them one phase point at a time.
+
+The exit point of one chord is where the reflection acts and where the next
+chord starts, so the piece and inward normal found when classifying a hit
+are all that both need.  A `BoundaryState` carries them: `billiard_batch`
+returns one and takes its piece and normal back on the next step, checking
+only that the point is still within `hit_tol` of its piece.  Every orbit
+loop (`iterate_orbits`, Birkhoff and recurrence averages, the preservation
+test, the CLI `simulate`) runs on the one lockstep engine `lockstep_orbits`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateStart, GrazingExit, Trapped
+from .errors import DegenerateStart, GrazingExit, NotOnBoundary, Trapped
 from .spaces import PhasePoint
 from .tables import Stratum, StratumLabel
 
 __all__ = [
-    "ChordRecord", "ChordBatch", "OrbitRecord", "Termination",
+    "ChordRecord", "ChordBatch", "BoundaryState", "OrbitRecord", "Termination",
     "Elastic", "Rescaled", "causality_map", "reflect", "billiard_map",
-    "iterate_orbit", "trapping_probe", "causality_batch", "reflect_batch",
-    "billiard_batch",
+    "iterate_orbit", "iterate_orbits", "lockstep_orbits", "trapping_probe",
+    "causality_batch", "reflect_batch", "billiard_batch",
 ]
 
 _IN = int(StratumLabel.TRANSVERSAL_IN)
@@ -79,10 +88,12 @@ class ChordBatch:
     exit_cos: np.ndarray
     entry_piece: np.ndarray
     exit_piece: np.ndarray
+    entry_normal: np.ndarray
+    exit_normal: np.ndarray
     degenerate: np.ndarray
     trapped: np.ndarray
 
-    @property
+    @cached_property
     def grazing(self):
         tangent = (self.exit_label == _CONVEX) | (self.exit_label == _CONCAVE)
         return tangent & ~self.degenerate & ~self.trapped
@@ -92,8 +103,29 @@ class ChordBatch:
         """Rows with a clean transversal chord."""
         return ~self.trapped & ~self.degenerate & ~self.grazing
 
+    @property
+    def stops(self):
+        """Rows whose orbit ends with this chord: trapped or grazing."""
+        return self.trapped | self.grazing
+
     def __len__(self):
         return self.length.shape[0]
+
+
+@dataclass
+class BoundaryState:
+    """Boundary phase points with the piece and g-unit inward normal at each q."""
+
+    q: np.ndarray
+    v: np.ndarray
+    piece: np.ndarray
+    normal: np.ndarray
+
+    def take(self, rows):
+        """The rows selected by a boolean mask; itself when it selects every row."""
+        if rows.all():
+            return self
+        return BoundaryState(self.q[rows], self.v[rows], self.piece[rows], self.normal[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +177,18 @@ class Rescaled:
         return f"Rescaled(stretch={self.stretch}, axis={self.axis.tolist()})"
 
 
-def reflect_batch(law, table, q, v, piece=None):
-    """Map outgoing boundary velocities to incoming ones."""
+def reflect_batch(law, table, q, v, piece=None, normal=None):
+    """Map outgoing boundary velocities to incoming ones.
+
+    `piece` and `normal` carry what the hit at q found; unset, they are
+    derived from q.
+    """
     space = table.space
     q = np.atleast_2d(q)
     v = np.atleast_2d(v)
     if piece is None:
         piece = table.active_piece(q)
-    n = table.inward_normal_at(q, piece)
+    n = table.inward_normal_at(q, piece) if normal is None else normal
     if isinstance(law, Elastic):
         out = v - 2.0 * space.metric_dot(q, v, n)[:, None] * n
         return space.unit(q, out)
@@ -201,39 +237,50 @@ def reflect(law, table, z):
 # ---------------------------------------------------------------------------
 
 
-def causality_batch(table, q, v):
-    """Vectorized causality map on inward boundary phase points."""
+def causality_batch(table, q, v, piece=None, normal=None):
+    """Vectorized causality map on inward boundary phase points.
+
+    `piece` and `normal` carry the boundary state of q found by the hit that
+    ended the previous chord; a carried point must still lie within hit_tol
+    of its piece.  Unset, both are derived from q.  Entry labels and cosines
+    are recomputed either way.
+    """
     q = np.atleast_2d(q)
     v = np.atleast_2d(v)
     n = q.shape[0]
-    entry_piece = table.active_piece(q)
-    entry_label, entry_cos = table.classify(q, v, entry_piece)
-    if np.any(entry_label == _OUT):
+    if piece is None:
+        piece = table.active_piece(q)
+    else:
+        piece = np.atleast_1d(piece)
+        if (np.abs(table.piece_gauge(q, piece)) > table.tol.hit_tol).any():
+            raise NotOnBoundary("carried phase point is off its boundary piece")
+    if normal is None:
+        normal = table.inward_normal_at(q, piece)
+    entry_label, entry_cos = table.classify(q, v, piece, normal)
+    if (entry_label == _OUT).any():
         raise DegenerateStart("causality map applied to an outward phase point")
     degenerate = entry_label == _CONVEX
-    exit_q, exit_v = q.copy(), v.copy()
-    length = np.zeros(n)
-    exit_label = entry_label.copy()
-    exit_cos = entry_cos.copy()
-    exit_piece = entry_piece.copy()
     trapped = np.zeros(n, dtype=bool)
-    trace = ~degenerate
-    if np.any(trace):
-        hit = table.first_hit(q[trace], v[trace])
-        idx = np.flatnonzero(trace)
-        trapped[idx] = hit.trapped
-        good = idx[~hit.trapped]
-        sel = ~hit.trapped
-        exit_q[good] = hit.q[sel]
-        exit_v[good] = hit.v[sel]
-        length[good] = hit.s[sel]
-        exit_label[good] = hit.label[sel]
-        exit_cos[good] = hit.cos_in[sel]
-        exit_piece[good] = hit.piece[sel]
+    # untraced (degenerate) and trapped rows exit where they enter
+    exits = (q, v, np.zeros(n), entry_label, entry_cos, piece, normal)
+    traced = np.flatnonzero(~degenerate)
+    if traced.size:
+        hit = table.first_hit(q[traced], v[traced])
+        trapped[traced] = hit.trapped
+        found = (hit.q, hit.v, hit.s, hit.label, hit.cos_in, hit.piece, hit.normal)
+        if traced.size == n and not trapped.any():
+            exits = found
+        else:
+            good, sel = traced[~hit.trapped], ~hit.trapped
+            exits = tuple(e.copy() for e in exits)
+            for e, f in zip(exits, found):
+                e[good] = f[sel]
+    exit_q, exit_v, length, exit_label, exit_cos, exit_piece, exit_normal = exits
     return ChordBatch(entry_q=q, entry_v=v, exit_q=exit_q, exit_v=exit_v,
                       length=length, entry_label=entry_label, exit_label=exit_label,
                       entry_cos=entry_cos, exit_cos=exit_cos,
-                      entry_piece=entry_piece, exit_piece=exit_piece,
+                      entry_piece=piece, exit_piece=exit_piece,
+                      entry_normal=normal, exit_normal=exit_normal,
                       degenerate=degenerate, trapped=trapped)
 
 
@@ -259,16 +306,47 @@ def causality_map(table, z, raise_grazing=False):
     return record
 
 
-def billiard_batch(table, law, q, v):
-    """One billiard step: chords plus reflected entries for clean rows."""
-    batch = causality_batch(table, q, v)
-    next_q = batch.exit_q.copy()
-    next_v = batch.exit_v.copy()
+def billiard_batch(table, law, q, v, piece=None, normal=None):
+    """One billiard step: chords plus the next entry points.
+
+    Returns (batch, state): clean rows of `state` are reflected exits, the
+    others are the exits as they are.  `state` shares its q, piece and
+    normal arrays with `batch`.
+    """
+    batch = causality_batch(table, q, v, piece, normal)
     ok = batch.ok
-    if np.any(ok):
-        next_v[ok] = reflect_batch(law, table, batch.exit_q[ok], batch.exit_v[ok],
-                                   piece=batch.exit_piece[ok])
-    return batch, next_q, next_v
+    if ok.all():
+        next_v = reflect_batch(law, table, batch.exit_q, batch.exit_v,
+                               piece=batch.exit_piece, normal=batch.exit_normal)
+    else:
+        next_v = batch.exit_v.copy()
+        if ok.any():
+            next_v[ok] = reflect_batch(law, table, batch.exit_q[ok], batch.exit_v[ok],
+                                       piece=batch.exit_piece[ok], normal=batch.exit_normal[ok])
+    return batch, BoundaryState(batch.exit_q, next_v, batch.exit_piece, batch.exit_normal)
+
+
+def lockstep_orbits(table, law, q, v, bounces):
+    """Iterate the billiard map on a batch of orbits in lockstep.
+
+    Yields (step, rows, batch, state) for step = 1, ..., bounces: `rows`
+    indexes the orbits stepped, `batch` holds their chords and `state` their
+    next entry points.  The first step derives piece and normal from q;
+    later steps carry them.  An orbit stops after a trapped or grazing
+    chord, and the run ends once every orbit has stopped.
+    """
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    rows = np.arange(q.shape[0])
+    piece = normal = None
+    for step in range(1, bounces + 1):
+        if rows.size == 0:
+            return
+        batch, state = billiard_batch(table, law, q, v, piece, normal)
+        yield step, rows, batch, state
+        go = ~batch.stops
+        rows, state = rows[go], state.take(go)
+        q, v, piece, normal = state.q, state.v, state.piece, state.normal
 
 
 def billiard_map(table, law, z):
@@ -280,25 +358,30 @@ def billiard_map(table, law, z):
     return z_next, record.length
 
 
-def iterate_orbit(table, law, z0, k_max):
-    """Iterate the billiard map, recording chords until termination."""
+def iterate_orbits(table, law, q, v, k_max):
+    """Iterate the billiard map from a batch of starts, in lockstep.
+
+    Returns one OrbitRecord per start, with its chords up to termination:
+    a trapped chord ends the orbit unrecorded, a grazing one recorded.
+    """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    chords = []
-    z = z0
-    for _ in range(k_max):
-        try:
-            record = causality_map(table, z)
-        except Trapped:
-            return OrbitRecord(tuple(chords), Termination("trapped", len(chords)))
-        chords.append(record)
-        if record.grazing:
-            return OrbitRecord(tuple(chords), Termination("grazing", len(chords)))
-        if record.degenerate:
-            z = record.exit
-        else:
-            z = reflect(law, table, record.exit)
-    return OrbitRecord(tuple(chords), Termination("completed", len(chords)))
+    chords = [[] for _ in range(np.atleast_2d(q).shape[0])]
+    kinds = ["completed"] * len(chords)
+    for _, rows, batch, _ in lockstep_orbits(table, law, q, v, k_max):
+        for j, i in enumerate(rows.tolist()):
+            if batch.trapped[j]:
+                kinds[i] = "trapped"
+                continue
+            chords[i].append(_record_from_batch(batch, j))
+            if batch.grazing[j]:
+                kinds[i] = "grazing"
+    return [OrbitRecord(tuple(c), Termination(k, len(c))) for c, k in zip(chords, kinds)]
+
+
+def iterate_orbit(table, law, z0, k_max):
+    """Iterate the billiard map, recording chords until termination."""
+    return iterate_orbits(table, law, z0.q[None, :], z0.v[None, :], k_max)[0]
 
 
 # ---------------------------------------------------------------------------

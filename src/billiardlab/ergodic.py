@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import billiard_batch, causality_batch
+from .dynamics import causality_batch, lockstep_orbits
 from .errors import DegenerateSet, EmptySequence, TooManyTrapped
 from .lyapunov import delta_F_batch
 from .measure import (Estimate, domain_volumes, sample_mu_theta,
@@ -136,32 +136,21 @@ def time_average_many(table, law, observable, z0_q, z0_v, bounces):
     bounces completed, termination kinds).  Orbits that trap or graze stop
     contributing; their partial averages stay at the last completed bounce.
     """
-    q = np.atleast_2d(np.asarray(z0_q, dtype=float)).copy()
-    v = np.atleast_2d(np.asarray(z0_v, dtype=float)).copy()
-    n = q.shape[0]
+    n = np.atleast_2d(z0_q).shape[0]
     checkpoints = _checkpoint_list(bounces)
     marks = {m: j for j, m in enumerate(checkpoints)}
     running = np.full((n, len(checkpoints)), np.nan)
     sums = np.zeros(n)
     done_bounces = np.zeros(n, dtype=int)
     termination = np.array(["completed"] * n, dtype=object)
-    active = np.ones(n, dtype=bool)
-    for step in range(1, bounces + 1):
-        if not np.any(active):
-            break
-        ai = np.flatnonzero(active)
-        batch, nq, nv = billiard_batch(table, law, q[ai], v[ai])
+    for step, rows, batch, _ in lockstep_orbits(table, law, z0_q, z0_v, bounces):
         vals = observable.values(batch)
-        bad = batch.trapped | batch.grazing
+        bad = batch.stops
         good = ~bad
-        gi = ai[good]
+        gi = rows[good]
         sums[gi] += vals[good]
         done_bounces[gi] = step
-        q[gi] = nq[good]
-        v[gi] = nv[good]
-        bi = ai[bad]
-        termination[bi] = np.where(batch.trapped[bad], "trapped", "grazing")
-        active[bi] = False
+        termination[rows[bad]] = np.where(batch.trapped[bad], "trapped", "grazing")
         if step in marks:
             j = marks[step]
             live = done_bounces >= step
@@ -301,19 +290,12 @@ def recurrence_test(table, law, box, starters, bounces, seed):
     n = q.shape[0]
     returned = np.zeros(n, dtype=bool)
     counts = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    for _ in range(bounces):
-        if not np.any(active):
-            break
-        ai = np.flatnonzero(active)
-        batch, nq, nv = billiard_batch(table, law, q[ai], v[ai])
-        bad = batch.trapped | batch.grazing
-        gi = ai[~bad]
-        q[gi] = nq[~bad]
-        v[gi] = nv[~bad]
-        active[ai[bad]] = False
+    for _, rows, batch, state in lockstep_orbits(table, law, q, v, bounces):
+        good = ~batch.stops
+        gi = rows[good]
         if gi.size:
-            member = box.contains(table, q[gi], v[gi])
+            nxt = state.take(good)
+            member = box.contains(table, nxt.q, nxt.v, nxt.piece, nxt.normal)
             returned[gi] |= member
             counts[gi] += member
     return RecurrenceResult(returned_fraction=float(np.mean(returned)),

@@ -294,23 +294,28 @@ class PhaseBox:
     incidence: tuple | None = None
     cos_range: tuple | None = None
 
-    def contains(self, table, q, v, piece_idx=None):
+    def contains(self, table, q, v, piece_idx=None, normal=None):
+        """Rows inside the box; points off the boundary (piece -1) never are.
+
+        `piece_idx` and `normal` carry what the hit at q found; unset, they
+        are derived from q.
+        """
         space = table.space
         q = np.atleast_2d(q)
         v = np.atleast_2d(v)
         if piece_idx is None:
             piece_idx = table.active_piece(q)
         piece_idx = np.atleast_1d(piece_idx)
-        mask = np.ones(q.shape[0], dtype=bool)
+        mask = piece_idx >= 0
         if self.piece is not None:
             mask &= piece_idx == self.piece
-        if not np.any(mask):
+        if not mask.any():
             return mask
         if self.boundary is not None:
             ang = np.full(q.shape[0], np.nan)
             for k, piece in enumerate(table.pieces):
                 sel = mask & (piece_idx == k)
-                if np.any(sel):
+                if sel.any():
                     ang[sel] = piece.boundary_param(space, q[sel])
             lo, hi = self.boundary
             lo, hi = np.mod(lo, 2.0 * np.pi), np.mod(hi, 2.0 * np.pi)
@@ -319,15 +324,16 @@ class PhaseBox:
             else:
                 mask &= (ang >= lo) | (ang < hi)
         if self.incidence is not None or self.cos_range is not None:
-            normals = table.inward_normal_at(q, np.maximum(piece_idx, 0))
-            cos_in = space.metric_dot(q, v, normals)
+            if normal is None:
+                normal = table.inward_normal_at(q, np.maximum(piece_idx, 0))
+            cos_in = space.metric_dot(q, v, normal)
             if self.cos_range is not None:
                 lo, hi = self.cos_range
                 mask &= (cos_in >= lo) & (cos_in < hi)
             if self.incidence is not None:
                 if space.dim != 2:
                     raise ValueError("signed incidence boxes need n = 2")
-                frame = space.tangent_frame(q, normals)[:, 0]
+                frame = space.tangent_frame(q, normal)[:, 0]
                 sin_in = space.metric_dot(q, v, frame)
                 theta = np.arctan2(sin_in, cos_in)
                 lo, hi = self.incidence
@@ -365,20 +371,20 @@ def measure_preservation_test(table, law, boxes, count, seed):
     entries z, mu(B^{-1}K) from indicators at B(z).  The paired z-score of
     the difference tests the pushforward invariance.
     """
-    from .dynamics import billiard_batch
+    from .dynamics import lockstep_orbits
 
     samples = sample_mu_theta(table, count, seed)
-    batch, next_q, next_v = billiard_batch(table, law, samples.q, samples.v)
-    valid = ~batch.trapped & ~batch.grazing
+    _, _, batch, state = next(lockstep_orbits(table, law, samples.q, samples.v, 1))
+    valid = ~batch.stops
     excluded = 1.0 - float(np.mean(valid))
     mass = samples.normalization
-    q1, v1, p1 = samples.q[valid], samples.v[valid], samples.piece[valid]
-    q2, v2 = next_q[valid], next_v[valid]
-    p2 = np.where(batch.degenerate[valid], p1, batch.exit_piece[valid])
+    q1, v1, p1, n1 = (a[valid] for a in (batch.entry_q, batch.entry_v, batch.entry_piece,
+                                         batch.entry_normal))
+    after = state.take(valid)
     results = []
     for box in boxes:
-        in_now = box.contains(table, q1, v1, p1).astype(float)
-        in_next = box.contains(table, q2, v2, p2).astype(float)
+        in_now = box.contains(table, q1, v1, p1, n1).astype(float)
+        in_next = box.contains(table, after.q, after.v, after.piece, after.normal).astype(float)
         if not np.any(in_now):
             raise DegenerateSet(f"box {box} has empirical measure zero")
         diff = Estimate.from_samples(in_now - in_next)

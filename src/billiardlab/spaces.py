@@ -21,7 +21,7 @@ __all__ = ["Euclidean", "FlatTorus", "HyperbolicBall", "Sphere", "ModelSpace", "
 
 
 def _dot(a, b):
-    return np.sum(a * b, axis=-1)
+    return (a * b).sum(axis=-1)
 
 
 class PhasePoint:

@@ -655,11 +655,12 @@ class RadialFourierCurve(BoundaryPiece):
 
 @dataclass
 class HitBatch:
-    """Vectorized first-hit result; trapped rows carry s = inf."""
+    """Vectorized first-hit result; trapped rows carry s = inf and normal 0."""
     s: np.ndarray
     q: np.ndarray
     v: np.ndarray
     piece: np.ndarray
+    normal: np.ndarray
     cos_in: np.ndarray
     label: np.ndarray
     trapped: np.ndarray
@@ -851,13 +852,24 @@ class Table:
         best = np.max(g, axis=0)
         return np.where(np.abs(best) <= self.tol.hit_tol, idx, -1)
 
+    def piece_gauge(self, q, piece_idx):
+        """Gauge of each row's own piece at q."""
+        q = np.atleast_2d(q)
+        piece_idx = np.atleast_1d(piece_idx)
+        out = np.empty(q.shape[0])
+        for k, piece in enumerate(self.pieces):
+            mask = piece_idx == k
+            if mask.any():
+                out[mask] = piece.gauge(self.space, q[mask])
+        return out
+
     def inward_normal_at(self, q, piece_idx):
         q = np.atleast_2d(q)
         piece_idx = np.atleast_1d(piece_idx)
         out = np.empty_like(q)
         for k, piece in enumerate(self.pieces):
             mask = piece_idx == k
-            if np.any(mask):
+            if mask.any():
                 out[mask] = piece.inward_normal(self.space, q[mask])
         return out
 
@@ -878,22 +890,27 @@ class Table:
                 out[mask] = (gp - 2.0 * g0 + gm) / (h * h)
         return out
 
-    def classify(self, q, v, piece_idx=None):
-        """Stratum labels and incidence cosines for boundary phase points."""
+    def classify(self, q, v, piece_idx=None, normal=None):
+        """Stratum labels and incidence cosines for boundary phase points.
+
+        `normal`, the inward normals of the pieces at q when already known,
+        saves deriving them again; the cosine is one metric_dot either way.
+        """
         q = np.atleast_2d(q)
         v = np.atleast_2d(v)
         if piece_idx is None:
             piece_idx = self.active_piece(q)
         piece_idx = np.atleast_1d(piece_idx)
-        if np.any(piece_idx < 0):
+        if (piece_idx < 0).any():
             raise NotOnBoundary("point is not on the table boundary")
-        n = self.inward_normal_at(q, piece_idx)
-        cos_in = self.space.metric_dot(q, v, n)
+        if normal is None:
+            normal = self.inward_normal_at(q, piece_idx)
+        cos_in = self.space.metric_dot(q, v, normal)
         gtol = self.tol.grazing_tol
         label = np.where(cos_in > gtol, int(StratumLabel.TRANSVERSAL_IN),
                          np.where(cos_in < -gtol, int(StratumLabel.TRANSVERSAL_OUT), -1))
         tangent = label < 0
-        if np.any(tangent):
+        if tangent.any():
             dds = self._gauge_dds(q[tangent], v[tangent], piece_idx[tangent])
             label[tangent] = np.where(dds >= 0.0, int(StratumLabel.TANGENT_CONVEX),
                                       int(StratumLabel.TANGENT_CONCAVE))
@@ -926,14 +943,20 @@ class Table:
         trapped = ~np.isfinite(best_s)
         s_eff = np.where(trapped, 0.0, best_s)
         q_hit, v_hit = self.space.flow(q, v, s_eff)
-        cos_in = np.zeros(n)
-        label = np.full(n, -1, dtype=np.int8)
         ok = ~trapped
-        if np.any(ok):
-            lbl, ci = self.classify(q_hit[ok], v_hit[ok], best_piece[ok])
-            cos_in[ok] = ci
-            label[ok] = lbl
-        return HitBatch(s=best_s, q=q_hit, v=v_hit, piece=best_piece,
+        if ok.all():
+            # the common case keeps the arrays classify reads, uncopied
+            normal = self.inward_normal_at(q_hit, best_piece)
+            label, cos_in = self.classify(q_hit, v_hit, best_piece, normal)
+        else:
+            normal = np.zeros_like(q_hit)
+            cos_in = np.zeros(n)
+            label = np.full(n, -1, dtype=np.int8)
+            if ok.any():
+                normal[ok] = self.inward_normal_at(q_hit[ok], best_piece[ok])
+                label[ok], cos_in[ok] = self.classify(q_hit[ok], v_hit[ok], best_piece[ok],
+                                                      normal[ok])
+        return HitBatch(s=best_s, q=q_hit, v=v_hit, piece=best_piece, normal=normal,
                         cos_in=cos_in, label=label, trapped=trapped)
 
     def _first_hit_torus(self, q, v, s_lo, s_hi):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,18 @@ def test_cli_mfp_report(tmp_path, capsys):
     assert rep["version"]
     assert rep["wall_time_s"] >= 0
     assert (tmp_path / "mfp.json").exists()
+
+
+def test_python_m_runs_the_cli_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "billiardlab", "mfp", "--preset", "disk",
+                           "--samples", "2000", "--seed", "3", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads((tmp_path / "mfp.json").read_text())
+    assert rep["command"] == "mfp" and rep["results"]["count"] == 2000
 
 
 def _strip_volatile(report):

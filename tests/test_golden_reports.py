@@ -1,0 +1,63 @@
+"""Seeded CLI reports against golden copies recorded before the orbit engine.
+
+Each case runs one subcommand at a small scale and compares its JSON report,
+without `wall_time_s`, `version` and `files`, with `tests/golden/<case>.json`;
+side files (orbit dumps, summary CSV) are compared by SHA-256, byte for byte.
+The golden values pin the exact floating-point output of this code on the
+platform they were recorded on.  To re-record after a deliberate change of a
+seeded stream, run `PYTHONPATH=src python tests/test_golden_reports.py`.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from billiardlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+VOLATILE = ("wall_time_s", "version", "files")
+
+CASES = {
+    "simulate-torus-two-balls": ["simulate", "--preset", "torus-two-balls", "--orbits", "3",
+                                 "--bounces", "80", "--seed", "5"],
+    "recurrence-disk": ["recurrence", "--preset", "disk", "--starters", "24",
+                        "--bounces", "400", "--seed", "3"],
+    "measure-check-disk": ["measure-check", "--preset", "disk", "--samples", "4096",
+                           "--boxes", "6", "--seed", "2"],
+    "measure-check-torus-two-balls": ["measure-check", "--preset", "torus-two-balls",
+                                      "--samples", "4096", "--boxes", "6", "--seed", "4"],
+}
+
+
+def run_case(argv, out):
+    """Report without its volatile keys, and the SHA-256 of every side file."""
+    assert main(argv + ["--out", str(out)]) == 0
+    report = json.loads((out / f"{argv[0]}.json").read_text())
+    for key in VOLATILE:
+        report.pop(key)
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(out.iterdir()) if p.name != f"{argv[0]}.json"}
+    return {"report": report, "files": files}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, tmp_path, capsys):
+    got = run_case(CASES[case], tmp_path)
+    capsys.readouterr()
+    want = json.loads((GOLDEN / f"{case}.json").read_text())
+    assert got["report"] == want["report"]
+    assert got["files"] == want["files"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for case, argv in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            data = run_case(argv, Path(tmp))
+        (GOLDEN / f"{case}.json").write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        print(case, file=sys.stderr)
