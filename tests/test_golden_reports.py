@@ -1,4 +1,4 @@
-"""Seeded CLI reports against golden copies recorded before the orbit engine.
+"""Seeded CLI reports against golden copies recorded before each refactor.
 
 Each case runs one subcommand at a small scale and compares its JSON report,
 without `wall_time_s`, `version` and `files`, with `tests/golden/<case>.json`;
@@ -8,17 +8,21 @@ platform they were recorded on.  To re-record after a deliberate change of a
 seeded stream, run `PYTHONPATH=src python tests/test_golden_reports.py`.
 """
 
+import contextlib
 import hashlib
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from billiardlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 VOLATILE = ("wall_time_s", "version", "files")
+# bounce lengths for the `hear` case, written next to the output directory
+LENGTHS = np.random.default_rng(11).uniform(0.2, 2.0, 300)
 
 CASES = {
     "simulate-torus-two-balls": ["simulate", "--preset", "torus-two-balls", "--orbits", "3",
@@ -29,12 +33,31 @@ CASES = {
                            "--boxes", "6", "--seed", "2"],
     "measure-check-torus-two-balls": ["measure-check", "--preset", "torus-two-balls",
                                       "--samples", "4096", "--boxes", "6", "--seed", "4"],
+    "mfp-torus-two-balls": ["mfp", "--preset", "torus-two-balls", "--samples", "70000",
+                            "--seed", "6"],
+    "slices-disk": ["slices", "--preset", "disk", "--samples", "70000", "--grid-points", "12",
+                    "--seed", "8"],
+    "probe-torus-one-ball": ["probe", "--preset", "torus-one-ball", "--samples", "20000",
+                             "--seed", "9"],
+    "conjugacy-disk": ["conjugacy", "--preset", "disk", "--map", "rotation:1.0",
+                       "--samples", "10000", "--seed", "10"],
+    "reconstruct-disk": ["reconstruct", "--preset", "disk", "--grid", "16",
+                         "--reference-points", "512", "--seed", "12"],
+    "hear": ["hear", "--lengths", "lengths.csv", "--boundary", "6.283185307179586",
+             "--dim", "2"],
 }
 
 
-def run_case(argv, out):
-    """Report without its volatile keys, and the SHA-256 of every side file."""
-    assert main(argv + ["--out", str(out)]) == 0
+def run_case(argv, work):
+    """Report without its volatile keys, and the SHA-256 of every side file.
+
+    Runs inside `work`, so the relative `lengths.csv` path is the same in
+    every run; the outputs go to `work/out`.
+    """
+    out = work / "out"
+    (work / "lengths.csv").write_text("length\n" + "".join(f"{x!r}\n" for x in LENGTHS.tolist()))
+    with contextlib.chdir(work):
+        assert main(argv + ["--out", str(out)]) == 0
     report = json.loads((out / f"{argv[0]}.json").read_text())
     for key in VOLATILE:
         report.pop(key)
