@@ -3,11 +3,11 @@
 Every subcommand loads a table (preset or JSON config), runs one experiment,
 writes a JSON report embedding the full parameter set, seed, version string,
 and wall time, and emits CSV / JSON Lines side files where curves or streams
-are produced.  Sample budgets are cut into fixed blocks keyed by stream
-index, so reports are bit-identical for any worker count.
+are produced.  Sampling subcommands call the API estimators, which share one
+block reduction, so reports equal the API's for any worker count.
 
-Exit codes: 0 success, 1 validation or configuration error, 2 runtime error
-(trapping budget exceeded, degenerate test sets, and similar).
+Exit codes: 0 success, 1 validation error (bad configuration, a sample count
+below 1), 2 runtime error (trapping budget exceeded, degenerate test sets).
 """
 
 from __future__ import annotations
@@ -24,18 +24,18 @@ import numpy as np
 
 from . import __version__
 from .config import load_table_config
-from .dynamics import Elastic, causality_batch, iterate_orbits, trapping_probe
+from .dynamics import Elastic, iterate_orbits, trapping_probe
 from .errors import BilliardError, ConfigError
-from .ergodic import hear_volume, mean_free_path_prediction
+from .ergodic import hear_volume, mean_free_path, recurrence_test
 from .holography import (boundary_param_map, conjugacy_residual,
                          domain_reference_sample, generate_scattering_dataset,
                          identity_map, reconstruct_chords, reflection_map,
                          rotation_map, torus_translation_map)
 from .lyapunov import build_well_balanced_F, slice_area_curve, var_F_boundary
-from .measure import (Estimate, measure_preservation_test, random_phase_boxes,
-                      boundary_rng, sample_mu_theta, trajectory_space_volume,
-                      domain_volumes)
-from .parallel import BLOCK_SIZE, block_counts, default_workers, run_blocks
+from .measure import (PhaseBox, boundary_rng, domain_volumes, measure_preservation_test,
+                      random_phase_boxes, sample_mu_theta, trajectory_space_volume,
+                      unit_sphere_volume)
+from .parallel import BLOCK_SIZE
 from .presets import PRESETS, preset_table
 from .spaces import FlatTorus
 
@@ -53,25 +53,6 @@ def version_string():
     except (OSError, subprocess.SubprocessError):
         pass
     return __version__
-
-
-# ---------------------------------------------------------------------------
-# Worker blocks (module level: they must pickle)
-# ---------------------------------------------------------------------------
-
-
-def _chord_block(task):
-    table, count, seed, stream = task
-    samples = sample_mu_theta(table, count, seed, stream)
-    batch = causality_batch(table, samples.q, samples.v)
-    ok = batch.ok
-    est = Estimate.from_samples(batch.length[ok])
-    return est, int(np.sum(batch.trapped)), int(np.sum(batch.grazing)), count
-
-
-def _slice_block(task):
-    table, f, grid, count, seed, stream = task
-    return slice_area_curve(table, f, grid, count, seed, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -130,29 +111,19 @@ def _cmd_mfp(args):
     started = time.time()
     table = _build_table(args)
     total = int(args.samples)
-    prediction, vols = mean_free_path_prediction(table)
-    tasks = [(table, c, args.seed, i) for i, c in enumerate(block_counts(total))]
-    parts = run_blocks(_chord_block, tasks, default_workers(args.workers))
-    est = Estimate.merge_all(p[0] for p in parts)
-    trapped = sum(p[1] for p in parts)
-    grazing = sum(p[2] for p in parts)
-    excluded = (trapped + grazing) / total
-    if excluded > 0.01:
-        raise BilliardError(f"excluded fraction {excluded:.2e} exceeds the 1% budget")
-    note = (f"free paths capped at l_max={table.l_max:g}; {trapped} samples hit the cap "
-            "and were excluded. On tables with unbounded free paths the estimate is "
-            "cap-limited even when no sample reaches the cap.")
+    report = mean_free_path(table, total, args.seed, workers=args.workers)
+    vols = domain_volumes(table)
     results = {
-        "prediction": prediction,
-        "space_mean": est.mean,
-        "stderr": est.stderr,
-        "count": est.count,
-        "relative_gap": abs(est.mean - prediction) / prediction,
-        "trapped_fraction": trapped / total,
-        "grazing_fraction": grazing / total,
+        "prediction": report.prediction,
+        "space_mean": report.space.mean,
+        "stderr": report.space.stderr,
+        "count": report.space.count,
+        "relative_gap": report.relative_gap,
+        "trapped_fraction": report.space.trapped_fraction,
+        "grazing_fraction": report.space.grazing_fraction,
         "vol_m": vols.vol_m,
         "vol_dm": vols.vol_dm,
-        "note": note,
+        "note": report.note,
     }
     params = {**_table_ref(args), "samples": total, "lmax": table.l_max,
               "block_size": BLOCK_SIZE}
@@ -162,7 +133,7 @@ def _cmd_mfp(args):
 def _cmd_probe(args):
     started = time.time()
     table = _build_table(args)
-    probe = trapping_probe(table, int(args.samples), seed=args.seed)
+    probe = trapping_probe(table, int(args.samples), seed=args.seed, workers=args.workers)
     warning = ""
     if not probe.gd_stabilized:
         warning = ("longest observed chord is still growing with the sample: the geodesic "
@@ -222,7 +193,8 @@ def _cmd_measure_check(args):
     table = _build_table(args)
     rng = boundary_rng(args.seed, 7777)
     boxes = random_phase_boxes(table, args.boxes, rng)
-    results = measure_preservation_test(table, Elastic(), boxes, int(args.samples), args.seed)
+    results = measure_preservation_test(table, Elastic(), boxes, int(args.samples), args.seed,
+                                        workers=args.workers)
     rows = []
     for r in results:
         rows.append({
@@ -246,10 +218,8 @@ def _cmd_measure_check(args):
 def _cmd_recurrence(args):
     started = time.time()
     table = _build_table(args)
-    from .measure import PhaseBox
     box = PhaseBox(piece=args.box_piece, boundary=tuple(args.box_angle),
                    incidence=tuple(args.box_incidence))
-    from .ergodic import recurrence_test
     res = recurrence_test(table, Elastic(), box, args.starters, int(args.bounces), args.seed)
     results = {"returned_fraction": res.returned_fraction,
                "mean_return_count": res.mean_return_count,
@@ -267,9 +237,7 @@ def _cmd_slices(args):
     var = var_F_boundary(table, f, max(int(args.samples) // 4, 4096), args.seed)
     grid = np.linspace(var.f_min, var.f_max, args.grid_points)
     total = int(args.samples)
-    tasks = [(table, f, grid, c, args.seed, i) for i, c in enumerate(block_counts(total))]
-    parts = run_blocks(_slice_block, tasks, default_workers(args.workers))
-    merged = [Estimate.merge_all(block[j] for block in parts) for j in range(grid.size)]
+    merged = slice_area_curve(table, f, grid, total, args.seed, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "slice_areas.csv"
@@ -280,7 +248,6 @@ def _cmd_slices(args):
             writer.writerow([t, e.mean, e.stderr])
     areas = np.array([e.mean for e in merged])
     integral = float(np.trapezoid(areas, grid))
-    from .measure import unit_sphere_volume
     vols = domain_volumes(table)
     predicted = unit_sphere_volume(table.space.dim - 1) * vols.vol_m
     results = {
@@ -350,7 +317,8 @@ def _cmd_conjugacy(args):
     if args.lmax:
         other = other.with_l_max(args.lmax)
     phi = _parse_boundary_map(args.map, table, other)
-    res = conjugacy_residual(table, other, phi, int(args.samples), args.seed)
+    res = conjugacy_residual(table, other, phi, int(args.samples), args.seed,
+                             workers=args.workers)
     results = {"max_residual": res.max_residual, "mean_residual": res.mean_residual,
                "used": res.used, "skipped": res.skipped}
     params = {**_table_ref(args), "other": args.other, "map": args.map,

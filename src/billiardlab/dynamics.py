@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateStart, GrazingExit, NotOnBoundary, Trapped
+from .measure import sample_blocks
 from .spaces import PhasePoint
 from .tables import Stratum, StratumLabel
 
@@ -167,11 +168,6 @@ class Rescaled:
                               for k, (s, a) in per_piece.items()}
             if any(s <= 0 for s, _ in self.per_piece.values()):
                 raise ValueError("stretch must be positive")
-
-    def params_for(self, piece):
-        if self.per_piece and piece in self.per_piece:
-            return self.per_piece[piece]
-        return self.stretch, self.axis
 
     def __repr__(self):
         return f"Rescaled(stretch={self.stretch}, axis={self.axis.tolist()})"
@@ -400,7 +396,12 @@ class TrappingProbe:
     l_max: float
 
 
-def trapping_probe(table, sample_count, l_max=None, seed=0):
+def _probe_block(table, samples):
+    batch = causality_batch(table, samples.q, samples.v)
+    return batch.length, batch.trapped, batch.grazing
+
+
+def trapping_probe(table, sample_count, l_max=None, seed=0, workers=None):
     """Monte Carlo escape statistics; max_chord is a lower bound for gd(M,g).
 
     Tables with unbounded free paths have power tails in the chord length,
@@ -409,16 +410,12 @@ def trapping_probe(table, sample_count, l_max=None, seed=0):
     twice the 99.5% quantile: for a bounded geodesic diameter the top
     chords cluster below it, while a power tail always populates it.
     """
-    from .measure import sample_mu_theta
-
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
     work = table if l_max is None else table.with_l_max(l_max)
-    samples = sample_mu_theta(table, sample_count, seed)
-    batch = causality_batch(work, samples.q, samples.v)
-    escaped = ~batch.trapped
-    lengths = batch.length[escaped]
-    quarters = np.array_split(batch.length * np.where(escaped, 1.0, np.nan), 4)
+    parts = sample_blocks(_probe_block, work, sample_count, seed, workers=workers)
+    length, trapped, grazing = (np.concatenate(column) for column in zip(*parts))
+    escaped = ~trapped
+    lengths = length[escaped]
+    quarters = np.array_split(length * np.where(escaped, 1.0, np.nan), 4)
     progression = []
     running = 0.0
     for part in quarters:
@@ -434,7 +431,7 @@ def trapping_probe(table, sample_count, l_max=None, seed=0):
     return TrappingProbe(
         escape_fraction=float(np.mean(escaped)),
         max_chord=float(np.max(lengths)) if lengths.size else 0.0,
-        grazing_fraction=float(np.mean(batch.grazing)),
+        grazing_fraction=float(np.mean(grazing)),
         max_chord_progression=tuple(progression),
         gd_stabilized=stabilized,
         sample_count=sample_count,

@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import causality_batch, lockstep_orbits
 from .errors import DegenerateSet, EmptySequence, TooManyTrapped
 from .lyapunov import delta_F_batch
-from .measure import (Estimate, domain_volumes, sample_mu_theta,
+from .measure import (Estimate, domain_volumes, sample_blocks, sample_mu_theta,
                       trajectory_space_volume, unit_ball_volume, unit_sphere_volume)
 
 __all__ = [
@@ -68,24 +68,25 @@ class SpaceAverage:
         return self.estimate.count
 
 
-def space_average(table, observable, count, seed, stream=0, max_excluded=0.01):
-    """E_mu[f] over one free chord; trapped and grazing samples are excluded.
+def _average_block(table, samples, observable):
+    batch = causality_batch(table, samples.q, samples.v)
+    return (Estimate.from_samples(observable.values(batch)[batch.ok]),
+            int(np.sum(batch.trapped)), int(np.sum(batch.grazing)))
+
+
+def space_average(table, observable, count, seed, stream=0, max_excluded=0.01, workers=None):
+    """E_mu[f] over one free chord; trapped, grazing and degenerate samples are excluded.
 
     Raises TooManyTrapped when the excluded fraction exceeds the budget.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    samples = sample_mu_theta(table, count, seed, stream)
-    batch = causality_batch(table, samples.q, samples.v)
-    ok = batch.ok
-    trapped = float(np.mean(batch.trapped))
-    grazing = float(np.mean(batch.grazing))
-    excluded = 1.0 - float(np.mean(ok))
+    parts = sample_blocks(_average_block, table, count, seed, observable, stream=stream,
+                          workers=workers)
+    estimate = Estimate.merge_all(p[0] for p in parts)
+    excluded = 1.0 - estimate.count / count
     if excluded > max_excluded:
         raise TooManyTrapped(f"excluded fraction {excluded:.2e} exceeds {max_excluded:.0e}")
-    values = observable.values(batch)[ok]
-    return SpaceAverage(estimate=Estimate.from_samples(values),
-                        trapped_fraction=trapped, grazing_fraction=grazing)
+    return SpaceAverage(estimate=estimate, trapped_fraction=sum(p[1] for p in parts) / count,
+                        grazing_fraction=sum(p[2] for p in parts) / count)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +227,11 @@ class MeanFreePathReport:
     note: str
 
 
-def mean_free_path(table, count=100_000, seed=0, max_excluded=0.01):
+def mean_free_path(table, count=100_000, seed=0, max_excluded=0.01, workers=None):
     """Closed-form mean free path next to its Monte Carlo estimate."""
     prediction, _ = mean_free_path_prediction(table)
-    space = space_average(table, ChordLength(), count, seed, max_excluded=max_excluded)
+    space = space_average(table, ChordLength(), count, seed, max_excluded=max_excluded,
+                          workers=workers)
     gap = abs(space.mean - prediction) / abs(prediction)
     note = (f"free paths capped at l_max={table.l_max:g}; capped fraction "
             f"{space.trapped_fraction:.2e} (excluded from the mean). On tables with "

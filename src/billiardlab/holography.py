@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from .dynamics import causality_batch
 from .errors import AmbiguousGeodesic
-from .measure import boundary_rng, sample_mu_theta
+from .measure import boundary_rng, sample_blocks
 from .spaces import FlatTorus, HyperbolicBall, Sphere
 
 __all__ = [
@@ -200,32 +200,37 @@ class ConjugacyResult:
     skipped: int
 
 
-def conjugacy_residual(table1, table2, phi, count, seed):
+def _conjugacy_block(table1, samples, table2, phi):
+    """Residuals of the usable rows of one block."""
+    b1 = causality_batch(table1, samples.q, samples.v)
+    phi_q, phi_v = phi(samples.q, samples.v)
+    piece2 = table2.active_piece(phi_q)
+    on2 = piece2 >= 0
+    inward = np.zeros(len(samples), dtype=bool)
+    if np.any(on2):
+        n2 = table2.inward_normal_at(phi_q[on2], piece2[on2])
+        cos2 = table2.space.metric_dot(phi_q[on2], phi_v[on2], n2)
+        inward[np.flatnonzero(on2)] = cos2 > table2.tol.grazing_tol
+    usable = b1.ok & inward
+    if not np.any(usable):
+        return np.empty(0)
+    b2 = causality_batch(table2, phi_q[usable], phi_v[usable])
+    img_q, img_v = phi(b1.exit_q[usable], b1.exit_v[usable])
+    sub = b2.ok
+    dq = table2.space.chart_distance(img_q[sub], b2.exit_q[sub])
+    dv = np.linalg.norm(img_v[sub] - b2.exit_v[sub], axis=-1)
+    return dq + dv
+
+
+def conjugacy_residual(table1, table2, phi, count, seed, workers=None):
     """Chart-distance residual of phi C1 versus C2 phi over measure samples.
 
     Rows whose phi-image is not an inward boundary phase point of the
     second table (possible for non-isometric identifications) are skipped
     and counted, as are trapped or grazing chords on either side.
     """
-    samples = sample_mu_theta(table1, count, seed)
-    b1 = causality_batch(table1, samples.q, samples.v)
-    phi_q, phi_v = phi(samples.q, samples.v)
-    piece2 = table2.active_piece(phi_q)
-    on2 = piece2 >= 0
-    inward = np.zeros(count, dtype=bool)
-    if np.any(on2):
-        n2 = table2.inward_normal_at(phi_q[on2], piece2[on2])
-        cos2 = table2.space.metric_dot(phi_q[on2], phi_v[on2], n2)
-        inward[np.flatnonzero(on2)] = cos2 > table2.tol.grazing_tol
-    usable = b1.ok & inward
-    res = np.empty(0)
-    if np.any(usable):
-        b2 = causality_batch(table2, phi_q[usable], phi_v[usable])
-        img_q, img_v = phi(b1.exit_q[usable], b1.exit_v[usable])
-        sub = b2.ok
-        dq = table2.space.chart_distance(img_q[sub], b2.exit_q[sub])
-        dv = np.linalg.norm(img_v[sub] - b2.exit_v[sub], axis=-1)
-        res = dq + dv
+    res = np.concatenate(sample_blocks(_conjugacy_block, table1, count, seed, table2, phi,
+                                       workers=workers))
     return ConjugacyResult(max_residual=float(np.max(res)) if res.size else float("nan"),
                            mean_residual=float(np.mean(res)) if res.size else float("nan"),
                            used=int(res.size), skipped=int(count - res.size))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BodyTooSmall
-from .measure import Estimate, boundary_rng, sample_mu_theta
+from .measure import (Estimate, boundary_points, boundary_rng, merge_blocks, sample_blocks,
+                      sample_mu_theta)
 from .spaces import FlatTorus, Sphere
 from .tables import Ball, Table, Tolerances
 
@@ -136,20 +137,8 @@ class BoundaryVariation:
 
 def _uniform_boundary_phase(table, count, rng):
     """Boundary points weighted by area, directions uniform on the g-sphere."""
-    space = table.space
-    weights = np.array([p.boundary_volume(space) for p in table.pieces])
-    probs = weights / np.sum(weights)
-    piece_idx = rng.choice(len(table.pieces), size=count, p=probs)
-    q = np.empty((count, space.chart_dim))
-    normals = np.empty_like(q)
-    for k, piece in enumerate(table.pieces):
-        mask = piece_idx == k
-        m = int(np.sum(mask))
-        if m:
-            pts = piece.sample_boundary(space, rng, m)
-            q[mask] = pts
-            normals[mask] = piece.inward_normal(space, pts)
-    frame = space.tangent_frame(q, normals)
+    _, q, normals = boundary_points(table, count, rng)
+    frame = table.space.tangent_frame(q, normals)
     basis = np.concatenate([normals[:, None, :], frame], axis=1)
     coords = rng.standard_normal((count, basis.shape[1]))
     coords /= np.linalg.norm(coords, axis=1, keepdims=True)
@@ -175,30 +164,32 @@ def var_F_boundary(table, f, count, seed):
                              count=int(allv.size))
 
 
-def slice_area_curve(table, f, t_grid, count, seed, stream=0):
+def _slice_block(table, samples, f, t_grid):
+    from .dynamics import causality_batch
+
+    batch = causality_batch(table, samples.q, samples.v)
+    ok = batch.ok
+    f_lo = f.value_batch(batch.entry_q[ok], batch.entry_v[ok])
+    f_hi = f.value_batch(batch.exit_q[ok], batch.exit_v[ok])
+    mass = samples.normalization
+    pad = np.zeros(len(samples) - f_lo.size)  # excluded rows carry no straddle mass
+    estimates = []
+    for t in t_grid:
+        inside = ((f_lo <= t) & (t < f_hi)).astype(float)
+        estimates.append(Estimate.from_samples(np.concatenate([inside, pad])).scaled(mass))
+    return estimates
+
+
+def slice_area_curve(table, f, t_grid, count, seed, workers=None):
     """Measure of chords straddling each level t, one sample pass for all t.
 
     A chord [F(z), F(C z)) crosses the level set {F = t} exactly once when
     F(z) <= t < F(C z), because F grows monotonically along the flow; the
     slice area is the measure of that straddle set.
     """
-    from .dynamics import causality_batch
-
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    samples = sample_mu_theta(table, count, seed, stream)
-    batch = causality_batch(table, samples.q, samples.v)
-    ok = batch.ok
-    f_lo = f.value_batch(batch.entry_q[ok], batch.entry_v[ok])
-    f_hi = f.value_batch(batch.exit_q[ok], batch.exit_v[ok])
-    mass = samples.normalization
-    n_ok = f_lo.size
-    estimates = []
-    for t in t_grid:
-        inside = ((f_lo <= t) & (t < f_hi)).astype(float)
-        # excluded rows count as zero: they carry no straddle mass
-        padded = np.concatenate([inside, np.zeros(count - n_ok)])
-        estimates.append(Estimate.from_samples(padded).scaled(mass))
-    return estimates
+    return merge_blocks(sample_blocks(_slice_block, table, count, seed, f, t_grid,
+                                      workers=workers))
 
 
 def slice_area(table, f, t, count, seed):

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSet, NotOnBoundary
+from .errors import ConfigError, DegenerateSet, NotOnBoundary
+from .parallel import block_counts, run_blocks
 from .spaces import FlatTorus, HyperbolicBall, Sphere
 
 __all__ = [
     "Estimate", "WeightedSampleSet", "PhaseBox", "mu_theta_density",
     "sample_mu_theta", "trajectory_space_volume", "domain_volumes",
     "measure_preservation_test", "unit_ball_volume", "unit_sphere_volume",
-    "random_phase_boxes", "boundary_rng",
+    "random_phase_boxes", "boundary_rng", "boundary_points", "sample_blocks", "merge_blocks",
 ]
 
 
@@ -59,10 +60,6 @@ class Estimate:
         if self.count < 2:
             return float("inf") if self.count else float("nan")
         return math.sqrt(self.m2 / (self.count - 1) / self.count)
-
-    @property
-    def variance(self):
-        return self.m2 / (self.count - 1) if self.count > 1 else float("nan")
 
     @staticmethod
     def from_samples(x):
@@ -121,10 +118,6 @@ class WeightedSampleSet:
     def __len__(self):
         return self.q.shape[0]
 
-    def estimate(self, values):
-        """Estimate of the integral of f against the measure (mass-scaled mean)."""
-        return Estimate.from_samples(values).scaled(self.normalization)
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -164,12 +157,9 @@ def _lift_directions(space, q, normals, rng, gtol):
     return out, resampled
 
 
-def sample_mu_theta(table, count, seed, stream=0):
-    """Draw `count` inward boundary phase points from the cosine measure."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+def boundary_points(table, count, rng):
+    """Boundary points weighted by area: piece index, chart position, inward normal."""
     space = table.space
-    rng = boundary_rng(seed, stream)
     weights = np.array([p.boundary_volume(space) for p in table.pieces])
     probs = weights / np.sum(weights)
     piece_idx = rng.choice(len(table.pieces), size=count, p=probs)
@@ -178,11 +168,20 @@ def sample_mu_theta(table, count, seed, stream=0):
     for k, piece in enumerate(table.pieces):
         mask = piece_idx == k
         m = int(np.sum(mask))
-        if m == 0:
-            continue
-        pts = piece.sample_boundary(space, rng, m)
-        q[mask] = pts
-        normals[mask] = piece.inward_normal(space, pts)
+        if m:
+            pts = piece.sample_boundary(space, rng, m)
+            q[mask] = pts
+            normals[mask] = piece.inward_normal(space, pts)
+    return piece_idx, q, normals
+
+
+def sample_mu_theta(table, count, seed, stream=0):
+    """Draw `count` inward boundary phase points from the cosine measure."""
+    if count < 1:
+        raise ConfigError("sample count must be at least 1")
+    space = table.space
+    rng = boundary_rng(seed, stream)
+    piece_idx, q, normals = boundary_points(table, count, rng)
     v, resampled = _lift_directions(space, q, normals, rng, table.tol.grazing_tol)
     cos_in = space.metric_dot(q, v, normals)
     return WeightedSampleSet(
@@ -190,6 +189,30 @@ def sample_mu_theta(table, count, seed, stream=0):
         normalization=trajectory_space_volume(table), seed=seed, stream=stream,
         resampled_fraction=resampled / count,
     )
+
+
+def _sample_block(task):
+    block, table, count, seed, stream, args = task
+    return block(table, sample_mu_theta(table, count, seed, stream), *args)
+
+
+def sample_blocks(block, table, count, seed, *args, stream=0, workers=None):
+    """Apply `block(table, samples, *args)` to fixed blocks of measure samples.
+
+    Block b of `parallel.block_counts(count)` draws the stream (seed, stream + b)
+    and the partial results come back in block order, so they do not depend on
+    the worker count.  A single block draws exactly `sample_mu_theta`'s stream.
+    """
+    if count < 1:
+        raise ConfigError("sample count must be at least 1")
+    tasks = [(block, table, c, seed, stream + b, args)
+             for b, c in enumerate(block_counts(count))]
+    return run_blocks(_sample_block, tasks, workers)
+
+
+def merge_blocks(parts):
+    """Merge per-block sequences of estimates position by position."""
+    return [Estimate.merge_all(column) for column in zip(*parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -364,36 +387,43 @@ class PreservationResult:
     excluded_fraction: float
 
 
-def measure_preservation_test(table, law, boxes, count, seed):
-    """Compare the measure of each box with the measure of its preimage.
-
-    Both are estimated on the same stream: mu(K) from indicator means at
-    entries z, mu(B^{-1}K) from indicators at B(z).  The paired z-score of
-    the difference tests the pushforward invariance.
-    """
+def _preservation_block(table, samples, law, boxes):
+    """Per box, estimates of 1_K(z) - 1_K(Bz), 1_K(z) and 1_K(Bz) over valid rows."""
     from .dynamics import lockstep_orbits
 
-    samples = sample_mu_theta(table, count, seed)
     _, _, batch, state = next(lockstep_orbits(table, law, samples.q, samples.v, 1))
     valid = ~batch.stops
-    excluded = 1.0 - float(np.mean(valid))
-    mass = samples.normalization
     q1, v1, p1, n1 = (a[valid] for a in (batch.entry_q, batch.entry_v, batch.entry_piece,
                                          batch.entry_normal))
     after = state.take(valid)
-    results = []
+    parts = []
     for box in boxes:
         in_now = box.contains(table, q1, v1, p1, n1).astype(float)
         in_next = box.contains(table, after.q, after.v, after.piece, after.normal).astype(float)
-        if not np.any(in_now):
+        parts.append([Estimate.from_samples(x) for x in (in_now - in_next, in_now, in_next)])
+    return parts
+
+
+def measure_preservation_test(table, law, boxes, count, seed, workers=None):
+    """Compare the measure of each box with the measure of its preimage.
+
+    Both are estimated on the same samples: mu(K) from indicator means at
+    entries z, mu(B^{-1}K) from indicators at B(z).  The paired z-score of
+    the difference tests the pushforward invariance.
+    """
+    parts = sample_blocks(_preservation_block, table, count, seed, law, boxes, workers=workers)
+    mass = trajectory_space_volume(table)
+    results = []
+    for j, box in enumerate(boxes):
+        diff, now, nxt = merge_blocks(block[j] for block in parts)
+        if now.count == 0 or now.mean == 0.0:
             raise DegenerateSet(f"box {box} has empirical measure zero")
-        diff = Estimate.from_samples(in_now - in_next)
         z = 0.0 if diff.stderr == 0.0 else diff.mean / diff.stderr
         results.append(PreservationResult(
             box=box,
-            mu_k=Estimate.from_samples(in_now).scaled(mass),
-            mu_preimage_k=Estimate.from_samples(in_next).scaled(mass),
+            mu_k=now.scaled(mass),
+            mu_preimage_k=nxt.scaled(mass),
             z_score=float(z),
-            excluded_fraction=excluded,
+            excluded_fraction=1.0 - now.count / count,
         ))
     return results

@@ -1,8 +1,8 @@
 """Deterministic fork-join Monte Carlo over fixed sample blocks.
 
 The total sample budget is cut into fixed-size blocks; block b always uses
-the generator stream (seed, b).  Workers only decide who computes which
-block, and partial results are reduced in block order, so reports are
+the generator stream (seed, stream + b).  Workers only decide who computes
+which block, and partial results are reduced in block order, so reports are
 identical for any worker count.
 """
 
@@ -34,19 +34,24 @@ def default_workers(requested=None):
 def block_counts(total, block_size=BLOCK_SIZE):
     """Split a sample budget into fixed blocks (the last one may be short)."""
     total = int(total)
-    out = []
-    while total > 0:
-        take = min(block_size, total)
-        out.append(take)
-        total -= take
-    return out
+    return [min(block_size, total - start) for start in range(0, total, block_size)]
+
+
+_FORKED = None  # (worker, tasks) of the last pool; closures in tasks need no pickling
+
+
+def _run_forked(i):
+    worker, tasks = _FORKED
+    return worker(tasks[i])
 
 
 def run_blocks(worker, tasks, workers=1):
-    """Map `worker` over task tuples, preserving task order in the result."""
+    """Map `worker` over task tuples in order; forked workers inherit the tasks."""
+    global _FORKED
     workers = min(default_workers(workers), len(tasks)) or 1
     if workers <= 1:
         return [worker(t) for t in tasks]
+    _FORKED = (worker, tasks)
     ctx = mp.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
-        return pool.map(worker, tasks)
+        return pool.map(_run_forked, range(len(tasks)))

@@ -124,16 +124,54 @@ def _strip_volatile(report):
     return report
 
 
-def test_cli_worker_count_does_not_change_results(tmp_path, capsys):
-    code, rep1 = run_cli(["mfp", "--preset", "disk", "--samples", "150000",
-                          "--seed", "3", "--workers", "1",
-                          "--out", str(tmp_path / "w1")], capsys)
+@pytest.mark.parametrize("argv", [
+    ["mfp", "--preset", "disk", "--samples", "150000"],
+    ["measure-check", "--preset", "disk", "--samples", "70000", "--boxes", "4"],
+    ["probe", "--preset", "torus-one-ball", "--samples", "70000"],
+    ["conjugacy", "--preset", "disk", "--map", "rotation:1.0", "--samples", "70000"],
+    ["slices", "--preset", "disk", "--samples", "70000", "--grid-points", "12"],
+], ids=lambda argv: argv[0])
+def test_cli_worker_count_does_not_change_results(argv, tmp_path, capsys):
+    reports, side_files = [], []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        code, rep = run_cli(argv + ["--seed", "3", "--workers", workers, "--out", str(out)],
+                            capsys)
+        assert code == 0
+        rep = _strip_volatile(rep)
+        rep.pop("files")
+        reports.append(rep)
+        side_files.append({p.name: p.read_bytes() for p in out.iterdir()
+                           if p.name != f"{argv[0]}.json"})
+    assert reports[0] == reports[1]
+    assert side_files[0] == side_files[1]
+
+
+def test_api_and_cli_share_the_mean_free_path(tmp_path, capsys):
+    from billiardlab.ergodic import mean_free_path
+
+    api = mean_free_path(preset_table("disk"), count=100_000, seed=42)
+    code, rep = run_cli(["mfp", "--preset", "disk", "--samples", "100000", "--seed", "42",
+                         "--out", str(tmp_path)], capsys)
     assert code == 0
-    code, rep2 = run_cli(["mfp", "--preset", "disk", "--samples", "150000",
-                          "--seed", "3", "--workers", "2",
-                          "--out", str(tmp_path / "w2")], capsys)
-    assert code == 0
-    assert _strip_volatile(rep1) == _strip_volatile(rep2)
+    assert rep["results"]["space_mean"] == api.space.mean
+    assert rep["results"]["stderr"] == api.space.stderr
+    assert rep["results"]["note"] == api.note
+
+
+@pytest.mark.parametrize("argv", [
+    ["mfp", "--preset", "disk", "--samples", "0"],
+    ["slices", "--preset", "disk", "--samples", "0"],
+    ["measure-check", "--preset", "disk", "--samples", "0"],
+    ["probe", "--preset", "disk", "--samples", "-5"],
+    ["conjugacy", "--preset", "disk", "--samples", "0"],
+    ["simulate", "--preset", "disk", "--orbits", "0"],
+], ids=lambda argv: argv[0])
+def test_cli_rejects_non_positive_counts(argv, tmp_path, capsys):
+    code, payload = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert payload["error"]["type"] == "validation"
+    assert not (tmp_path / "out" / f"{argv[0]}.json").exists()
 
 
 def test_cli_probe_warns_on_one_ball(tmp_path, capsys):

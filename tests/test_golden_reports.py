@@ -8,9 +8,9 @@ platform they were recorded on.  To re-record after a deliberate change of a
 seeded stream, run `PYTHONPATH=src python tests/test_golden_reports.py`.
 """
 
-import contextlib
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -56,8 +56,12 @@ def run_case(argv, work):
     """
     out = work / "out"
     (work / "lengths.csv").write_text("length\n" + "".join(f"{x!r}\n" for x in LENGTHS.tolist()))
-    with contextlib.chdir(work):
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
         assert main(argv + ["--out", str(out)]) == 0
+    finally:
+        os.chdir(cwd)
     report = json.loads((out / f"{argv[0]}.json").read_text())
     for key in VOLATILE:
         report.pop(key)
