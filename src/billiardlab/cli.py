@@ -6,8 +6,9 @@ and wall time, and emits CSV / JSON Lines side files where curves or streams
 are produced.  Sampling subcommands call the API estimators, which share one
 block reduction, so reports equal the API's for any worker count.
 
-Exit codes: 0 success, 1 validation error (bad configuration, a sample count
-below 1), 2 runtime error (trapping budget exceeded, degenerate test sets).
+Exit codes: 0 success, 1 validation error (bad configuration, a count flag
+below 1, phase boxes on an n = 3 table), 2 runtime error (trapping budget
+exceeded, degenerate test sets).
 """
 
 from __future__ import annotations
@@ -71,6 +72,18 @@ def _add_common(parser, samples=True):
     parser.add_argument("--lmax", type=float, default=None, help="override the length cap")
     if samples:
         parser.add_argument("--samples", type=float, default=1e5)
+
+
+# count flags of every subcommand; checked once, before any output
+_COUNTS = ("samples", "orbits", "bounces", "boxes", "starters", "grid_points", "grid",
+           "reference_points")
+
+
+def _check_counts(args):
+    for name in _COUNTS:
+        value = getattr(args, name, None)
+        if value is not None and int(value) < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1")
 
 
 def _build_table(args):
@@ -431,6 +444,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_counts(args)
         return args.func(args)
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "validation", "message": str(exc)}}))

@@ -9,10 +9,8 @@ Schema (all keys lowercase):
       "periods": [1.0, 1.0],            // flat-torus only
       "pieces": [
         {"shape": "ball", "side": "outer", "center": [0, 0], "radius": 1.0},
-        {"shape": "half-space", "side": "outer",
-         "normal": [0, 1], "offset": 1.0,            // Euclidean pose
-         "pole": [0, 0, 1], "angle": 0.5,            // sphere pose
-         "minkowski_normal": [0, 1, 0]},             // hyperbolic pose
+        {"shape": "half-space", "side": "outer",     // sphere only: the cap
+         "pole": [0, 0, 1], "angle": 0.5},           // of radius angle about pole
         {"shape": "radial-fourier", "side": "outer", "base_radius": 1.0,
          "cos_coefficients": [0.0, 0.15], "sin_coefficients": []}
       ],
@@ -33,9 +31,8 @@ from .tables import Ball, HalfSpaceOrCap, RadialFourierCurve, Table, Tolerances
 __all__ = ["load_table_config", "table_from_dict"]
 
 _TOP_KEYS = {"name", "space", "dimension", "periods", "pieces", "tolerances"}
-_PIECE_KEYS = {"shape", "side", "center", "radius", "normal", "offset", "pole",
-               "angle", "minkowski_normal", "base_radius", "cos_coefficients",
-               "sin_coefficients"}
+_PIECE_KEYS = {"shape", "side", "center", "radius", "pole", "angle", "base_radius",
+               "cos_coefficients", "sin_coefficients"}
 _TOL_KEYS = {"hit_tol", "grazing_tol", "l_max"}
 
 
@@ -61,17 +58,17 @@ def _build_space(conf):
     raise ConfigError(f"unknown space kind {kind!r}")
 
 
-def _build_piece(conf):
+def _build_piece(conf, space):
     _reject_unknown(conf, _PIECE_KEYS, "piece")
     shape = conf.get("shape")
     side = conf.get("side", "outer")
     if shape == "ball":
         return Ball(conf["center"], conf["radius"], side=side)
     if shape == "half-space":
-        return HalfSpaceOrCap(side=side, normal=conf.get("normal"),
-                              offset=conf.get("offset"), pole=conf.get("pole"),
-                              angle=conf.get("angle"),
-                              minkowski_normal=conf.get("minkowski_normal"))
+        if not isinstance(space, Sphere):
+            raise ConfigError(f"half-spaces are sphere caps (pole, angle); on a {space.kind} "
+                              "space use a 'ball' or 'radial-fourier' piece")
+        return HalfSpaceOrCap(conf["pole"], conf["angle"], side=side)
     if shape == "radial-fourier":
         return RadialFourierCurve(conf["base_radius"],
                                   cos_coeffs=conf.get("cos_coefficients", ()),
@@ -87,7 +84,10 @@ def table_from_dict(conf):
     if "pieces" not in conf or not conf["pieces"]:
         raise ConfigError("table config needs a nonempty 'pieces' list")
     space = _build_space(conf)
-    pieces = [_build_piece(p) for p in conf["pieces"]]
+    try:
+        pieces = [_build_piece(p, space) for p in conf["pieces"]]
+    except KeyError as exc:
+        raise ConfigError(f"piece is missing key {exc}") from exc
     tol_conf = conf.get("tolerances", {})
     _reject_unknown(tol_conf, _TOL_KEYS, "tolerances")
     tol = Tolerances(hit_tol=tol_conf.get("hit_tol", 1e-10),

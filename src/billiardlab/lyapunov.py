@@ -66,7 +66,7 @@ def default_enclosing_body(table):
         raise BodyTooSmall("torus tables admit no enclosing convex ball")
     outer = next(p for p in table.pieces if p.side == "outer")
     if not isinstance(outer, Ball):
-        # Fourier walls and Euclidean caps: bound by a circumscribed ball
+        # Fourier walls: bound by a circumscribed ball about the origin
         center = np.zeros(space.chart_dim)
         radius = outer.extent(space)
         return EnclosingBody(center=tuple(center), radius=radius)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSet, NotOnBoundary
 from .parallel import block_counts, run_blocks
-from .spaces import FlatTorus, HyperbolicBall, Sphere
+from .spaces import FlatTorus
 
 __all__ = [
     "Estimate", "WeightedSampleSet", "PhaseBox", "mu_theta_density",
@@ -244,58 +244,20 @@ def trajectory_space_volume(table):
 class DomainVolumes:
     vol_m: float
     vol_dm: float
-    stderr_m: float = 0.0   # nonzero only for the Monte Carlo fallback
 
 
-def _volume_mc(table, count=200_000, seed=17):
-    space = table.space
-    rng = boundary_rng(seed, 0)
-    if isinstance(space, FlatTorus):
-        q = rng.uniform(0.0, 1.0, (count, space.dim)) * space.periods
-        vals = table.inside(q, tol=0.0).astype(float) * float(np.prod(space.periods))
-    elif isinstance(space, Sphere):
-        q = rng.standard_normal((count, space.chart_dim))
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        total = unit_sphere_volume(space.dim)
-        vals = table.inside(q, tol=0.0).astype(float) * total
-    else:
-        lo, hi = table._chart_box()
-        box = float(np.prod(hi - lo))
-        q = rng.uniform(0.0, 1.0, (count, space.dim)) * (hi - lo) + lo
-        w = np.ones(count)
-        if isinstance(space, HyperbolicBall):
-            inside_chart = np.sum(q * q, axis=1) < 1.0
-            w = np.where(inside_chart, space.conformal_factor(q) ** space.dim, 0.0)
-        vals = table.inside(q, tol=0.0).astype(float) * w * box
-    est = Estimate.from_samples(vals)
-    return est.mean, est.stderr
-
-
-def domain_volumes(table, mc_count=200_000, seed=17):
+def domain_volumes(table):
     """g-volumes of the domain and its boundary.
 
-    Analytic whenever every piece reports its enclosed volume (balls, caps,
-    Fourier walls, torus cells); otherwise a chart rejection Monte Carlo
-    with reported standard error.
+    Closed form: every piece reports the volume it encloses (balls, sphere
+    caps, Fourier walls), and a torus domain is its cell less its obstacles.
     """
     space = table.space
     vol_dm = float(sum(p.boundary_volume(space) for p in table.pieces))
-    try:
-        if isinstance(space, FlatTorus):
-            vol = float(np.prod(space.periods))
-            for p in table.pieces:
-                vol -= p.domain_volume(space)
-        else:
-            vol = 0.0
-            for p in table.pieces:
-                if p.side == "outer":
-                    vol += p.domain_volume(space)
-                else:
-                    vol -= p.domain_volume(space)
-        return DomainVolumes(vol_m=vol, vol_dm=vol_dm)
-    except (AttributeError, NotImplementedError):
-        vol, err = _volume_mc(table, mc_count, seed)
-        return DomainVolumes(vol_m=vol, vol_dm=vol_dm, stderr_m=err)
+    vol = float(np.prod(space.periods)) if isinstance(space, FlatTorus) else 0.0
+    for p in table.pieces:
+        vol += p.domain_volume(space) if p.side == "outer" else -p.domain_volume(space)
+    return DomainVolumes(vol_m=vol, vol_dm=vol_dm)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +328,8 @@ class PhaseBox:
 
 def random_phase_boxes(table, count, rng):
     """Random nondegenerate boxes for preservation testing (n = 2)."""
+    if table.space.dim != 2:
+        raise ConfigError("phase boxes are defined for n = 2 tables only")
     boxes = []
     for _ in range(count):
         piece = int(rng.integers(0, len(table.pieces)))

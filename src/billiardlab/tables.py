@@ -2,10 +2,10 @@
 
 A table is a model space plus boundary pieces.  Each piece carries a signed
 gauge function, negative inside the domain, so the domain is the set where
-every gauge is nonpositive.  Ball and half-space/cap pieces intersect rays
-in closed form (quadratic, trigonometric, or exponential equations); radial
-Fourier walls use certified sphere tracing, whose steps never pass the first
-zero of the gauge, so no crossing is skipped.  Flat-torus tables trace
+every gauge is nonpositive.  Ball pieces, sphere caps among them, intersect
+rays in closed form (quadratic, trigonometric, or exponential equations);
+radial Fourier walls use certified sphere tracing, whose steps never pass the
+first zero of the gauge, so no crossing is skipped.  Flat-torus tables trace
 rays through periodic images in windows no longer than the shortest period;
 one vectorized call covers a block of consecutive windows.  A block is one
 window while the active rows fill the row budget and doubles each pass once
@@ -83,6 +83,10 @@ class BoundaryPiece:
     def boundary_volume(self, space):
         raise NotImplementedError
 
+    def domain_volume(self, space):
+        """g-volume of the region the piece encloses (its inside when outer)."""
+        raise NotImplementedError
+
     def sample_boundary(self, space, rng, count):
         raise NotImplementedError
 
@@ -123,10 +127,7 @@ class Ball(BoundaryPiece):
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius}, side={self.side!r})"
 
-    # distance to center, chart-aware
     def _rho(self, space, q):
-        if isinstance(space, FlatTorus):
-            return np.linalg.norm(space.wrap_delta(q - self.center), axis=-1)
         return space.distance(q, self.center)
 
     def gauge(self, space, q):
@@ -348,121 +349,15 @@ class Ball(BoundaryPiece):
         return 2.0 * self.radius
 
 
-class HalfSpaceOrCap(BoundaryPiece):
-    """Half-space (Euclidean / hyperbolic) or spherical cap piece.
+class HalfSpaceOrCap(Ball):
+    """Sphere cap: the geodesic ball of radius `angle` about `pole`.
 
-    Euclidean pose: unit `normal` u and `offset` c, wall {<q,u> = c}, outer
-    side keeps the domain in {<q,u> <= c}.  Sphere pose: `pole` and `angle`
-    (delegates to a geodesic ball).  Hyperbolic pose: `minkowski_normal` w,
-    a spacelike Minkowski-unit vector; the wall is the geodesic hyperplane
-    {<X,w> = 0} and the outer side keeps {<X,w> <= 0}.
+    A half-space bounds a compact table only on the sphere, as a cap, so
+    this is a Ball under the names a cap is given by.
     """
 
-    def __init__(self, side=OUTER, normal=None, offset=None, pole=None, angle=None,
-                 minkowski_normal=None):
-        if side not in (OUTER, OBSTACLE):
-            raise ConfigError(f"unknown side {side!r}")
-        self.side = side
-        self._sign = 1.0 if side == OUTER else -1.0
-        self._ball = None
-        if pole is not None:
-            self._ball = Ball(pole, angle, side=side)
-            return
-        if minkowski_normal is not None:
-            w = np.asarray(minkowski_normal, dtype=float)
-            self.w = w / np.sqrt(max(_mink_dot(w, w), 1e-300))
-            self.normal = None
-            return
-        if normal is None or offset is None:
-            raise ConfigError("half-space needs normal+offset, pole+angle, or minkowski_normal")
-        nn = np.asarray(normal, dtype=float)
-        self.normal = nn / np.linalg.norm(nn)
-        self.offset = float(offset)
-        self.w = None
-
-    def _delegate(self, space):
-        if isinstance(space, Sphere):
-            if self._ball is None:
-                raise ConfigError("sphere caps need pole and angle")
-            return self._ball
-        if self._ball is not None:
-            raise ConfigError("pole/angle pose is for spheres only")
-        return None
-
-    def gauge(self, space, q):
-        ball = self._delegate(space)
-        if ball is not None:
-            return ball.gauge(space, q)
-        if isinstance(space, HyperbolicBall):
-            x = space.to_hyperboloid(q)
-            return self._sign * np.arcsinh(_mink_dot(x, self.w))
-        if isinstance(space, Euclidean) and not isinstance(space, FlatTorus):
-            return self._sign * (_dot(q, self.normal) - self.offset)
-        raise ConfigError("half-space pieces are not defined on a torus")
-
-    def inward_normal(self, space, q):
-        ball = self._delegate(space)
-        if ball is not None:
-            return ball.inward_normal(space, q)
-        if isinstance(space, HyperbolicBall):
-            x = space.to_hyperboloid(q)
-            grad = self.w + _mink_dot(x, self.w)[..., None] * x
-            grad /= np.sqrt(np.maximum(_mink_dot(grad, grad), 1e-300))[..., None]
-            _, vg = space.from_hyperboloid(x, -self._sign * grad)
-            return space.unit(q, vg)
-        out = np.broadcast_to(-self._sign * self.normal, q.shape)
-        return out.copy()
-
-    def ray_hit(self, space, q, v, s_lo, s_hi):
-        ball = self._delegate(space)
-        if ball is not None:
-            return ball.ray_hit(space, q, v, s_lo, s_hi)
-        if isinstance(space, HyperbolicBall):
-            x, u = space.to_hyperboloid(q, v)
-            a = _mink_dot(x, self.w)
-            b = _mink_dot(u, self.w)
-            # a cosh s + b sinh s = 0  =>  e^{2s} = (b - a) / (a + b)
-            num, den = b - a, a + b
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = num / den
-                s = 0.5 * np.log(ratio)
-            ok = np.isfinite(s) & (ratio > 0)
-            return _smallest_root([np.where(ok, s, np.inf)], [ok], s_lo, s_hi)
-        denom = _dot(v, np.broadcast_to(self.normal, v.shape))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = (self.offset - _dot(q, np.broadcast_to(self.normal, q.shape))) / denom
-        ok = np.abs(denom) > 1e-300
-        return _smallest_root([np.where(ok, s, np.inf)], [ok], s_lo, s_hi)
-
-    def boundary_volume(self, space):
-        ball = self._delegate(space)
-        if ball is not None:
-            return ball.boundary_volume(space)
-        raise ConfigError("half-space pieces have unbounded boundary volume")
-
-    def sample_boundary(self, space, rng, count):
-        ball = self._delegate(space)
-        if ball is not None:
-            return ball.sample_boundary(space, rng, count)
-        raise ConfigError("cannot sample an unbounded half-space wall")
-
-    def boundary_param(self, space, q):
-        ball = self._delegate(space)
-        if ball is not None:
-            return ball.boundary_param(space, q)
-        raise NotImplementedError
-
-    def point_at_param(self, space, alpha):
-        ball = self._delegate(space)
-        if ball is not None:
-            return ball.point_at_param(space, alpha)
-        raise NotImplementedError
-
-    def extent(self, space):
-        ball = self._delegate(space)
-        if ball is not None:
-            return ball.extent(space)
-        return np.inf
+    def __init__(self, pole, angle, side=OUTER):
+        super().__init__(pole, angle, side=side)
 
 
 class RadialFourierCurve(BoundaryPiece):
@@ -754,11 +649,8 @@ class Table:
         space = self.space
         outer = next(p for p in self.pieces if p.side == OUTER)
         if isinstance(space, HyperbolicBall):
-            if isinstance(outer, Ball):
-                d0 = float(space.distance(outer.center, np.zeros(space.dim)))
-                rad = np.tanh(min(d0 + outer.radius, 36.0) / 2.0)
-            else:
-                rad = 1.0 - 1e-9
+            d0 = float(space.distance(outer.center, np.zeros(space.dim)))
+            rad = np.tanh(min(d0 + outer.radius, 36.0) / 2.0)
             return -rad * np.ones(space.dim), rad * np.ones(space.dim)
         if isinstance(outer, Ball):
             return outer.center - outer.radius, outer.center + outer.radius

@@ -11,6 +11,7 @@ from billiardlab.cli import main, version_string
 from billiardlab.config import load_table_config, table_from_dict
 from billiardlab.errors import ConfigError
 from billiardlab.presets import PRESETS, preset_table
+from billiardlab.tables import Ball
 
 
 # -- config -------------------------------------------------------------------
@@ -70,6 +71,25 @@ def test_config_rejects_bad_values(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_table_config(path)
+
+
+def test_config_half_space_is_a_sphere_cap():
+    cap = {"space": "sphere", "dimension": 2,
+           "pieces": [{"shape": "half-space", "side": "outer", "pole": [0.0, 0.0, 1.0],
+                       "angle": 0.7}]}
+    table = table_from_dict(cap)
+    assert isinstance(table.pieces[0], Ball)
+    assert table.pieces[0].radius == 0.7
+    for space in ({"space": "euclidean"}, {"space": "hyperbolic-ball"},
+                  {"space": "flat-torus", "periods": [1.0, 1.0]}):
+        with pytest.raises(ConfigError, match="sphere caps"):
+            table_from_dict({**cap, **space})
+    for key, value in (("normal", [0.0, 1.0]), ("offset", 1.0),
+                       ("minkowski_normal", [0.0, 1.0, 0.0])):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            table_from_dict({**cap, "pieces": [{**cap["pieces"][0], key: value}]})
+    with pytest.raises(ConfigError, match="pole"):
+        table_from_dict({**cap, "pieces": [{"shape": "half-space", "angle": 0.7}]})
 
 
 def test_all_presets_load():
@@ -166,12 +186,60 @@ def test_api_and_cli_share_the_mean_free_path(tmp_path, capsys):
     ["probe", "--preset", "disk", "--samples", "-5"],
     ["conjugacy", "--preset", "disk", "--samples", "0"],
     ["simulate", "--preset", "disk", "--orbits", "0"],
+    *(pytest.param([command, "--preset", "disk", flag, "0"], id=f"{command}{flag}")
+      for command, flag in (("simulate", "--bounces"), ("measure-check", "--boxes"),
+                            ("slices", "--grid-points"), ("reconstruct", "--grid"),
+                            ("reconstruct", "--reference-points"),
+                            ("recurrence", "--starters"), ("recurrence", "--bounces"))),
 ], ids=lambda argv: argv[0])
 def test_cli_rejects_non_positive_counts(argv, tmp_path, capsys):
     code, payload = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
     assert code == 1
     assert payload["error"]["type"] == "validation"
-    assert not (tmp_path / "out" / f"{argv[0]}.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_measure_check_rejects_three_dimensional_tables(tmp_path, capsys):
+    code, payload = run_cli(["measure-check", "--preset", "ball3", "--samples", "1000",
+                             "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert payload["error"]["type"] == "validation"
+    assert not (tmp_path / "out").exists()
+
+
+def _cap_config(path, dim, angle, shape):
+    pole = [0.0] * dim + [1.0]
+    piece = ({"shape": "half-space", "pole": pole, "angle": angle} if shape == "half-space"
+             else {"shape": "ball", "center": pole, "radius": angle})
+    path.write_text(json.dumps({"space": "sphere", "dimension": dim,
+                                "pieces": [{"side": "outer", **piece}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("dim,angle", [(2, 0.7), (2, 1.2), (3, 0.7), (3, 1.2)])
+def test_half_space_cap_mfp_equals_ball_cap(dim, angle, tmp_path, capsys):
+    results = []
+    for shape in ("half-space", "ball"):
+        conf = _cap_config(tmp_path / f"{shape}.json", dim, angle, shape)
+        code, rep = run_cli(["mfp", "--config", conf, "--samples", "20000", "--seed", "1",
+                             "--out", str(tmp_path / shape)], capsys)
+        assert code == 0
+        results.append(rep["results"])
+    assert results[0] == results[1]
+
+
+def test_half_space_cap_slices_equals_ball_cap(tmp_path, capsys):
+    results, curves = [], []
+    for shape in ("half-space", "ball"):
+        conf = _cap_config(tmp_path / f"{shape}.json", 2, 0.7, shape)
+        out = tmp_path / shape
+        code, rep = run_cli(["slices", "--config", conf, "--samples", "20000",
+                             "--grid-points", "12", "--seed", "1", "--out", str(out)], capsys)
+        assert code == 0
+        results.append(rep["results"])
+        curves.append((out / "slice_areas.csv").read_bytes())
+    assert results[0] == results[1]
+    assert curves[0] == curves[1]
 
 
 def test_cli_probe_warns_on_one_ball(tmp_path, capsys):

@@ -5,7 +5,8 @@ without `wall_time_s`, `version` and `files`, with `tests/golden/<case>.json`;
 side files (orbit dumps, summary CSV) are compared by SHA-256, byte for byte.
 The golden values pin the exact floating-point output of this code on the
 platform they were recorded on.  To re-record after a deliberate change of a
-seeded stream, run `PYTHONPATH=src python tests/test_golden_reports.py`.
+seeded stream, run `python tests/test_golden_reports.py [case ...]` with `src`
+on the path; with no case names it re-records every case.
 """
 
 import hashlib
@@ -43,6 +44,11 @@ CASES = {
                        "--samples", "10000", "--seed", "10"],
     "reconstruct-disk": ["reconstruct", "--preset", "disk", "--grid", "16",
                          "--reference-points", "512", "--seed", "12"],
+    "mfp-cap-pi4": ["mfp", "--preset", "cap-pi4", "--samples", "20000", "--seed", "13"],
+    "mfp-hyperbolic-disk-1": ["mfp", "--preset", "hyperbolic-disk-1", "--samples", "20000",
+                              "--seed", "14"],
+    "slices-cap-pi4": ["slices", "--preset", "cap-pi4", "--samples", "20000",
+                       "--grid-points", "12", "--seed", "15"],
     "hear": ["hear", "--lengths", "lengths.csv", "--boundary", "6.283185307179586",
              "--dim", "2"],
 }
@@ -83,8 +89,8 @@ if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    for case, argv in CASES.items():
+    for case in sys.argv[1:] or CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            data = run_case(argv, Path(tmp))
+            data = run_case(CASES[case], Path(tmp))
         (GOLDEN / f"{case}.json").write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
         print(case, file=sys.stderr)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from billiardlab.errors import ConfigError, DegenerateStart, NotOnBoundary, Trapped
-from billiardlab.spaces import Euclidean, FlatTorus, HyperbolicBall, PhasePoint
+from billiardlab.spaces import Euclidean, FlatTorus, PhasePoint
 from billiardlab.tables import (Ball, HalfSpaceOrCap, RadialFourierCurve, StratumLabel,
                                 Table, classify_boundary_point, first_boundary_hit,
                                 inward_normal)
@@ -218,18 +218,7 @@ def test_fourier_perimeter_positive_radius():
         RadialFourierCurve(0.1, cos_coeffs=(0.5,))
 
 
-# -- half spaces and caps -----------------------------------------------------
-
-
-def test_euclidean_halfspace_gauge_and_hit():
-    piece = HalfSpaceOrCap(side="outer", normal=(0.0, 1.0), offset=1.0)
-    space = Euclidean(2)
-    assert piece.gauge(space, np.array([[0.0, 0.5]]))[0] < 0
-    assert piece.gauge(space, np.array([[0.0, 1.5]]))[0] > 0
-    s = piece.ray_hit(space, np.array([[0.0, 0.0]]), np.array([[0.0, 1.0]]), 1e-10, 10.0)
-    assert abs(s[0] - 1.0) < 1e-12
-    n = piece.inward_normal(space, np.array([[3.0, 1.0]]))[0]
-    assert np.allclose(n, [0.0, -1.0])
+# -- sphere caps ---------------------------------------------------------------
 
 
 def test_sphere_cap_piece_matches_ball(cap):
@@ -239,18 +228,6 @@ def test_sphere_cap_piece_matches_ball(cap):
     piece = HalfSpaceOrCap(side="outer", pole=(0.0, 0.0, 1.0), angle=np.pi / 4)
     pts = cap.pieces[0].sample_boundary(space, np.random.default_rng(0), 64)
     assert np.max(np.abs(piece.gauge(space, pts))) < 1e-12
-
-
-def test_hyperbolic_halfspace_hit():
-    space = HyperbolicBall(2)
-    # geodesic wall through the origin orthogonal to the x-axis
-    piece = HalfSpaceOrCap(side="outer", minkowski_normal=(0.0, 1.0, 0.0))
-    q = np.array([[-0.3, 0.0]])
-    v = space.unit(q, np.array([[1.0, 0.0]]))
-    s = piece.ray_hit(space, q, v, 1e-10, 10.0)
-    assert abs(s[0] - space.distance(q[0], np.zeros(2))) < 1e-12
-    n = piece.inward_normal(space, np.array([[0.0, 0.4]]))[0]
-    assert n[0] < 0 and abs(n[1]) < 1e-12  # points to the negative-x side
 
 
 # -- construction checks -------------------------------------------------------
