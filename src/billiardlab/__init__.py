@@ -15,13 +15,13 @@ from .ergodic import (AverageReport, ChordLength, DeltaF, hear_volume,
                       inequality_report, mean_free_path, recurrence_test,
                       space_average, time_average)
 from .errors import (AmbiguousGeodesic, BilliardError, BodyTooSmall, ConfigError,
-                     DegenerateSet, DegenerateStart, EmptySequence, GrazingExit,
-                     NotOnBoundary, TooManyTrapped, Trapped)
+                     DegenerateSet, DegenerateStart, EmptySequence, NotOnBoundary,
+                     TooManyTrapped, Trapped)
 from .holography import (ScatteringDataset, conjugacy_residual,
                          generate_scattering_dataset, reconstruct_chords,
                          trajectory_atlas)
 from .lyapunov import (EnclosingBody, LyapunovF, build_well_balanced_F, delta_F,
-                       slice_area, var_F_boundary)
+                       slice_area, slice_identity, var_F_boundary)
 from .measure import (Estimate, PhaseBox, WeightedSampleSet, domain_volumes,
                       measure_preservation_test, mu_theta_density,
                       sample_mu_theta, trajectory_space_volume)

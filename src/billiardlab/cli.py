@@ -27,15 +27,14 @@ from . import __version__
 from .config import load_table_config
 from .dynamics import Elastic, iterate_orbits, trapping_probe
 from .errors import BilliardError, ConfigError
-from .ergodic import hear_volume, mean_free_path, recurrence_test
+from .ergodic import _checkpoint_list, hear_volume, mean_free_path, recurrence_test
 from .holography import (boundary_param_map, conjugacy_residual,
                          domain_reference_sample, generate_scattering_dataset,
                          identity_map, reconstruct_chords, reflection_map,
                          rotation_map, torus_translation_map)
-from .lyapunov import build_well_balanced_F, slice_area_curve, var_F_boundary
+from .lyapunov import build_well_balanced_F, slice_identity
 from .measure import (PhaseBox, boundary_rng, domain_volumes, measure_preservation_test,
-                      random_phase_boxes, sample_mu_theta, trajectory_space_volume,
-                      unit_sphere_volume)
+                      random_phase_boxes, sample_mu_theta, trajectory_space_volume)
 from .parallel import BLOCK_SIZE
 from .presets import PRESETS, preset_table
 from .spaces import FlatTorus
@@ -247,30 +246,20 @@ def _cmd_slices(args):
     started = time.time()
     table = _build_table(args)
     f = build_well_balanced_F(table, seed=args.seed)
-    var = var_F_boundary(table, f, max(int(args.samples) // 4, 4096), args.seed)
-    grid = np.linspace(var.f_min, var.f_max, args.grid_points)
     total = int(args.samples)
-    merged = slice_area_curve(table, f, grid, total, args.seed, workers=args.workers)
+    res = slice_identity(table, f, total, args.seed, args.grid_points, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "slice_areas.csv"
     with open(curve_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "area_mean", "area_stderr"])
-        for t, e in zip(grid, merged):
-            writer.writerow([t, e.mean, e.stderr])
-    areas = np.array([e.mean for e in merged])
-    integral = float(np.trapezoid(areas, grid))
-    vols = domain_volumes(table)
-    predicted = unit_sphere_volume(table.space.dim - 1) * vols.vol_m
-    results = {
-        "f_min": var.f_min, "f_max": var.f_max, "var_f": var.var,
-        "integral_a_dt": integral,
-        "predicted_integral": predicted,
-        "relative_gap": abs(integral - predicted) / predicted,
-        "max_area": float(np.max(areas)),
-        "trajectory_space_volume": trajectory_space_volume(table),
-    }
+        writer.writerows([t, e.mean, e.stderr] for t, e in zip(res.grid, res.areas))
+    var = res.variation
+    results = {"f_min": var.f_min, "f_max": var.f_max, "var_f": var.var,
+               "integral_a_dt": res.integral, "predicted_integral": res.predicted,
+               "relative_gap": res.relative_gap, "max_area": res.max_area,
+               "trajectory_space_volume": trajectory_space_volume(table)}
     params = {**_table_ref(args), "samples": total, "grid_points": args.grid_points,
               "block_size": BLOCK_SIZE}
     return _emit(args, "slices", params, results, started, [str(curve_path)])
@@ -357,11 +346,7 @@ def _cmd_hear(args):
     with open(curve_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bounces", "vol_estimate"])
-        k = 1
-        while k < len(running):
-            writer.writerow([k, running[k - 1]])
-            k *= 2
-        writer.writerow([len(running), running[-1]])
+        writer.writerows([k, running[k - 1]] for k in _checkpoint_list(len(running)))
     results = {"bounces": len(running), "vol_m_estimate": float(running[-1])}
     params = {"lengths": args.lengths, "boundary": args.boundary, "dim": args.dim}
     return _emit(args, "hear", params, results, started, [str(curve_path)])

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateStart, GrazingExit, NotOnBoundary, Trapped
+from .errors import DegenerateStart, NotOnBoundary, Trapped
 from .measure import sample_blocks
 from .spaces import PhasePoint
 from .tables import Stratum, StratumLabel
@@ -151,23 +151,16 @@ class Rescaled:
     g-normalized axis.  The induced map projects radially to the gt-sphere,
     reflects gt-elastically in the boundary hyperplane, and projects back;
     it is an involution for every stretch and reduces to the elastic law
-    when stretch = 1.  `per_piece` optionally overrides (stretch, axis) on
-    individual boundary pieces.
+    when stretch = 1.
     """
 
     kind = "rescaled"
 
-    def __init__(self, stretch=1.0, axis=(1.0, 0.0), per_piece=None):
+    def __init__(self, stretch=1.0, axis=(1.0, 0.0)):
         if stretch <= 0:
             raise ValueError("stretch must be positive")
         self.stretch = float(stretch)
         self.axis = np.asarray(axis, dtype=float)
-        self.per_piece = None
-        if per_piece:
-            self.per_piece = {int(k): (float(s), np.asarray(a, dtype=float))
-                              for k, (s, a) in per_piece.items()}
-            if any(s <= 0 for s, _ in self.per_piece.values()):
-                raise ValueError("stretch must be positive")
 
     def __repr__(self):
         return f"Rescaled(stretch={self.stretch}, axis={self.axis.tolist()})"
@@ -193,26 +186,18 @@ def reflect_batch(law, table, q, v, piece=None, normal=None):
     frame = space.tangent_frame(q, n)                    # (N, m, cd)
     basis = np.concatenate([n[:, None, :], frame], axis=1)  # (N, dim, cd)
     coords = np.stack([space.metric_dot(q, v, basis[:, j]) for j in range(basis.shape[1])], axis=1)
-    axis = np.broadcast_to(law.axis, q.shape).astype(float).copy()
-    stretch = np.full(q.shape[0], law.stretch)
-    if law.per_piece:
-        piece = np.atleast_1d(piece)
-        for k, (s_k, a_k) in law.per_piece.items():
-            mask = piece == k
-            if np.any(mask):
-                stretch[mask] = s_k
-                axis[mask] = a_k
+    axis = np.broadcast_to(law.axis, q.shape).copy()
     if space.kind == "sphere":
         axis = axis - np.sum(axis * q, axis=1, keepdims=True) * q
     alpha = np.stack([space.metric_dot(q, axis, basis[:, j]) for j in range(basis.shape[1])], axis=1)
     neff = np.linalg.norm(alpha, axis=1)
     good = neff > 1e-12
     alpha[good] /= neff[good, None]
-    c = (stretch ** 2 - 1.0)[:, None]
+    c = law.stretch ** 2 - 1.0
     # gt-orthogonal direction to the boundary hyperplane (Sherman-Morrison)
     m = -(c / (1.0 + c)) * alpha[:, 0:1] * alpha
     m[:, 0] += 1.0
-    y = coords / np.sqrt(1.0 + c[:, 0] * np.sum(alpha * coords, axis=1) ** 2)[:, None]
+    y = coords / np.sqrt(1.0 + c * np.sum(alpha * coords, axis=1) ** 2)[:, None]
     beta = y[:, 0] / m[:, 0]
     z = y - 2.0 * beta[:, None] * m
     z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -291,15 +276,12 @@ def _record_from_batch(batch, i):
     )
 
 
-def causality_map(table, z, raise_grazing=False):
+def causality_map(table, z):
     """First return of the geodesic through z to the boundary."""
     batch = causality_batch(table, z.q[None, :], z.v[None, :])
     if batch.trapped[0]:
         raise Trapped(table.l_max)
-    record = _record_from_batch(batch, 0)
-    if raise_grazing and record.grazing:
-        raise GrazingExit("chord exits inside the grazing band")
-    return record
+    return _record_from_batch(batch, 0)
 
 
 def billiard_batch(table, law, q, v, piece=None, normal=None):

@@ -25,6 +25,10 @@ __all__ = [
     "recurrence_test", "inequality_report",
 ]
 
+_MAX_EXCLUDED = 0.01       # largest excluded sample fraction of a space average
+_SLICE_GRID_POINTS = 64    # grid of the inequality report's slice checks
+_IDENTITY_TOL = 0.03       # relative gap the slice identity may show there
+
 
 class ChordLength:
     """Observable: arclength of the free chord."""
@@ -74,17 +78,17 @@ def _average_block(table, samples, observable):
             int(np.sum(batch.trapped)), int(np.sum(batch.grazing)))
 
 
-def space_average(table, observable, count, seed, stream=0, max_excluded=0.01, workers=None):
+def space_average(table, observable, count, seed, stream=0, workers=None):
     """E_mu[f] over one free chord; trapped, grazing and degenerate samples are excluded.
 
-    Raises TooManyTrapped when the excluded fraction exceeds the budget.
+    Raises TooManyTrapped when the excluded fraction exceeds _MAX_EXCLUDED.
     """
     parts = sample_blocks(_average_block, table, count, seed, observable, stream=stream,
                           workers=workers)
     estimate = Estimate.merge_all(p[0] for p in parts)
     excluded = 1.0 - estimate.count / count
-    if excluded > max_excluded:
-        raise TooManyTrapped(f"excluded fraction {excluded:.2e} exceeds {max_excluded:.0e}")
+    if excluded > _MAX_EXCLUDED:
+        raise TooManyTrapped(f"excluded fraction {excluded:.2e} exceeds {_MAX_EXCLUDED:.0e}")
     return SpaceAverage(estimate=estimate, trapped_fraction=sum(p[1] for p in parts) / count,
                         grazing_fraction=sum(p[2] for p in parts) / count)
 
@@ -227,11 +231,10 @@ class MeanFreePathReport:
     note: str
 
 
-def mean_free_path(table, count=100_000, seed=0, max_excluded=0.01, workers=None):
+def mean_free_path(table, count=100_000, seed=0, workers=None):
     """Closed-form mean free path next to its Monte Carlo estimate."""
     prediction, _ = mean_free_path_prediction(table)
-    space = space_average(table, ChordLength(), count, seed, max_excluded=max_excluded,
-                          workers=workers)
+    space = space_average(table, ChordLength(), count, seed, workers=workers)
     gap = abs(space.mean - prediction) / abs(prediction)
     note = (f"free paths capped at l_max={table.l_max:g}; capped fraction "
             f"{space.trapped_fraction:.2e} (excluded from the mean). On tables with "
@@ -342,11 +345,10 @@ class InequalityReport:
             fh.write("\n")
 
 
-def inequality_report(table, f=None, probe=None, count=50_000, grid_points=64,
-                      seed=0, identity_tol=0.03):
+def inequality_report(table, f=None, probe=None, count=50_000, seed=0):
     """Structured pass/fail checks of the volume inequalities and identities."""
     from .dynamics import trapping_probe
-    from .lyapunov import slice_area_curve, var_F_boundary
+    from .lyapunov import slice_identity
 
     checks = []
     n = table.space.dim
@@ -365,30 +367,22 @@ def inequality_report(table, f=None, probe=None, count=50_000, grid_points=64,
         lhs=vols.vol_m, rhs=rhs, margin=margin, note=note))
 
     if f is None:
-        checks.append(InequalityCheck(name="slice-area bound", status="skipped",
-                                      note="no well-balanced Lyapunov function available"))
-        checks.append(InequalityCheck(name="slice-average identity", status="skipped",
-                                      note="no well-balanced Lyapunov function available"))
+        checks += [InequalityCheck(name=name, status="skipped",
+                                   note="no well-balanced Lyapunov function available")
+                   for name in ("slice-area bound", "slice-average identity")]
     else:
-        var = var_F_boundary(table, f, max(count // 2, 4096), seed)
-        grid = np.linspace(var.f_min, var.f_max, grid_points)
-        curve = slice_area_curve(table, f, grid, count, seed)
-        areas = np.array([e.mean for e in curve])
+        res = slice_identity(table, f, count, seed, _SLICE_GRID_POINTS)
         bound = trajectory_space_volume(table)
-        worst = float(np.max(areas))
+        worst = res.max_area
         checks.append(InequalityCheck(
             name="slice-area bound", status="pass" if worst <= bound * (1.0 + 1e-9) else "fail",
             lhs=worst, rhs=bound, margin=bound / worst if worst > 0 else float("inf"),
-            note=f"max of A(t) over a {grid_points}-point grid"))
-        integral = float(np.trapezoid(areas, grid))
-        av_a = integral / var.var
-        lhs = av_a * var.var
-        rhs_identity = unit_sphere_volume(n - 1) * vols.vol_m
-        rel = abs(lhs - rhs_identity) / rhs_identity
+            note=f"max of A(t) over a {_SLICE_GRID_POINTS}-point grid"))
+        rel = res.relative_gap
         checks.append(InequalityCheck(
-            name="slice-average identity", status="pass" if rel <= identity_tol else "fail",
-            lhs=lhs, rhs=rhs_identity, margin=rel,
-            note=f"av(A) * var(F) vs sphere-volume * vol(M), tolerance {identity_tol:.0%}"))
+            name="slice-average identity", status="pass" if rel <= _IDENTITY_TOL else "fail",
+            lhs=res.integral, rhs=res.predicted, margin=rel,
+            note=f"av(A) * var(F) vs sphere-volume * vol(M), tolerance {_IDENTITY_TOL:.0%}"))
 
     checks.append(InequalityCheck(
         name="trajectory-volume vs boundary area of SM", status="skipped",

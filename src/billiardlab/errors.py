@@ -21,10 +21,6 @@ class Trapped(BilliardError):
         super().__init__(message or f"no boundary hit within l_max={l_max:g}")
 
 
-class GrazingExit(BilliardError):
-    """Chord exits inside the grazing band (|cos| below tolerance)."""
-
-
 class AmbiguousGeodesic(BilliardError):
     """Endpoints do not determine a unique geodesic (antipodal on a sphere)."""
 

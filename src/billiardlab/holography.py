@@ -26,6 +26,8 @@ __all__ = [
     "torus_translation_map", "identity_map", "domain_reference_sample",
 ]
 
+_JUMP_CELLS = 10.0  # exit jump, in cell diameters, that marks an atlas discontinuity edge
+
 
 # ---------------------------------------------------------------------------
 # Datasets
@@ -84,8 +86,9 @@ class ScatteringDataset:
         )
 
 
-def _grid_entries(table, nb, nt):
-    """Grid of inward boundary phase points: boundary param x incidence angle."""
+def _boundary_grid(table, nb, nt):
+    """Inward boundary phase points q, v of shape (pieces, nt, nb, chart_dim) at the cell
+    centres of nt signed angles to the inward normal times nb boundary parameters."""
     space = table.space
     qs, vs = [], []
     alphas = (np.arange(nb) + 0.5) / nb * 2.0 * np.pi
@@ -94,10 +97,9 @@ def _grid_entries(table, nb, nt):
         q1 = piece.point_at_param(space, alphas)
         n1 = piece.inward_normal(space, q1)
         t1 = space.tangent_frame(q1, n1)[:, 0]
-        for th in thetas:
-            qs.append(q1)
-            vs.append(np.cos(th) * n1 + np.sin(th) * t1)
-    return np.concatenate(qs), np.concatenate(vs)
+        qs.append([q1] * nt)
+        vs.append([np.cos(th) * n1 + np.sin(th) * t1 for th in thetas])
+    return np.array(qs), np.array(vs)
 
 
 def generate_scattering_dataset(table, f=None, grid=(64, 64)):
@@ -108,7 +110,7 @@ def generate_scattering_dataset(table, f=None, grid=(64, 64)):
     grows by the chord length; the gauge freedom is one constant per chord.
     """
     nb, nt = grid
-    q, v = _grid_entries(table, nb, nt)
+    q, v = (x.reshape(-1, table.space.chart_dim) for x in _boundary_grid(table, nb, nt))
     batch = causality_batch(table, q, v)
     ok = batch.ok
     if f is None:
@@ -180,13 +182,11 @@ def boundary_param_map(table_from, table_to):
     def apply(q, v):
         q = np.atleast_2d(q)
         v = np.atleast_2d(v)
+        n = q.shape[0]
         piece_idx = table_from.active_piece(q)
-        out_q = np.empty((q.shape[0], table_to.space.chart_dim))
-        for k, (pf, pt) in enumerate(zip(table_from.pieces, table_to.pieces)):
-            mask = piece_idx == k
-            if np.any(mask):
-                alpha = pf.boundary_param(table_from.space, q[mask])
-                out_q[mask] = pt.point_at_param(table_to.space, alpha)
+        alpha = table_from._per_piece("boundary_param", piece_idx, q, np.full(n, np.nan))
+        out_q = table_to._per_piece("point_at_param", piece_idx, alpha,
+                                    np.full((n, table_to.space.chart_dim), np.nan))
         return out_q, table_to.space.unit(out_q, v)
 
     return apply
@@ -339,7 +339,6 @@ class AtlasPiece:
 class Atlas:
     pieces: tuple
     grid: tuple
-    threshold_factor: float
     cell_diameter: float
 
     @property
@@ -370,10 +369,11 @@ class Atlas:
                                int(piece.edge_theta[i, j] if j < nt - 1 else 0)])
 
 
-def trajectory_atlas(table, grid, f=None, threshold_factor=10.0):
+def trajectory_atlas(table, grid, f=None):
     """Discrete quotient of the inward boundary: chords per cell, jump edges.
 
-    Edges where the exit point jumps by more than `threshold_factor` times
+    The cells are those of the scattering-dataset grid, indexed (piece, alpha,
+    theta).  Edges where the exit point jumps by more than _JUMP_CELLS times
     the cell diameter mark the shadow of the tangency stratum, where the
     causality map is discontinuous.
     """
@@ -381,42 +381,24 @@ def trajectory_atlas(table, grid, f=None, threshold_factor=10.0):
     if min(nb, nt) < 8:
         raise ValueError("grid resolution must be at least 8 per parameter")
     space = table.space
-    alphas = (np.arange(nb) + 0.5) / nb * 2.0 * np.pi
-    thetas = (np.arange(nt) + 0.5) / nt * np.pi - np.pi / 2.0
-    pieces_out = []
-    for piece in table.pieces:
-        # cell diameter: the boundary-arc footprint of one grid cell, the
-        # length scale against which exit jumps are compared
-        arc_step = piece.boundary_volume(space) / nb
-        cell_diam = float(arc_step)
-        q1 = piece.point_at_param(space, alphas)
-        n1 = piece.inward_normal(space, q1)
-        t1 = space.tangent_frame(q1, n1)[:, 0]
-        big_q = np.repeat(q1, nt, axis=0)
-        big_n = np.repeat(n1, nt, axis=0)
-        big_t = np.repeat(t1, nt, axis=0)
-        th = np.tile(thetas, nb)
-        big_v = np.cos(th)[:, None] * big_n + np.sin(th)[:, None] * big_t
-        batch = causality_batch(table, big_q, big_v)
-        d = space.chart_dim
-        entry_q = batch.entry_q.reshape(nb, nt, d)
-        exit_q = batch.exit_q.reshape(nb, nt, d)
-        valid = batch.ok.reshape(nb, nt)
-        fe = fx = None
-        if f is not None:
-            fe = np.full((nb, nt), np.nan)
-            fx = np.full((nb, nt), np.nan)
-            ok = batch.ok
-            fe.ravel()[np.flatnonzero(ok)] = f.value_batch(batch.entry_q[ok], batch.entry_v[ok])
-            fx.ravel()[np.flatnonzero(ok)] = f.value_batch(batch.exit_q[ok], batch.exit_v[ok])
-        jump_a = space.chart_distance(exit_q, np.roll(exit_q, -1, axis=0))
-        jump_t = space.chart_distance(exit_q[:, :-1], exit_q[:, 1:])
-        both_a = valid & np.roll(valid, -1, axis=0)
-        both_t = valid[:, :-1] & valid[:, 1:]
-        pieces_out.append(AtlasPiece(
-            entry_q=entry_q, exit_q=exit_q, f_entry=fe, f_exit=fx, valid=valid,
-            edge_alpha=both_a & (jump_a > threshold_factor * cell_diam),
-            edge_theta=both_t & (jump_t > threshold_factor * cell_diam),
-        ))
-    return Atlas(pieces=tuple(pieces_out), grid=(nb, nt),
-                 threshold_factor=threshold_factor, cell_diameter=cell_diam)
+    d = space.chart_dim
+    q, v = (x.transpose(0, 2, 1, 3).reshape(-1, d) for x in _boundary_grid(table, nb, nt))
+    batch = causality_batch(table, q, v)
+    ok = batch.ok
+    shape = (len(table.pieces), nb, nt)
+    valid = ok.reshape(shape)
+    fe = fx = [None] * shape[0]
+    if f is not None:
+        fe, fx = np.full((2,) + shape, np.nan)
+        fe[valid] = f.value_batch(batch.entry_q[ok], batch.entry_v[ok])
+        fx[valid] = f.value_batch(batch.exit_q[ok], batch.exit_v[ok])
+    entry_q, exit_q = batch.entry_q.reshape(shape + (d,)), batch.exit_q.reshape(shape + (d,))
+    # cell diameter: the boundary arc of one grid cell, the scale of an exit jump
+    cell = np.array([p.boundary_volume(space) / nb for p in table.pieces])[:, None, None]
+    jump_a = space.chart_distance(exit_q, np.roll(exit_q, -1, axis=1))
+    jump_t = space.chart_distance(exit_q[:, :, :-1], exit_q[:, :, 1:])
+    edge_a = valid & np.roll(valid, -1, axis=1) & (jump_a > _JUMP_CELLS * cell)
+    edge_t = valid[:, :, :-1] & valid[:, :, 1:] & (jump_t > _JUMP_CELLS * cell)
+    pieces = tuple(AtlasPiece(entry_q[k], exit_q[k], fe[k], fx[k], valid[k], edge_a[k], edge_t[k])
+                   for k in range(shape[0]))
+    return Atlas(pieces=pieces, grid=(nb, nt), cell_diameter=float(cell[-1, 0, 0]))

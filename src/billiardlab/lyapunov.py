@@ -2,9 +2,10 @@
 
 For a table M contained in the interior of a geodesic ball L whose chords
 cross the sphere transversally, F(z) is the arclength from the backward
-crossing of the ball boundary to z.  Along the flow F grows at unit rate
-(dF along the geodesic field is 1), so the F-variation of a chord equals
-its length exactly, and level slices of F cut each chord at most once.
+crossing of the ball boundary to z, the ball's closed-form backward root.
+F grows at unit rate along the flow, so the F-variation of a chord equals
+its length, level slices of F cut each chord at most once, and the slice
+areas integrate to int A(t) dt = vol(S^{n-1}) vol(M).
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BodyTooSmall
-from .measure import (Estimate, boundary_points, boundary_rng, merge_blocks, sample_blocks,
-                      sample_mu_theta)
+from .measure import (Estimate, boundary_points, boundary_rng, domain_volumes, merge_blocks,
+                      sample_blocks, sample_mu_theta, unit_sphere_volume)
 from .spaces import FlatTorus, Sphere
-from .tables import Ball, Table, Tolerances
+from .tables import Ball
 
 __all__ = [
     "EnclosingBody", "LyapunovF", "build_well_balanced_F", "delta_F",
-    "var_F_boundary", "slice_area", "slice_area_curve", "default_enclosing_body",
+    "var_F_boundary", "slice_area", "slice_area_curve", "slice_identity", "default_enclosing_body",
 ]
 
 
@@ -34,29 +35,32 @@ class EnclosingBody:
 
 
 class LyapunovF:
-    """Arclength-from-entry Lyapunov evaluator over phase points in L."""
+    """F(q, v): first root of L's wall, radius r, along (q, -v) in (hit_tol, 16 max(r, 1) + 16]."""
 
     def __init__(self, table, body):
+        if isinstance(table.space, FlatTorus):
+            raise BodyTooSmall("torus tables admit no enclosing convex ball")
         self.body = body
         self.table = table
-        wall = Ball(np.asarray(body.center, dtype=float), body.radius, side="outer")
-        tol = Tolerances(hit_tol=table.tol.hit_tol, grazing_tol=table.tol.grazing_tol,
-                         l_max=16.0 * max(body.radius, 1.0) + 16.0)
-        self._l_table = Table(table.space, [wall], tol, name="enclosing-ball", check=False)
+        self.wall = Ball(np.asarray(body.center, dtype=float), body.radius, side="outer")
+        self.l_max = 16.0 * max(body.radius, 1.0) + 16.0
 
     def value_batch(self, q, v):
         """F at phase points: backward arclength to the enclosing sphere."""
-        hit = self._l_table.first_hit(np.atleast_2d(q), -np.atleast_2d(v))
-        if np.any(hit.trapped):
-            raise BodyTooSmall("backward ray failed to reach the enclosing sphere")
-        return hit.s
+        s = self.wall.ray_hit(self.table.space, np.atleast_2d(q), -np.atleast_2d(v),
+                              self.table.tol.hit_tol, self.l_max)
+        if not np.all(np.isfinite(s)):
+            raise BodyTooSmall("ray failed to reach the enclosing sphere")
+        return s
 
     def value(self, z):
         return float(self.value_batch(z.q[None, :], z.v[None, :])[0])
 
-    def backward_crossing_cos(self, q, v):
-        hit = self._l_table.first_hit(np.atleast_2d(q), -np.atleast_2d(v))
-        return hit.cos_in, hit.trapped
+    def exit_cos(self, q, v):
+        """Incidence cosines (negative) where the rays (q, v) leave L."""
+        space = self.table.space
+        q_hit, v_hit = space.flow(q, v, self.value_batch(q, -v))
+        return space.metric_dot(q_hit, v_hit, self.wall.inward_normal(space, q_hit))
 
 
 def default_enclosing_body(table):
@@ -83,25 +87,21 @@ def build_well_balanced_F(table, body=None, pilot_count=512, seed=1234):
     if body is None:
         body = default_enclosing_body(table)
     f = LyapunovF(table, body)
-    gtol = table.tol.grazing_tol
     # containment: boundary of M strictly inside L
     rng = boundary_rng(seed, 911)
     for piece in table.pieces:
         pts = piece.sample_boundary(table.space, rng, 128)
-        if np.any(f._l_table.max_gauge(pts) >= -table.tol.hit_tol):
+        if np.any(f.wall.gauge(table.space, pts) >= -table.tol.hit_tol):
             raise BodyTooSmall("table boundary is not strictly inside the body")
     samples = sample_mu_theta(table, pilot_count, seed)
     batch = causality_batch(table, samples.q, samples.v)
     ok = batch.ok
-    if not np.all(ok | batch.trapped | batch.grazing | batch.degenerate):
-        raise BodyTooSmall("pilot chords could not be traced")
     if np.any(batch.trapped):
         raise BodyTooSmall("pilot sample contains trapped rays")
-    cos_back, trap_back = f.backward_crossing_cos(batch.entry_q[ok], batch.entry_v[ok])
-    cos_fwd, trap_fwd = f.backward_crossing_cos(batch.exit_q[ok], -batch.exit_v[ok])
-    if np.any(trap_back) or np.any(trap_fwd):
-        raise BodyTooSmall("extended chord failed to cross the enclosing sphere")
-    if np.any(np.abs(cos_back) <= gtol) or np.any(np.abs(cos_fwd) <= gtol):
+    # each pilot chord extended backward from its entry and forward from its exit
+    cos = f.exit_cos(np.concatenate([batch.entry_q[ok], batch.exit_q[ok]]),
+                     np.concatenate([-batch.entry_v[ok], batch.exit_v[ok]]))
+    if np.any(np.abs(cos) <= table.tol.grazing_tol):
         raise BodyTooSmall("extended chord crosses the enclosing sphere tangentially")
     return f
 
@@ -195,3 +195,29 @@ def slice_area_curve(table, f, t_grid, count, seed, workers=None):
 def slice_area(table, f, t, count, seed):
     """Monte Carlo estimate of the slice area at a single level t."""
     return slice_area_curve(table, f, [t], count, seed)[0]
+
+
+@dataclass(frozen=True)
+class SliceIdentity:
+    """Slice areas A(t) over [inf F, sup F] against int A(t) dt = vol(S^{n-1}) vol(M)."""
+
+    variation: BoundaryVariation
+    grid: np.ndarray
+    areas: list             # Estimate of A(t) at each grid point
+    max_area: float
+    integral: float         # trapezoid rule over the mean areas
+    predicted: float
+    relative_gap: float
+
+
+def slice_identity(table, f, count, seed, grid_points, workers=None):
+    """Slice curve from `count` samples, on a grid over the range of F that
+    var_F_boundary finds on max(count // 4, 4096) boundary phase points."""
+    var = var_F_boundary(table, f, max(count // 4, 4096), seed)
+    grid = np.linspace(var.f_min, var.f_max, grid_points)
+    areas = slice_area_curve(table, f, grid, count, seed, workers=workers)
+    means = np.array([e.mean for e in areas])
+    integral = float(np.trapezoid(means, grid))
+    predicted = unit_sphere_volume(table.space.dim - 1) * domain_volumes(table).vol_m
+    return SliceIdentity(var, grid, areas, float(np.max(means)), integral, predicted,
+                         abs(integral - predicted) / predicted)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSet, NotOnBoundary
+from .errors import ConfigError, DegenerateSet
 from .parallel import block_counts, run_blocks
 from .spaces import FlatTorus
 
@@ -164,15 +164,12 @@ def boundary_points(table, count, rng):
     probs = weights / np.sum(weights)
     piece_idx = rng.choice(len(table.pieces), size=count, p=probs)
     q = np.empty((count, space.chart_dim))
-    normals = np.empty_like(q)
     for k, piece in enumerate(table.pieces):
         mask = piece_idx == k
         m = int(np.sum(mask))
         if m:
-            pts = piece.sample_boundary(space, rng, m)
-            q[mask] = pts
-            normals[mask] = piece.inward_normal(space, pts)
-    return piece_idx, q, normals
+            q[mask] = piece.sample_boundary(space, rng, m)
+    return piece_idx, q, table.inward_normal_at(q, piece_idx)
 
 
 def sample_mu_theta(table, count, seed, stream=0):
@@ -221,11 +218,8 @@ def merge_blocks(parts):
 
 
 def mu_theta_density_batch(table, q, v):
-    piece = table.active_piece(np.atleast_2d(q))
-    if np.any(piece < 0):
-        raise NotOnBoundary("density requested off the boundary")
-    n = table.inward_normal_at(np.atleast_2d(q), piece)
-    return table.space.metric_dot(np.atleast_2d(q), np.atleast_2d(v), n)
+    """Incidence cosines, as classify finds them; NotOnBoundary off the boundary."""
+    return table.classify(q, v)[1]
 
 
 def mu_theta_density(table, z):
@@ -297,11 +291,8 @@ class PhaseBox:
         if not mask.any():
             return mask
         if self.boundary is not None:
-            ang = np.full(q.shape[0], np.nan)
-            for k, piece in enumerate(table.pieces):
-                sel = mask & (piece_idx == k)
-                if sel.any():
-                    ang[sel] = piece.boundary_param(space, q[sel])
+            ang = table._per_piece("boundary_param", np.where(mask, piece_idx, -1), q,
+                                   np.full(q.shape[0], np.nan))
             lo, hi = self.boundary
             lo, hi = np.mod(lo, 2.0 * np.pi), np.mod(hi, 2.0 * np.pi)
             if lo <= hi:

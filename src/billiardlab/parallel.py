@@ -31,10 +31,10 @@ def default_workers(requested=None):
     return 1
 
 
-def block_counts(total, block_size=BLOCK_SIZE):
-    """Split a sample budget into fixed blocks (the last one may be short)."""
+def block_counts(total):
+    """Split a sample budget into blocks of BLOCK_SIZE (the last one may be short)."""
     total = int(total)
-    return [min(block_size, total - start) for start in range(0, total, block_size)]
+    return [min(BLOCK_SIZE, total - start) for start in range(0, total, BLOCK_SIZE)]
 
 
 _FORKED = None  # (worker, tasks) of the last pool; closures in tasks need no pickling

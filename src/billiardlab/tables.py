@@ -590,6 +590,7 @@ class Table:
         else:
             if sum(p.side == OUTER for p in self.pieces) != 1:
                 raise ConfigError("non-torus tables need exactly one outer wall")
+        self._check_centres()
         self._diameter = self._estimate_diameter()
         if not np.isfinite(self._diameter):
             raise ConfigError("table domain is unbounded")
@@ -603,6 +604,16 @@ class Table:
         if isinstance(self.space, FlatTorus):
             return float(np.linalg.norm(self.space.periods))
         return float(max(p.extent(self.space) for p in self.pieces if p.side == OUTER))
+
+    def _check_centres(self):
+        """Every ball centre is a point of the space, with chart_dim coordinates."""
+        for c in (p.center for p in self.pieces if isinstance(p, Ball)):
+            try:
+                if c.shape != (self.space.chart_dim,):
+                    raise ValueError(f"needs {self.space.chart_dim} coordinates")
+                self.space.validate_point(c)
+            except ValueError as exc:
+                raise ConfigError(f"ball centre {c.tolist()}: {exc}") from exc
 
     def _check_geometry(self):
         self._check_disjoint()
@@ -744,26 +755,23 @@ class Table:
         best = np.max(g, axis=0)
         return np.where(np.abs(best) <= self.tol.hit_tol, idx, -1)
 
+    def _per_piece(self, method, piece_idx, x, out):
+        """Fill each row of `out` with pieces[k].method(space, x) for its piece k;
+        rows whose index names no piece (-1 off the boundary) keep their value."""
+        for k, piece in enumerate(self.pieces):
+            rows = piece_idx == k
+            if rows.any():
+                out[rows] = getattr(piece, method)(self.space, x[rows])
+        return out
+
     def piece_gauge(self, q, piece_idx):
         """Gauge of each row's own piece at q."""
         q = np.atleast_2d(q)
-        piece_idx = np.atleast_1d(piece_idx)
-        out = np.empty(q.shape[0])
-        for k, piece in enumerate(self.pieces):
-            mask = piece_idx == k
-            if mask.any():
-                out[mask] = piece.gauge(self.space, q[mask])
-        return out
+        return self._per_piece("gauge", np.atleast_1d(piece_idx), q, np.empty(q.shape[0]))
 
     def inward_normal_at(self, q, piece_idx):
         q = np.atleast_2d(q)
-        piece_idx = np.atleast_1d(piece_idx)
-        out = np.empty_like(q)
-        for k, piece in enumerate(self.pieces):
-            mask = piece_idx == k
-            if mask.any():
-                out[mask] = piece.inward_normal(self.space, q[mask])
-        return out
+        return self._per_piece("inward_normal", np.atleast_1d(piece_idx), q, np.empty_like(q))
 
     # -- strata ---------------------------------------------------------------
 
@@ -772,15 +780,9 @@ class Table:
         h = 1e-4 * max(self._diameter, 1e-6)
         qp, _ = self.space.flow(q, v, np.full(q.shape[0], h))
         qm, _ = self.space.flow(q, v, np.full(q.shape[0], -h))
-        out = np.empty(q.shape[0])
-        for k, piece in enumerate(self.pieces):
-            mask = piece_idx == k
-            if np.any(mask):
-                g0 = piece.gauge(self.space, q[mask])
-                gp = piece.gauge(self.space, qp[mask])
-                gm = piece.gauge(self.space, qm[mask])
-                out[mask] = (gp - 2.0 * g0 + gm) / (h * h)
-        return out
+        g0, gp, gm = (self._per_piece("gauge", piece_idx, x, np.empty(q.shape[0]))
+                      for x in (q, qp, qm))
+        return (gp - 2.0 * g0 + gm) / (h * h)
 
     def classify(self, q, v, piece_idx=None, normal=None):
         """Stratum labels and incidence cosines for boundary phase points.

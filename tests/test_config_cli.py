@@ -179,6 +179,46 @@ def test_api_and_cli_share_the_mean_free_path(tmp_path, capsys):
     assert rep["results"]["note"] == api.note
 
 
+def test_api_and_cli_share_the_slice_identity(tmp_path, capsys):
+    from billiardlab.lyapunov import build_well_balanced_F, slice_identity
+
+    table = preset_table("disk")
+    api = slice_identity(table, build_well_balanced_F(table, seed=42), 70_000, 42, 12)
+    code, rep = run_cli(["slices", "--preset", "disk", "--samples", "70000", "--grid-points",
+                         "12", "--seed", "42", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    res = rep["results"]
+    assert res["f_min"] == api.variation.f_min
+    assert res["f_max"] == api.variation.f_max
+    assert res["var_f"] == api.variation.var
+    assert res["integral_a_dt"] == api.integral
+    assert res["predicted_integral"] == api.predicted
+    assert res["relative_gap"] == api.relative_gap
+    assert res["max_area"] == api.max_area
+    rows = (tmp_path / "slice_areas.csv").read_text().splitlines()[1:]
+    assert rows == [f"{t},{e.mean},{e.stderr}" for t, e in zip(api.grid, api.areas)]
+
+
+@pytest.mark.parametrize("conf", [
+    {"space": "sphere", "pieces": [{"shape": "ball", "center": [0, 0, 2.0], "radius": 0.7}]},
+    {"space": "sphere", "pieces": [{"shape": "half-space", "pole": [0, 0, 2.0], "angle": 0.7}]},
+    {"space": "hyperbolic-ball", "pieces": [{"shape": "ball", "center": [1.5, 0.0],
+                                             "radius": 0.5}]},
+    {"space": "euclidean", "dimension": 3, "pieces": [{"shape": "ball", "center": [0.0, 0.0],
+                                                       "radius": 1.0}]},
+], ids=["sphere-ball", "sphere-half-space", "hyperbolic-outside-chart", "euclidean-short"])
+def test_cli_rejects_ball_centres_off_the_space(conf, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(conf))
+    code, payload = run_cli(["mfp", "--config", str(path), "--samples", "1000",
+                             "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert payload["error"]["type"] == "validation"
+    centre = conf["pieces"][0].get("center", conf["pieces"][0].get("pole"))
+    assert f"ball centre {[float(x) for x in centre]}" in payload["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["mfp", "--preset", "disk", "--samples", "0"],
     ["slices", "--preset", "disk", "--samples", "0"],

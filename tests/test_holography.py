@@ -157,3 +157,62 @@ def test_atlas_csv_export(disk, disk_F, tmp_path):
     rows = path.read_text().strip().splitlines()
     assert len(rows) == 1 + 8 * 8
     assert rows[0].startswith("piece,i,j,valid")
+
+
+def _per_piece_atlas(table, grid, f=None):
+    """The former atlas construction: each piece's grid rebuilt and traced on its own."""
+    from billiardlab.dynamics import causality_batch
+
+    nb, nt = grid
+    space = table.space
+    alphas = (np.arange(nb) + 0.5) / nb * 2.0 * np.pi
+    thetas = (np.arange(nt) + 0.5) / nt * np.pi - np.pi / 2.0
+    out = []
+    for piece in table.pieces:
+        cell_diam = float(piece.boundary_volume(space) / nb)
+        q1 = piece.point_at_param(space, alphas)
+        n1 = piece.inward_normal(space, q1)
+        t1 = space.tangent_frame(q1, n1)[:, 0]
+        th = np.tile(thetas, nb)
+        big_v = (np.cos(th)[:, None] * np.repeat(n1, nt, axis=0)
+                 + np.sin(th)[:, None] * np.repeat(t1, nt, axis=0))
+        batch = causality_batch(table, np.repeat(q1, nt, axis=0), big_v)
+        d = space.chart_dim
+        entry_q, exit_q = batch.entry_q.reshape(nb, nt, d), batch.exit_q.reshape(nb, nt, d)
+        valid = batch.ok.reshape(nb, nt)
+        fe = fx = None
+        if f is not None:
+            fe, fx = np.full((nb, nt), np.nan), np.full((nb, nt), np.nan)
+            ok = batch.ok
+            fe.ravel()[np.flatnonzero(ok)] = f.value_batch(batch.entry_q[ok], batch.entry_v[ok])
+            fx.ravel()[np.flatnonzero(ok)] = f.value_batch(batch.exit_q[ok], batch.exit_v[ok])
+        jump_a = space.chart_distance(exit_q, np.roll(exit_q, -1, axis=0))
+        jump_t = space.chart_distance(exit_q[:, :-1], exit_q[:, 1:])
+        edge_a = valid & np.roll(valid, -1, axis=0) & (jump_a > 10.0 * cell_diam)
+        edge_t = valid[:, :-1] & valid[:, 1:] & (jump_t > 10.0 * cell_diam)
+        out.append((entry_q, exit_q, fe, fx, valid, edge_a, edge_t))
+    return out, cell_diam
+
+
+@pytest.mark.parametrize("name,grid,with_f", [("disk", (24, 16), True),
+                                              ("torus-two-balls", (64, 48), False),
+                                              ("cap-pi4", (16, 16), True)])
+def test_atlas_equals_the_per_piece_construction(name, grid, with_f):
+    import billiardlab.presets as presets
+
+    table = presets.preset_table(name)
+    f = build_well_balanced_F(table, seed=8) if with_f else None
+    atlas = trajectory_atlas(table, grid, f=f)
+    ref, cell_diam = _per_piece_atlas(table, grid, f)
+    assert atlas.cell_diameter == cell_diam
+    assert len(atlas.pieces) == len(ref)
+    for piece, old in zip(atlas.pieces, ref):
+        new = (piece.entry_q, piece.exit_q, piece.f_entry, piece.f_exit, piece.valid,
+               piece.edge_alpha, piece.edge_theta)
+        for a, b in zip(new, old):
+            if b is None:
+                assert a is None
+            else:
+                assert a.shape == b.shape
+                assert np.array_equal(np.ascontiguousarray(a).view(np.uint8),
+                                      np.ascontiguousarray(b).view(np.uint8))

@@ -174,3 +174,40 @@ def test_slice_curve_on_curved_tables(hyp_disk, cap):
         integral = np.trapezoid(areas, grid)
         predicted = unit_sphere_volume(table.space.dim - 1) * domain_volumes(table).vol_m
         assert abs(integral - predicted) < 0.05 * predicted
+
+
+# -- F as the enclosing ball's own root ------------------------------------------
+
+
+def _one_piece_first_hit(table, f, q, v):
+    """The former evaluator: a one-piece table of the body's wall, traced by first_hit."""
+    from billiardlab.tables import Tolerances
+
+    tol = Tolerances(hit_tol=table.tol.hit_tol, grazing_tol=table.tol.grazing_tol,
+                     l_max=16.0 * max(f.body.radius, 1.0) + 16.0)
+    wall = Ball(np.asarray(f.body.center, dtype=float), f.body.radius, side="outer")
+    return Table(table.space, [wall], tol, name="enclosing-ball", check=False).first_hit(q, v)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", ["disk", "ball3", "hyperbolic-disk-1", "cap-pi4", "ellipse"])
+def test_f_and_crossing_cosines_equal_the_one_piece_table(name):
+    from billiardlab.presets import preset_table
+
+    table = preset_table(name)
+    f = build_well_balanced_F(table, seed=3)
+    s = sample_mu_theta(table, 16_384, seed=21)
+    batch = causality_batch(table, s.q, s.v)
+    ok = batch.ok
+    for q, v in ((batch.entry_q[ok], batch.entry_v[ok]), (batch.exit_q[ok], batch.exit_v[ok])):
+        ref = _one_piece_first_hit(table, f, q, -v)
+        assert not ref.trapped.any()
+        assert np.array_equal(_bits(f.value_batch(q, v)), _bits(ref.s))
+        assert np.array_equal(_bits(f.exit_cos(q, -v)), _bits(ref.cos_in))
+    # forward from the exits, the direction the pilot extends a chord
+    ref = _one_piece_first_hit(table, f, batch.exit_q[ok], batch.exit_v[ok])
+    assert np.array_equal(_bits(f.exit_cos(batch.exit_q[ok], batch.exit_v[ok])),
+                          _bits(ref.cos_in))
