@@ -7,7 +7,7 @@ are produced.  Sampling subcommands call the API estimators, which share one
 block reduction, so reports equal the API's for any worker count.
 
 Exit codes: 0 success, 1 validation error (bad configuration, a count flag
-below 1, phase boxes on an n = 3 table), 2 runtime error (trapping budget
+below 1, boundary angles on an n = 3 table), 2 runtime error (trapping budget
 exceeded, degenerate test sets).
 """
 

@@ -186,9 +186,7 @@ def reflect_batch(law, table, q, v, piece=None, normal=None):
     frame = space.tangent_frame(q, n)                    # (N, m, cd)
     basis = np.concatenate([n[:, None, :], frame], axis=1)  # (N, dim, cd)
     coords = np.stack([space.metric_dot(q, v, basis[:, j]) for j in range(basis.shape[1])], axis=1)
-    axis = np.broadcast_to(law.axis, q.shape).copy()
-    if space.kind == "sphere":
-        axis = axis - np.sum(axis * q, axis=1, keepdims=True) * q
+    axis = np.broadcast_to(law.axis, q.shape)
     alpha = np.stack([space.metric_dot(q, axis, basis[:, j]) for j in range(basis.shape[1])], axis=1)
     neff = np.linalg.norm(alpha, axis=1)
     good = neff > 1e-12

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .dynamics import causality_batch
-from .errors import AmbiguousGeodesic
+from .errors import AmbiguousGeodesic, ConfigError
 from .measure import boundary_rng, sample_blocks
 from .spaces import FlatTorus, HyperbolicBall, Sphere
 
@@ -176,8 +176,9 @@ def boundary_param_map(table_from, table_to):
     This is the canonical chart identification between star-shaped planar
     tables; it is a true conjugacy only when the tables are isometric.
     """
-    if len(table_from.pieces) != len(table_to.pieces):
-        raise ValueError("tables must have matching piece counts")
+    shape = [(len(t.pieces), t.space.dim, t.space.chart_dim) for t in (table_from, table_to)]
+    if shape[0] != shape[1]:
+        raise ConfigError("tables must have matching piece counts, dimensions and charts")
 
     def apply(q, v):
         q = np.atleast_2d(q)
@@ -333,13 +334,13 @@ class AtlasPiece:
     valid: np.ndarray        # clean transversal chord
     edge_alpha: np.ndarray   # discontinuity between (i, j) and (i+1, j), wraps
     edge_theta: np.ndarray   # discontinuity between (i, j) and (i, j+1)
+    cell_diameter: float     # boundary arc of one cell, the scale edges are judged by
 
 
 @dataclass
 class Atlas:
     pieces: tuple
     grid: tuple
-    cell_diameter: float
 
     @property
     def edge_count(self):
@@ -399,6 +400,6 @@ def trajectory_atlas(table, grid, f=None):
     jump_t = space.chart_distance(exit_q[:, :, :-1], exit_q[:, :, 1:])
     edge_a = valid & np.roll(valid, -1, axis=1) & (jump_a > _JUMP_CELLS * cell)
     edge_t = valid[:, :, :-1] & valid[:, :, 1:] & (jump_t > _JUMP_CELLS * cell)
-    pieces = tuple(AtlasPiece(entry_q[k], exit_q[k], fe[k], fx[k], valid[k], edge_a[k], edge_t[k])
-                   for k in range(shape[0]))
-    return Atlas(pieces=pieces, grid=(nb, nt), cell_diameter=float(cell[-1, 0, 0]))
+    pieces = tuple(AtlasPiece(entry_q[k], exit_q[k], fe[k], fx[k], valid[k], edge_a[k], edge_t[k],
+                              float(cell[k, 0, 0])) for k in range(shape[0]))
+    return Atlas(pieces=pieces, grid=(nb, nt))

@@ -9,6 +9,13 @@ operations accept batches: positions and tangents are arrays of shape
 Hyperbolic geodesics are computed in the hyperboloid (Minkowski) model and
 mapped back to the ball chart, which gives exact flows without integrating
 the geodesic equation.
+
+Each space also computes its own geodesic spheres S(c, r), the boundaries of
+ball pieces: the normal, the first hit of a geodesic, the sphere's area and
+the ball's volume, random unit tangents at c, and for n = 2 the angle about
+c.  These kernels are private methods, so a tracer that wraps public methods
+books their time to the `tables.Ball` method that calls them (for example to
+`Ball.ray_hit` per space kind), not to the space.
 """
 
 from __future__ import annotations
@@ -22,6 +29,15 @@ __all__ = ["Euclidean", "FlatTorus", "HyperbolicBall", "Sphere", "ModelSpace", "
 
 def _dot(a, b):
     return (a * b).sum(axis=-1)
+
+
+def _smallest_root(roots, valid, s_lo, s_hi):
+    """Minimum of candidate root arrays within (s_lo, s_hi]; inf if none."""
+    best = np.full(roots[0].shape, np.inf)
+    for r, ok in zip(roots, valid):
+        take = ok & (r > s_lo) & (r <= s_hi) & (r < best)
+        best = np.where(take, r, best)
+    return best
 
 
 class PhasePoint:
@@ -46,6 +62,7 @@ class ModelSpace:
     kind = "abstract"
     dim = None        # dimension n of the base manifold M
     chart_dim = None  # length of chart coordinate vectors
+    diameter = np.inf  # largest distance between two points
 
     # -- metric ----------------------------------------------------------
 
@@ -73,8 +90,12 @@ class ModelSpace:
         """Geodesic distance between chart points."""
         raise NotImplementedError
 
+    def delta(self, p, q):
+        """Chart difference p - q (the minimal periodic image on a torus)."""
+        return np.asarray(p) - np.asarray(q)
+
     def chart_distance(self, p, q):
-        return np.linalg.norm(np.asarray(p) - np.asarray(q), axis=-1)
+        return np.linalg.norm(self.delta(p, q), axis=-1)
 
     # -- frames and segments ----------------------------------------------
 
@@ -133,8 +154,7 @@ class Euclidean(ModelSpace):
         out_q = q + s[..., None] * v
         return out_q, np.broadcast_to(v, out_q.shape).copy()
 
-    def distance(self, p, q):
-        return np.linalg.norm(np.asarray(p) - np.asarray(q), axis=-1)
+    distance = ModelSpace.chart_distance
 
     def tangent_frame(self, q, n):
         return _euclidean_frame(n)
@@ -142,6 +162,40 @@ class Euclidean(ModelSpace):
     def geodesic_between(self, qa, qb, count):
         t = np.linspace(0.0, 1.0, count)[:, None]
         return (1.0 - t) * np.asarray(qa)[None, :] + t * np.asarray(qb)[None, :]
+
+    def _sphere_normal(self, q, c):
+        """g-unit tangent at q pointing away from the centre c."""
+        d = self.delta(q, c)
+        return d / np.linalg.norm(d, axis=-1, keepdims=True)
+
+    def _sphere_hit(self, q, v, c, r, s_lo, s_hi):
+        """Smallest arclength in (s_lo, s_hi] where the geodesic meets S(c, r); inf if none."""
+        d = q - c
+        b = _dot(d, v)
+        disc = b * b - (_dot(d, d) - r ** 2)
+        ok = disc >= 0.0
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        return _smallest_root([-b - sq, -b + sq], [ok, ok], s_lo, s_hi)
+
+    def _sphere_area(self, r):
+        return 2.0 * np.pi * r if self.dim == 2 else 4.0 * np.pi * r * r
+
+    def _ball_volume(self, r):
+        return np.pi * r * r if self.dim == 2 else 4.0 / 3.0 * np.pi * r ** 3
+
+    def _unit_tangents(self, c, rng, count):
+        if self.dim == 2:
+            ang = rng.uniform(0.0, 2.0 * np.pi, count)
+            return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        u = rng.standard_normal((count, 3))
+        return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+    def _sphere_angle(self, q, c):
+        d = self.delta(q, c)
+        return np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * np.pi)
+
+    def _sphere_point(self, c, r, alpha):
+        return self.wrap(c + r * np.stack([np.cos(alpha), np.sin(alpha)], axis=-1))
 
 
 class FlatTorus(Euclidean):
@@ -159,23 +213,20 @@ class FlatTorus(Euclidean):
     def wrap(self, q):
         return np.mod(q, self.periods)
 
-    def wrap_delta(self, delta):
-        """Reduce displacement vectors to the minimal periodic image."""
+    def delta(self, p, q):
         half = 0.5 * self.periods
-        return np.mod(delta + half, self.periods) - half
+        return np.mod(np.asarray(p) - np.asarray(q) + half, self.periods) - half
 
     def flow(self, q, v, s):
         out_q, out_v = super().flow(q, v, s)
         return self.wrap(out_q), out_v
 
-    def distance(self, p, q):
-        return np.linalg.norm(self.wrap_delta(np.asarray(p) - np.asarray(q)), axis=-1)
-
-    chart_distance = distance
-
     def geodesic_between(self, qa, qb, count):
         # not unique on a torus; callers reconstruct from direction instead
         raise AmbiguousGeodesic("torus endpoints do not determine a geodesic")
+
+    def _sphere_hit(self, q, v, c, r, s_lo, s_hi):
+        raise RuntimeError("torus pieces are traced through window_hit")
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +236,12 @@ class FlatTorus(Euclidean):
 
 def _mink_dot(x, y):
     return -x[..., 0] * y[..., 0] + np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+
+
+def _mobius_add(a, x):
+    """a (+) x in the Poincare ball: the isometry taking 0 to a, applied to x."""
+    ax, xx, aa = _dot(a, x)[..., None], _dot(x, x)[..., None], _dot(a, a)
+    return ((1.0 + 2.0 * ax + xx) * a + (1.0 - aa) * x) / (1.0 + 2.0 * ax + aa * xx)
 
 
 class HyperbolicBall(ModelSpace):
@@ -269,6 +326,54 @@ class HyperbolicBall(ModelSpace):
                    + np.sinh(t * d)[:, None] * xb[None, :]) / np.sinh(d)
         return self.from_hyperboloid(pts)
 
+    def _sphere_normal(self, q, c):
+        x = self.to_hyperboloid(q)
+        xc = self.to_hyperboloid(c[None, :])[0]
+        dist = np.arccosh(np.maximum(-_mink_dot(x, xc), 1.0 + 1e-300))
+        sh = np.sinh(np.maximum(dist, 1e-12))[..., None]
+        t = (np.cosh(dist)[..., None] * x - xc) / sh
+        _, vr = self.from_hyperboloid(x, t)
+        return self.unit(q, vr)
+
+    def _sphere_hit(self, q, v, c, r, s_lo, s_hi):
+        x, u = self.to_hyperboloid(q, v)
+        xc = self.to_hyperboloid(c[None, :])[0]
+        a = -_mink_dot(x, xc)
+        b = -_mink_dot(u, xc)
+        h = np.cosh(r)
+        aa, bb = a + b, a - b
+        disc = h * h - aa * bb
+        ok = disc >= 0.0
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        small = np.abs(aa) < 1e-14
+        denom = np.where(small, 1.0, aa)
+        t1 = np.where(small, bb / (2.0 * h), (h - sq) / denom)
+        t2 = np.where(small, np.inf, (h + sq) / denom)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r1 = np.where(ok & (t1 > 0), np.log(np.maximum(t1, 1e-300)), np.inf)
+            r2 = np.where(ok & (t2 > 0), np.log(np.maximum(t2, 1e-300)), np.inf)
+        return _smallest_root([r1, r2], [np.isfinite(r1), np.isfinite(r2)], s_lo, s_hi)
+
+    def _sphere_area(self, r):
+        return 2.0 * np.pi * np.sinh(r) if self.dim == 2 else 4.0 * np.pi * np.sinh(r) ** 2
+
+    def _ball_volume(self, r):
+        if self.dim == 2:
+            return 2.0 * np.pi * (np.cosh(r) - 1.0)
+        return np.pi * (np.sinh(2.0 * r) - 2.0 * r)
+
+    def _unit_tangents(self, c, rng, count):
+        u = rng.standard_normal((count, self.dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        return u / self.conformal_factor(c)
+
+    def _sphere_angle(self, q, c):
+        d = _mobius_add(-c, q)  # S(c, r) moved to the centred sphere
+        return np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * np.pi)
+
+    def _sphere_point(self, c, r, alpha):
+        return _mobius_add(c, np.tanh(r / 2.0) * np.stack([np.cos(alpha), np.sin(alpha)], axis=-1))
+
 
 # ---------------------------------------------------------------------------
 # Round sphere (ambient embedding)
@@ -279,6 +384,7 @@ class Sphere(ModelSpace):
     """Unit sphere S^n embedded in R^(n+1); chart = ambient coordinates."""
 
     kind = "sphere"
+    diameter = np.pi
 
     def __init__(self, dim=2):
         if dim not in (2, 3):
@@ -292,6 +398,9 @@ class Sphere(ModelSpace):
     def validate_point(self, q):
         if np.any(np.abs(_dot(q, q) - 1.0) > 1e-9):
             raise ValueError("sphere chart point must satisfy |q| = 1")
+
+    def wrap(self, q):
+        return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
     def flow(self, q, v, s):
         s = np.asarray(s, dtype=float)
@@ -331,6 +440,53 @@ class Sphere(ModelSpace):
         pts = (np.sin((1.0 - t) * ang)[:, None] * qa[None, :]
                + np.sin(t * ang)[:, None] * qb[None, :]) / np.sin(ang)
         return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+    def _sphere_normal(self, q, c):
+        ang = self.distance(q, c)
+        sn = np.sin(np.maximum(ang, 1e-12))[..., None]
+        t = (np.cos(ang)[..., None] * q - c) / sn
+        return t / np.linalg.norm(t, axis=-1, keepdims=True)
+
+    def _sphere_hit(self, q, v, c, r, s_lo, s_hi):
+        a = _dot(q, c)
+        b = _dot(v, c)
+        y = np.cos(r) / np.maximum(np.hypot(a, b), 1e-300)
+        ok = np.abs(y) <= 1.0
+        phi = np.arctan2(b, a)
+        delta = np.arccos(np.clip(y, -1.0, 1.0))
+        two_pi = 2.0 * np.pi
+        roots = [base + two_pi * np.ceil((s_lo - base) / two_pi)
+                 for base in (phi - delta, phi + delta)]
+        return _smallest_root(roots, [ok, ok], s_lo, min(s_hi, s_lo + two_pi))
+
+    def _sphere_area(self, r):
+        return 2.0 * np.pi * np.sin(r) if self.dim == 2 else 4.0 * np.pi * np.sin(r) ** 2
+
+    def _ball_volume(self, r):
+        if self.dim == 2:
+            return 2.0 * np.pi * (1.0 - np.cos(r))
+        return 2.0 * np.pi * (r - np.sin(r) * np.cos(r))
+
+    def _unit_tangents(self, c, rng, count):
+        u = rng.standard_normal((count, self.chart_dim))
+        u -= _dot(u, np.broadcast_to(c, u.shape))[:, None] * c
+        return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+    def _pole_frame(self, c):
+        """Orthonormal e1, e2 spanning the tangent plane at the pole c (n = 2)."""
+        seed = np.eye(3)[np.argmin(np.abs(c))]
+        e1 = seed - np.dot(seed, c) * c
+        e1 /= np.linalg.norm(e1)
+        return e1, np.cross(c, e1)
+
+    def _sphere_angle(self, q, c):
+        e1, e2 = self._pole_frame(c)
+        return np.mod(np.arctan2(_dot(q, e2), _dot(q, e1)), 2.0 * np.pi)
+
+    def _sphere_point(self, c, r, alpha):
+        e1, e2 = self._pole_frame(c)
+        rim = np.cos(alpha)[..., None] * e1 + np.sin(alpha)[..., None] * e2
+        return np.cos(r) * c + np.sin(r) * rim
 
 
 def geodesic_flow(space, z, s):

@@ -5,14 +5,16 @@ gauge function, negative inside the domain, so the domain is the set where
 every gauge is nonpositive.  Ball pieces, sphere caps among them, intersect
 rays in closed form (quadratic, trigonometric, or exponential equations);
 radial Fourier walls use certified sphere tracing, whose steps never pass the
-first zero of the gauge, so no crossing is skipped.  Flat-torus tables trace
-rays through periodic images in windows no longer than the shortest period;
-one vectorized call covers a block of consecutive windows.  A block is one
-window while the active rows fill the row budget and doubles each pass once
-they do not, so a ray in a free channel takes about log2(l_max / window)
-passes.  Since 2r < every period, each window's 2^d nearest images hold every
-image its segment can hit, and the hits are those of a one-window loop, bit
-for bit.
+first zero of the gauge, so no crossing is skipped.  A ball's space computes
+its geodesic sphere (normal, hits, volumes, samples, angle) in private
+methods, so a tracer that wraps public methods books that time to `Ball`.
+Flat-torus tables trace rays through periodic images in windows no longer
+than the shortest period; one vectorized call covers a block of consecutive
+windows.  A block is one window while the active rows fill the row budget
+and doubles each pass once they do not, so a ray in a free channel takes
+about log2(l_max / window) passes.  Since 2r < every period, each window's
+2^d nearest images hold every image its segment can hit, and the hits are
+those of a one-window loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigError, DegenerateStart, NotOnBoundary, Trapped
-from .spaces import Euclidean, FlatTorus, HyperbolicBall, PhasePoint, Sphere, _dot, _mink_dot
+from .spaces import Euclidean, FlatTorus, HyperbolicBall, PhasePoint, Sphere, _dot
 
 __all__ = [
     "StratumLabel", "Stratum", "Tolerances", "Ball", "HalfSpaceOrCap",
@@ -102,17 +104,14 @@ class BoundaryPiece:
         raise NotImplementedError
 
 
-def _smallest_root(roots, valid, s_lo, s_hi):
-    """Minimum of candidate root arrays within (s_lo, s_hi]; inf if none."""
-    best = np.full(roots[0].shape, np.inf)
-    for r, ok in zip(roots, valid):
-        take = ok & (r > s_lo) & (r <= s_hi) & (r < best)
-        best = np.where(take, r, best)
-    return best
+def _check_planar(space):
+    """Boundary angles, and points at an angle, exist for n = 2 tables only."""
+    if space.dim != 2:
+        raise ConfigError(f"boundary angles need an n = 2 table, not n = {space.dim}")
 
 
 class Ball(BoundaryPiece):
-    """Geodesic ball piece: outer wall (domain inside) or obstacle."""
+    """Geodesic ball piece (outer wall or obstacle); its space computes its sphere."""
 
     def __init__(self, center, radius, side=OUTER):
         if side not in (OUTER, OBSTACLE):
@@ -127,84 +126,14 @@ class Ball(BoundaryPiece):
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius}, side={self.side!r})"
 
-    def _rho(self, space, q):
-        return space.distance(q, self.center)
-
     def gauge(self, space, q):
-        return self._sign * (self._rho(space, q) - self.radius)
-
-    def _radial_unit(self, space, q):
-        """g-unit tangent at q pointing away from the center."""
-        if isinstance(space, FlatTorus):
-            d = space.wrap_delta(q - self.center)
-            return d / np.linalg.norm(d, axis=-1, keepdims=True)
-        if isinstance(space, Euclidean):
-            d = q - self.center
-            return d / np.linalg.norm(d, axis=-1, keepdims=True)
-        if isinstance(space, HyperbolicBall):
-            x = space.to_hyperboloid(q)
-            c = space.to_hyperboloid(self.center[None, :])[0]
-            dist = np.arccosh(np.maximum(-_mink_dot(x, c), 1.0 + 1e-300))
-            sh = np.sinh(np.maximum(dist, 1e-12))[..., None]
-            t = (np.cosh(dist)[..., None] * x - c) / sh
-            _, vr = space.from_hyperboloid(x, t)
-            return space.unit(q, vr)
-        if isinstance(space, Sphere):
-            c = self.center
-            ang = space.distance(q, c)
-            sn = np.sin(np.maximum(ang, 1e-12))[..., None]
-            t = (np.cos(ang)[..., None] * q - c) / sn
-            return t / np.linalg.norm(t, axis=-1, keepdims=True)
-        raise NotImplementedError(space.kind)
+        return self._sign * (space.distance(q, self.center) - self.radius)
 
     def inward_normal(self, space, q):
-        return -self._sign * self._radial_unit(space, q)
+        return -self._sign * space._sphere_normal(q, self.center)
 
     def ray_hit(self, space, q, v, s_lo, s_hi):
-        if isinstance(space, FlatTorus):
-            raise RuntimeError("torus pieces are traced through window_hit")
-        if isinstance(space, Euclidean):
-            d = q - self.center
-            b = _dot(d, v)
-            c = _dot(d, d) - self.radius ** 2
-            disc = b * b - c
-            ok = disc >= 0.0
-            sq = np.sqrt(np.maximum(disc, 0.0))
-            return _smallest_root([-b - sq, -b + sq], [ok, ok], s_lo, s_hi)
-        if isinstance(space, HyperbolicBall):
-            x, u = space.to_hyperboloid(q, v)
-            c = space.to_hyperboloid(self.center[None, :])[0]
-            a = -_mink_dot(x, c)
-            b = -_mink_dot(u, c)
-            h = np.cosh(self.radius)
-            aa, bb = a + b, a - b
-            disc = h * h - aa * bb
-            ok = disc >= 0.0
-            sq = np.sqrt(np.maximum(disc, 0.0))
-            small = np.abs(aa) < 1e-14
-            denom = np.where(small, 1.0, aa)
-            t1 = np.where(small, bb / (2.0 * h), (h - sq) / denom)
-            t2 = np.where(small, np.inf, (h + sq) / denom)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                r1 = np.where(ok & (t1 > 0), np.log(np.maximum(t1, 1e-300)), np.inf)
-                r2 = np.where(ok & (t2 > 0), np.log(np.maximum(t2, 1e-300)), np.inf)
-            return _smallest_root([r1, r2], [np.isfinite(r1), np.isfinite(r2)], s_lo, s_hi)
-        if isinstance(space, Sphere):
-            a = _dot(q, self.center)
-            b = _dot(v, self.center)
-            r = np.hypot(a, b)
-            y = np.cos(self.radius) / np.maximum(r, 1e-300)
-            ok = np.abs(y) <= 1.0
-            phi = np.arctan2(b, a)
-            delta = np.arccos(np.clip(y, -1.0, 1.0))
-            two_pi = 2.0 * np.pi
-            roots, valid = [], []
-            for base in (phi - delta, phi + delta):
-                k = np.ceil((s_lo - base) / two_pi)
-                roots.append(base + two_pi * k)
-                valid.append(ok)
-            return _smallest_root(roots, valid, s_lo, min(s_hi, s_lo + two_pi))
-        raise NotImplementedError(space.kind)
+        return space._sphere_hit(q, v, self.center, self.radius, s_lo, s_hi)
 
     def window_hit(self, space, q, v, s0, s1, s_lo):
         """Torus only: per row, the smallest root in any window (max(s0_j, s_lo), s1_j].
@@ -246,107 +175,27 @@ class Ball(BoundaryPiece):
         return best
 
     def boundary_volume(self, space):
-        r = self.radius
-        if isinstance(space, (Euclidean, FlatTorus)):
-            return 2.0 * np.pi * r if space.dim == 2 else 4.0 * np.pi * r * r
-        if isinstance(space, HyperbolicBall):
-            return 2.0 * np.pi * np.sinh(r) if space.dim == 2 else 4.0 * np.pi * np.sinh(r) ** 2
-        if isinstance(space, Sphere):
-            return 2.0 * np.pi * np.sin(r) if space.dim == 2 else 4.0 * np.pi * np.sin(r) ** 2
-        raise NotImplementedError(space.kind)
+        return space._sphere_area(self.radius)
 
     def domain_volume(self, space):
         """g-volume enclosed by the ball."""
-        r = self.radius
-        if isinstance(space, (Euclidean, FlatTorus)):
-            return np.pi * r * r if space.dim == 2 else 4.0 / 3.0 * np.pi * r ** 3
-        if isinstance(space, HyperbolicBall):
-            if space.dim == 2:
-                return 2.0 * np.pi * (np.cosh(r) - 1.0)
-            return np.pi * (np.sinh(2.0 * r) - 2.0 * r)
-        if isinstance(space, Sphere):
-            if space.dim == 2:
-                return 2.0 * np.pi * (1.0 - np.cos(r))
-            return 2.0 * np.pi * (r - np.sin(r) * np.cos(r))
-        raise NotImplementedError(space.kind)
+        return space._ball_volume(self.radius)
 
     def sample_boundary(self, space, rng, count):
-        if isinstance(space, (Euclidean, FlatTorus)):
-            if space.dim == 2:
-                ang = rng.uniform(0.0, 2.0 * np.pi, count)
-                u = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            else:
-                u = rng.standard_normal((count, 3))
-                u /= np.linalg.norm(u, axis=1, keepdims=True)
-            pts = self.center + self.radius * u
-            return space.wrap(pts) if isinstance(space, FlatTorus) else pts
-        if isinstance(space, HyperbolicBall):
-            u = rng.standard_normal((count, space.dim))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            c = np.broadcast_to(self.center, (count, space.dim))
-            lam = space.conformal_factor(c)
-            qb, _ = space.flow(c, u / lam[:, None], np.full(count, self.radius))
-            return qb
-        if isinstance(space, Sphere):
-            u = rng.standard_normal((count, space.chart_dim))
-            u -= _dot(u, np.broadcast_to(self.center, u.shape))[:, None] * self.center
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            c = np.broadcast_to(self.center, u.shape)
-            qb, _ = space.flow(c, u, np.full(count, self.radius))
-            return qb
-        raise NotImplementedError(space.kind)
-
-    # 2d boundary parametrization (angle about the center / pole)
-    def _pole_frame(self, space):
-        if isinstance(space, Sphere):
-            c = self.center
-            seed = np.eye(3)[np.argmin(np.abs(c))]
-            e1 = seed - np.dot(seed, c) * c
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(c, e1)
-            return e1, e2
-        return None
+        u = space._unit_tangents(self.center, rng, count)
+        c = np.broadcast_to(self.center, u.shape)
+        return space.flow(c, u, np.full(count, self.radius))[0]
 
     def boundary_param(self, space, q):
-        if space.dim != 2:
-            raise NotImplementedError("boundary_param is 2d only")
-        if isinstance(space, FlatTorus):
-            d = space.wrap_delta(q - self.center)
-            return np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * np.pi)
-        if isinstance(space, (Euclidean, HyperbolicBall)):
-            if isinstance(space, HyperbolicBall) and np.linalg.norm(self.center) > 1e-12:
-                raise NotImplementedError("parametrized hyperbolic balls must be centered")
-            d = q - self.center
-            return np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * np.pi)
-        if isinstance(space, Sphere):
-            e1, e2 = self._pole_frame(space)
-            return np.mod(np.arctan2(_dot(q, e2), _dot(q, e1)), 2.0 * np.pi)
-        raise NotImplementedError(space.kind)
+        _check_planar(space)
+        return space._sphere_angle(q, self.center)
 
     def point_at_param(self, space, alpha):
-        alpha = np.asarray(alpha, dtype=float)
-        if space.dim != 2:
-            raise NotImplementedError("point_at_param is 2d only")
-        u = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
-        if isinstance(space, (Euclidean, FlatTorus)):
-            pts = self.center + self.radius * u
-            return space.wrap(pts) if isinstance(space, FlatTorus) else pts
-        if isinstance(space, HyperbolicBall):
-            if np.linalg.norm(self.center) > 1e-12:
-                raise NotImplementedError("parametrized hyperbolic balls must be centered")
-            return np.tanh(self.radius / 2.0) * u
-        if isinstance(space, Sphere):
-            e1, e2 = self._pole_frame(space)
-            rim = np.cos(alpha)[..., None] * e1 + np.sin(alpha)[..., None] * e2
-            return np.cos(self.radius) * self.center + np.sin(self.radius) * rim
-        raise NotImplementedError(space.kind)
+        _check_planar(space)
+        return space._sphere_point(self.center, self.radius, np.asarray(alpha, dtype=float))
 
     def extent(self, space):
-        if isinstance(space, HyperbolicBall):
-            return 2.0 * self.radius
-        if isinstance(space, Sphere):
-            return min(2.0 * self.radius, np.pi)
-        return 2.0 * self.radius
+        return min(2.0 * self.radius, space.diameter)
 
 
 class HalfSpaceOrCap(Ball):
@@ -629,7 +478,7 @@ class Table:
                     raise ConfigError("obstacle overlaps its own periodic images")
             for i, a in enumerate(balls):
                 for b in balls[i + 1:]:
-                    d = np.linalg.norm(space.wrap_delta(a.center - b.center))
+                    d = np.linalg.norm(space.delta(a.center, b.center))
                     if d <= a.radius + b.radius:
                         raise ConfigError("obstacles overlap (including periodic images)")
             return
@@ -701,10 +550,7 @@ class Table:
     def _check_connected(self, count=120, neighbors=6, probes=24):
         rng = np.random.default_rng(2)
         pts = self._interior_samples(rng, count)
-        if isinstance(self.space, FlatTorus):
-            deltas = self.space.wrap_delta(pts[None, :, :] - pts[:, None, :])
-        else:
-            deltas = pts[None, :, :] - pts[:, None, :]
+        deltas = self.space.delta(pts[None, :, :], pts[:, None, :])
         dist = np.linalg.norm(deltas, axis=-1)
         order = np.argsort(dist, axis=1)
         parent = np.arange(count)
@@ -723,11 +569,7 @@ class Table:
         for k in range(1, neighbors + 1):
             nbr = order[:, k]
             seg = pts[:, None, :] + t * deltas[rows, nbr][:, None, :]
-            seg = seg.reshape(-1, pts.shape[1])
-            if isinstance(self.space, Sphere):
-                seg = seg / np.linalg.norm(seg, axis=1, keepdims=True)
-            elif isinstance(self.space, FlatTorus):
-                seg = self.space.wrap(seg)
+            seg = self.space.wrap(seg.reshape(-1, pts.shape[1]))
             clear = np.all(self.inside(seg, tol=0.0).reshape(count, probes), axis=1)
             for i in np.flatnonzero(clear):
                 parent[find(i)] = find(nbr[i])

@@ -247,6 +247,21 @@ def test_cli_measure_check_rejects_three_dimensional_tables(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--preset", "ball3", "--grid", "8"],
+    ["recurrence", "--preset", "ball3", "--starters", "4", "--bounces", "10"],
+    ["conjugacy", "--preset", "ball3", "--map", "param", "--samples", "100"],
+    ["conjugacy", "--preset", "disk", "--other", "ball3", "--map", "param", "--samples", "100"],
+    ["conjugacy", "--preset", "disk", "--other", "cap-pi4", "--map", "param",
+     "--samples", "100"],
+], ids=["reconstruct", "recurrence", "conjugacy", "conjugacy-to-ball3", "conjugacy-to-cap"])
+def test_cli_planar_only_subcommands_reject_other_tables(argv, tmp_path, capsys):
+    code, payload = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert payload["error"]["type"] == "validation"
+    assert not (tmp_path / "out").exists()
+
+
 def _cap_config(path, dim, angle, shape):
     pole = [0.0] * dim + [1.0]
     piece = ({"shape": "half-space", "pole": pole, "angle": angle} if shape == "half-space"

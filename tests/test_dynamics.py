@@ -247,7 +247,7 @@ def free_line_exists(table, angles=360, offsets=80, span=30.0):
         nrm = np.array([-v[1], v[0]])
         for off in np.linspace(0.0, 1.0, offsets, endpoint=False):
             pts = space.wrap(off * nrm + t[:, None] * v)
-            if all(np.min(np.linalg.norm(space.wrap_delta(pts - c), axis=1)) >= r
+            if all(np.min(space.distance(pts, c)) >= r
                    for c, r in zip(centers, radii)):
                 return True
     return False

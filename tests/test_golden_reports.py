@@ -51,6 +51,16 @@ CASES = {
                        "--grid-points", "12", "--seed", "15"],
     "hear": ["hear", "--lengths", "lengths.csv", "--boundary", "6.283185307179586",
              "--dim", "2"],
+    "mfp-ball3": ["mfp", "--preset", "ball3", "--samples", "20000", "--seed", "16"],
+    "measure-check-cap-pi4": ["measure-check", "--preset", "cap-pi4", "--samples", "4096",
+                              "--boxes", "6", "--seed", "17"],
+    "measure-check-hyperbolic-disk-1": ["measure-check", "--preset", "hyperbolic-disk-1",
+                                        "--samples", "4096", "--boxes", "6", "--seed", "18"],
+    "reconstruct-cap-pi4": ["reconstruct", "--preset", "cap-pi4", "--grid", "16",
+                            "--reference-points", "512", "--seed", "19"],
+    "reconstruct-hyperbolic-disk-1": ["reconstruct", "--preset", "hyperbolic-disk-1",
+                                      "--grid", "16", "--reference-points", "512",
+                                      "--seed", "20"],
 }
 
 

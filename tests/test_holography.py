@@ -137,7 +137,7 @@ def test_atlas_injectivity_on_convex_table(disk):
     piece = atlas.pieces[0]
     nb, nt = atlas.grid
     ends = np.concatenate([piece.entry_q.reshape(-1, 2), piece.exit_q.reshape(-1, 2)], axis=1)
-    cell_diam = atlas.cell_diameter
+    cell_diam = piece.cell_diameter
     for i in range(ends.shape[0]):
         d = np.linalg.norm(ends - ends[i], axis=1)
         close = np.flatnonzero(d < 0.5 * cell_diam)
@@ -190,8 +190,8 @@ def _per_piece_atlas(table, grid, f=None):
         jump_t = space.chart_distance(exit_q[:, :-1], exit_q[:, 1:])
         edge_a = valid & np.roll(valid, -1, axis=0) & (jump_a > 10.0 * cell_diam)
         edge_t = valid[:, :-1] & valid[:, 1:] & (jump_t > 10.0 * cell_diam)
-        out.append((entry_q, exit_q, fe, fx, valid, edge_a, edge_t))
-    return out, cell_diam
+        out.append((entry_q, exit_q, fe, fx, valid, edge_a, edge_t, cell_diam))
+    return out
 
 
 @pytest.mark.parametrize("name,grid,with_f", [("disk", (24, 16), True),
@@ -203,10 +203,10 @@ def test_atlas_equals_the_per_piece_construction(name, grid, with_f):
     table = presets.preset_table(name)
     f = build_well_balanced_F(table, seed=8) if with_f else None
     atlas = trajectory_atlas(table, grid, f=f)
-    ref, cell_diam = _per_piece_atlas(table, grid, f)
-    assert atlas.cell_diameter == cell_diam
+    ref = _per_piece_atlas(table, grid, f)
     assert len(atlas.pieces) == len(ref)
-    for piece, old in zip(atlas.pieces, ref):
+    for piece, (*old, cell_diam) in zip(atlas.pieces, ref):
+        assert piece.cell_diameter == cell_diam
         new = (piece.entry_q, piece.exit_q, piece.f_entry, piece.f_exit, piece.valid,
                piece.edge_alpha, piece.edge_theta)
         for a, b in zip(new, old):
