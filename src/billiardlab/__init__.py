@@ -18,16 +18,13 @@ from .errors import (AmbiguousGeodesic, BilliardError, BodyTooSmall, ConfigError
                      DegenerateSet, DegenerateStart, EmptySequence, NotOnBoundary,
                      TooManyTrapped, Trapped)
 from .holography import (ScatteringDataset, conjugacy_residual,
-                         generate_scattering_dataset, reconstruct_chords,
-                         trajectory_atlas)
+                         generate_scattering_dataset, reconstruct_chords)
 from .lyapunov import (EnclosingBody, LyapunovF, build_well_balanced_F, delta_F,
-                       slice_area, slice_identity, var_F_boundary)
+                       slice_identity, var_F_boundary)
 from .measure import (Estimate, PhaseBox, WeightedSampleSet, domain_volumes,
                       measure_preservation_test, mu_theta_density,
                       sample_mu_theta, trajectory_space_volume)
 from .presets import PRESETS, preset_table
-from .spaces import (Euclidean, FlatTorus, HyperbolicBall, PhasePoint, Sphere,
-                     geodesic_flow)
+from .spaces import Euclidean, FlatTorus, HyperbolicBall, PhasePoint, Sphere
 from .tables import (Ball, HalfSpaceOrCap, RadialFourierCurve, Stratum,
-                     StratumLabel, Table, Tolerances, classify_boundary_point,
-                     first_boundary_hit, inward_normal)
+                     StratumLabel, Table, Tolerances)

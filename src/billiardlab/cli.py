@@ -7,13 +7,15 @@ are produced.  Sampling subcommands call the API estimators, which share one
 block reduction, so reports equal the API's for any worker count.
 
 Exit codes: 0 success, 1 validation error (bad configuration, a count flag
-below 1, boundary angles on an n = 3 table), 2 runtime error (trapping budget
+below 1, a length flag that is not positive and finite, an unreadable input
+file, boundary angles on an n = 3 table), 2 runtime error (trapping budget
 exceeded, degenerate test sets).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import subprocess
@@ -73,16 +75,21 @@ def _add_common(parser, samples=True):
         parser.add_argument("--samples", type=float, default=1e5)
 
 
-# count flags of every subcommand; checked once, before any output
+# count and length flags of every subcommand; checked once, before any output
 _COUNTS = ("samples", "orbits", "bounces", "boxes", "starters", "grid_points", "grid",
-           "reference_points")
+           "reference_points", "dim")
+_LENGTHS = ("lmax", "resolution", "boundary")
 
 
-def _check_counts(args):
+def _check_flags(args):
     for name in _COUNTS:
         value = getattr(args, name, None)
         if value is not None and int(value) < 1:
             raise ConfigError(f"--{name.replace('_', '-')} must be at least 1")
+    for name in _LENGTHS:
+        value = getattr(args, name, None)
+        if value is not None and not 0.0 < value < np.inf:
+            raise ConfigError(f"--{name} must be positive and finite")
 
 
 def _build_table(args):
@@ -230,6 +237,8 @@ def _cmd_measure_check(args):
 def _cmd_recurrence(args):
     started = time.time()
     table = _build_table(args)
+    if not 0 <= args.box_piece < len(table.pieces):
+        raise ConfigError(f"--box-piece must index one of the table's {len(table.pieces)} pieces")
     box = PhaseBox(piece=args.box_piece, boundary=tuple(args.box_angle),
                    incidence=tuple(args.box_incidence))
     res = recurrence_test(table, Elastic(), box, args.starters, int(args.bounces), args.seed)
@@ -330,15 +339,14 @@ def _cmd_conjugacy(args):
 
 def _cmd_hear(args):
     started = time.time()
-    lengths = []
-    with open(args.lengths) as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                lengths.append(float(row[0]))
-            except ValueError:
-                continue  # header line
+    try:
+        with open(args.lengths, newline="") as fh:
+            cells = [row[0] for row in csv.reader(fh) if row]
+        lengths = [float(c) for c in cells[1:]]
+    except (OSError, ValueError) as exc:  # no such file, or a non-numeric row after the first
+        raise ConfigError(f"cannot read --lengths: {exc}") from exc
+    with contextlib.suppress(IndexError, ValueError):  # no rows, or a header row
+        lengths.insert(0, float(cells[0]))
     running = hear_volume(np.asarray(lengths), args.boundary, args.dim)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -429,7 +437,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        _check_counts(args)
+        _check_flags(args)
         return args.func(args)
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "validation", "message": str(exc)}}))

@@ -34,7 +34,6 @@ __all__ = [
     "causality_batch", "reflect_batch", "billiard_batch",
 ]
 
-_IN = int(StratumLabel.TRANSVERSAL_IN)
 _OUT = int(StratumLabel.TRANSVERSAL_OUT)
 _CONVEX = int(StratumLabel.TANGENT_CONVEX)
 _CONCAVE = int(StratumLabel.TANGENT_CONCAVE)
@@ -381,7 +380,7 @@ def _probe_block(table, samples):
     return batch.length, batch.trapped, batch.grazing
 
 
-def trapping_probe(table, sample_count, l_max=None, seed=0, workers=None):
+def trapping_probe(table, sample_count, seed=0, workers=None):
     """Monte Carlo escape statistics; max_chord is a lower bound for gd(M,g).
 
     Tables with unbounded free paths have power tails in the chord length,
@@ -390,8 +389,7 @@ def trapping_probe(table, sample_count, l_max=None, seed=0, workers=None):
     twice the 99.5% quantile: for a bounded geodesic diameter the top
     chords cluster below it, while a power tail always populates it.
     """
-    work = table if l_max is None else table.with_l_max(l_max)
-    parts = sample_blocks(_probe_block, work, sample_count, seed, workers=workers)
+    parts = sample_blocks(_probe_block, table, sample_count, seed, workers=workers)
     length, trapped, grazing = (np.concatenate(column) for column in zip(*parts))
     escaped = ~trapped
     lengths = length[escaped]
@@ -415,5 +413,5 @@ def trapping_probe(table, sample_count, l_max=None, seed=0, workers=None):
         max_chord_progression=tuple(progression),
         gd_stabilized=stabilized,
         sample_count=sample_count,
-        l_max=work.l_max,
+        l_max=table.l_max,
     )

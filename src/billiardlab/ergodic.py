@@ -114,15 +114,6 @@ class AverageReport:
     def final(self):
         return self.time_avg[-1] if self.time_avg else float("nan")
 
-    def to_csv(self, path):
-        """Convergence curve: one (bounces, running average) row per checkpoint."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bounces", "running_average"])
-            writer.writerows(zip(self.checkpoints, self.time_avg))
-
 
 def _checkpoint_list(m):
     points = []
@@ -161,12 +152,8 @@ def time_average_many(table, law, observable, z0_q, z0_v, bounces):
             live = done_bounces >= step
             running[live, j] = sums[live] / step
     # fill checkpoints beyond early termination with the final partial mean
-    for i in range(n):
-        with np.errstate(invalid="ignore"):
-            partial = sums[i] / max(done_bounces[i], 1)
-        for j, m in enumerate(checkpoints):
-            if np.isnan(running[i, j]):
-                running[i, j] = partial
+    partial = sums / np.maximum(done_bounces, 1)
+    running = np.where(np.isnan(running), partial[:, None], running)
     return checkpoints, running, done_bounces, termination
 
 
@@ -331,19 +318,6 @@ class InequalityReport:
     def passed(self):
         return all(c.status != "fail" for c in self.checks)
 
-    def as_dict(self):
-        return {"passed": self.passed,
-                "checks": [{"name": c.name, "status": c.status, "lhs": c.lhs,
-                            "rhs": c.rhs, "margin": c.margin, "note": c.note}
-                           for c in self.checks]}
-
-    def to_json(self, path):
-        import json
-
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
-            fh.write("\n")
-
 
 def inequality_report(table, f=None, probe=None, count=50_000, seed=0):
     """Structured pass/fail checks of the volume inequalities and identities."""
@@ -383,8 +357,4 @@ def inequality_report(table, f=None, probe=None, count=50_000, seed=0):
             name="slice-average identity", status="pass" if rel <= _IDENTITY_TOL else "fail",
             lhs=res.integral, rhs=res.predicted, margin=rel,
             note=f"av(A) * var(F) vs sphere-volume * vol(M), tolerance {_IDENTITY_TOL:.0%}"))
-
-    checks.append(InequalityCheck(
-        name="trajectory-volume vs boundary area of SM", status="skipped",
-        note="needs the harmonizing metric restricted to the boundary of SM, which is not modeled"))
     return InequalityReport(checks=tuple(checks))

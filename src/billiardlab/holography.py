@@ -3,8 +3,7 @@
 Numerical versions of the holography statements: a boundary map that
 intertwines two scattering maps has vanishing residual (isometries of a
 table realize this exactly up to roundoff); the chord cloud of a dataset
-reconstructs the flow-foliated domain; the discrete trajectory atlas marks
-the discontinuity shadow of grazing chords.
+reconstructs the flow-foliated domain.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .dynamics import causality_batch
 from .errors import AmbiguousGeodesic, ConfigError
@@ -22,11 +20,9 @@ from .spaces import FlatTorus, HyperbolicBall, Sphere
 
 __all__ = [
     "ScatteringDataset", "generate_scattering_dataset", "conjugacy_residual",
-    "reconstruct_chords", "trajectory_atlas", "rotation_map", "reflection_map",
+    "reconstruct_chords", "rotation_map", "reflection_map",
     "torus_translation_map", "identity_map", "domain_reference_sample",
 ]
-
-_JUMP_CELLS = 10.0  # exit jump, in cell diameters, that marks an atlas discontinuity edge
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +249,8 @@ class Reconstruction:
 
 def _nearest_distances(space, reference, cloud):
     """Geodesic distance from each reference point to the nearest cloud point."""
+    from scipy.spatial import cKDTree  # costs most of the package's import time
+
     if isinstance(space, FlatTorus):
         offs = [np.array(k) for k in np.ndindex(*([3] * space.dim))]
         tiled = np.concatenate([cloud + (np.array(o) - 1) * space.periods for o in offs])
@@ -318,88 +316,3 @@ def reconstruct_chords(data, space, h=0.01, reference_points=None):
 def domain_reference_sample(table, count, seed):
     """Interior rejection sample of the domain, for coverage metrics."""
     return table._interior_samples(boundary_rng(seed, 7), count)
-
-
-# ---------------------------------------------------------------------------
-# Trajectory atlas
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AtlasPiece:
-    entry_q: np.ndarray      # (nb, nt, d)
-    exit_q: np.ndarray
-    f_entry: np.ndarray | None
-    f_exit: np.ndarray | None
-    valid: np.ndarray        # clean transversal chord
-    edge_alpha: np.ndarray   # discontinuity between (i, j) and (i+1, j), wraps
-    edge_theta: np.ndarray   # discontinuity between (i, j) and (i, j+1)
-    cell_diameter: float     # boundary arc of one cell, the scale edges are judged by
-
-
-@dataclass
-class Atlas:
-    pieces: tuple
-    grid: tuple
-
-    @property
-    def edge_count(self):
-        return int(sum(np.sum(p.edge_alpha) + np.sum(p.edge_theta) for p in self.pieces))
-
-    def to_csv(self, path):
-        """One row per grid cell: indices, endpoints, F values, edge flags."""
-        import csv
-
-        nb, nt = self.grid
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            d = self.pieces[0].entry_q.shape[-1]
-            writer.writerow(["piece", "i", "j", "valid"]
-                            + [f"entry_q{k}" for k in range(d)]
-                            + [f"exit_q{k}" for k in range(d)]
-                            + ["f_entry", "f_exit", "edge_alpha", "edge_theta"])
-            for p_idx, piece in enumerate(self.pieces):
-                for i in range(nb):
-                    for j in range(nt):
-                        fe = piece.f_entry[i, j] if piece.f_entry is not None else ""
-                        fx = piece.f_exit[i, j] if piece.f_exit is not None else ""
-                        writer.writerow(
-                            [p_idx, i, j, int(piece.valid[i, j])]
-                            + list(piece.entry_q[i, j]) + list(piece.exit_q[i, j])
-                            + [fe, fx, int(piece.edge_alpha[i, j]),
-                               int(piece.edge_theta[i, j] if j < nt - 1 else 0)])
-
-
-def trajectory_atlas(table, grid, f=None):
-    """Discrete quotient of the inward boundary: chords per cell, jump edges.
-
-    The cells are those of the scattering-dataset grid, indexed (piece, alpha,
-    theta).  Edges where the exit point jumps by more than _JUMP_CELLS times
-    the cell diameter mark the shadow of the tangency stratum, where the
-    causality map is discontinuous.
-    """
-    nb, nt = grid
-    if min(nb, nt) < 8:
-        raise ValueError("grid resolution must be at least 8 per parameter")
-    space = table.space
-    d = space.chart_dim
-    q, v = (x.transpose(0, 2, 1, 3).reshape(-1, d) for x in _boundary_grid(table, nb, nt))
-    batch = causality_batch(table, q, v)
-    ok = batch.ok
-    shape = (len(table.pieces), nb, nt)
-    valid = ok.reshape(shape)
-    fe = fx = [None] * shape[0]
-    if f is not None:
-        fe, fx = np.full((2,) + shape, np.nan)
-        fe[valid] = f.value_batch(batch.entry_q[ok], batch.entry_v[ok])
-        fx[valid] = f.value_batch(batch.exit_q[ok], batch.exit_v[ok])
-    entry_q, exit_q = batch.entry_q.reshape(shape + (d,)), batch.exit_q.reshape(shape + (d,))
-    # cell diameter: the boundary arc of one grid cell, the scale of an exit jump
-    cell = np.array([p.boundary_volume(space) / nb for p in table.pieces])[:, None, None]
-    jump_a = space.chart_distance(exit_q, np.roll(exit_q, -1, axis=1))
-    jump_t = space.chart_distance(exit_q[:, :, :-1], exit_q[:, :, 1:])
-    edge_a = valid & np.roll(valid, -1, axis=1) & (jump_a > _JUMP_CELLS * cell)
-    edge_t = valid[:, :, :-1] & valid[:, :, 1:] & (jump_t > _JUMP_CELLS * cell)
-    pieces = tuple(AtlasPiece(entry_q[k], exit_q[k], fe[k], fx[k], valid[k], edge_a[k], edge_t[k],
-                              float(cell[k, 0, 0])) for k in range(shape[0]))
-    return Atlas(pieces=pieces, grid=(nb, nt))

@@ -22,7 +22,7 @@ from .tables import Ball
 
 __all__ = [
     "EnclosingBody", "LyapunovF", "build_well_balanced_F", "delta_F",
-    "var_F_boundary", "slice_area", "slice_area_curve", "slice_identity", "default_enclosing_body",
+    "var_F_boundary", "slice_area_curve", "slice_identity", "default_enclosing_body",
 ]
 
 
@@ -190,11 +190,6 @@ def slice_area_curve(table, f, t_grid, count, seed, workers=None):
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     return merge_blocks(sample_blocks(_slice_block, table, count, seed, f, t_grid,
                                       workers=workers))
-
-
-def slice_area(table, f, t, count, seed):
-    """Monte Carlo estimate of the slice area at a single level t."""
-    return slice_area_curve(table, f, [t], count, seed)[0]
 
 
 @dataclass(frozen=True)

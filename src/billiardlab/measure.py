@@ -10,7 +10,6 @@ equatorial unit ball to the hemisphere.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -118,16 +117,6 @@ class WeightedSampleSet:
     def __len__(self):
         return self.q.shape[0]
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            d = self.q.shape[1]
-            writer.writerow([f"q{i}" for i in range(d)] + [f"v{i}" for i in range(d)]
-                            + ["piece", "weight"])
-            w = self.normalization / len(self)
-            for i in range(len(self)):
-                writer.writerow(list(self.q[i]) + list(self.v[i]) + [int(self.piece[i]), w])
-
 
 def _lift_directions(space, q, normals, rng, gtol):
     """Cosine-distributed inward unit directions at boundary points."""
@@ -217,14 +206,9 @@ def merge_blocks(parts):
 # ---------------------------------------------------------------------------
 
 
-def mu_theta_density_batch(table, q, v):
-    """Incidence cosines, as classify finds them; NotOnBoundary off the boundary."""
-    return table.classify(q, v)[1]
-
-
 def mu_theta_density(table, z):
-    """Cosine of the angle between v and the inward normal at q."""
-    return float(mu_theta_density_batch(table, z.q[None, :], z.v[None, :])[0])
+    """Cosine of the angle between v and the inward normal at q (NotOnBoundary off the boundary)."""
+    return float(table.classify(z.q[None, :], z.v[None, :])[1][0])
 
 
 def trajectory_space_volume(table):

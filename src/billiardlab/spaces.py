@@ -52,9 +52,6 @@ class PhasePoint:
     def __repr__(self):
         return f"PhasePoint(q={self.q.tolist()}, v={self.v.tolist()})"
 
-    def reversed(self):
-        return PhasePoint(self.q, -self.v)
-
 
 class ModelSpace:
     """Common interface of the four model spaces."""
@@ -487,9 +484,3 @@ class Sphere(ModelSpace):
         e1, e2 = self._pole_frame(c)
         rim = np.cos(alpha)[..., None] * e1 + np.sin(alpha)[..., None] * e2
         return np.cos(r) * c + np.sin(r) * rim
-
-
-def geodesic_flow(space, z, s):
-    """Time-s point of the unit-speed geodesic through a single phase point."""
-    q, v = space.flow(z.q[None, :], z.v[None, :], np.asarray([s], dtype=float))
-    return PhasePoint(q[0], v[0])

@@ -24,13 +24,12 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateStart, NotOnBoundary, Trapped
-from .spaces import Euclidean, FlatTorus, HyperbolicBall, PhasePoint, Sphere, _dot
+from .errors import ConfigError, NotOnBoundary
+from .spaces import Euclidean, FlatTorus, HyperbolicBall, Sphere, _dot
 
 __all__ = [
     "StratumLabel", "Stratum", "Tolerances", "Ball", "HalfSpaceOrCap",
-    "RadialFourierCurve", "Table", "HitRecord", "first_boundary_hit",
-    "inward_normal", "classify_boundary_point",
+    "RadialFourierCurve", "Table",
 ]
 
 OUTER = "outer"
@@ -60,6 +59,14 @@ class Tolerances:
     hit_tol: float = 1e-10       # length units
     grazing_tol: float = 1e-7    # cosine units
     l_max: float | None = None   # None: 1e4 x diameter estimate
+
+    def __post_init__(self):
+        for name in ("hit_tol", "grazing_tol", "l_max"):
+            value = getattr(self, name)
+            if name == "l_max" and value is None:
+                continue
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < np.inf):
+                raise ConfigError(f"tolerance {name} must be positive and finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +417,6 @@ class HitBatch:
     trapped: np.ndarray
 
 
-@dataclass(frozen=True)
-class HitRecord:
-    s_hit: float
-    z_hit: PhasePoint
-    piece: int
-    cos_in: float
-    stratum: Stratum
-
-    @property
-    def q_hit(self):
-        return self.z_hit.q
-
-
 class Table:
     """A billiard domain: model space, boundary pieces, tolerances."""
 
@@ -739,52 +733,3 @@ class Table:
 
     def __repr__(self):
         return f"Table({self.name!r}, space={self.space.kind}, pieces={len(self.pieces)})"
-
-
-# ---------------------------------------------------------------------------
-# Scalar operations (single phase points)
-# ---------------------------------------------------------------------------
-
-
-def first_boundary_hit(table, z):
-    """First boundary crossing of the geodesic through z.
-
-    Raises DegenerateStart if z sits on the boundary pointing strictly
-    outward, and Trapped if no crossing occurs within the length cap.
-    """
-    q = np.atleast_2d(z.q)
-    v = np.atleast_2d(z.v)
-    piece = table.active_piece(q)[0]
-    if piece >= 0:
-        _, cos_in = table.classify(q, v, np.asarray([piece]))
-        if cos_in[0] < -table.tol.grazing_tol:
-            raise DegenerateStart("boundary start with outward velocity")
-    hit = table.first_hit(q, v)
-    if hit.trapped[0]:
-        raise Trapped(table.l_max)
-    return HitRecord(
-        s_hit=float(hit.s[0]),
-        z_hit=PhasePoint(hit.q[0], hit.v[0]),
-        piece=int(hit.piece[0]),
-        cos_in=float(hit.cos_in[0]),
-        stratum=Stratum(StratumLabel(int(hit.label[0])), float(hit.cos_in[0])),
-    )
-
-
-def inward_normal(table, q):
-    """g-unit inward normal at a boundary position."""
-    q2 = np.atleast_2d(np.asarray(q, dtype=float))
-    piece = table.active_piece(q2)[0]
-    if piece < 0:
-        raise NotOnBoundary("point is not within hit tolerance of the boundary")
-    return table.pieces[piece].inward_normal(table.space, q2)[0]
-
-
-def classify_boundary_point(table, z):
-    """Morse stratum of a boundary phase point."""
-    q = np.atleast_2d(z.q)
-    piece = table.active_piece(q)[0]
-    if piece < 0:
-        raise NotOnBoundary("point is not within hit tolerance of the boundary")
-    label, cos_in = table.classify(q, np.atleast_2d(z.v), np.asarray([piece]))
-    return Stratum(StratumLabel(int(label[0])), float(cos_in[0]))

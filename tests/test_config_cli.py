@@ -73,6 +73,16 @@ def test_config_rejects_bad_values(tmp_path):
         load_table_config(path)
 
 
+@pytest.mark.parametrize("tolerances", [
+    {"l_max": 0}, {"l_max": -1.0}, {"l_max": float("inf")}, {"hit_tol": -1},
+    {"hit_tol": 0.0}, {"hit_tol": "1e-10"}, {"grazing_tol": float("nan")}, {"grazing_tol": True},
+], ids=["l_max-0", "l_max-negative", "l_max-inf", "hit_tol-negative", "hit_tol-0",
+        "hit_tol-string", "grazing_tol-nan", "grazing_tol-bool"])
+def test_config_rejects_non_positive_tolerances(tolerances):
+    with pytest.raises(ConfigError, match="must be positive and finite"):
+        table_from_dict({**DISK_CONF, "tolerances": tolerances})
+
+
 def test_config_half_space_is_a_sphere_cap():
     cap = {"space": "sphere", "dimension": 2,
            "pieces": [{"shape": "half-space", "side": "outer", "pole": [0.0, 0.0, 1.0],
@@ -233,6 +243,34 @@ def test_cli_rejects_ball_centres_off_the_space(conf, tmp_path, capsys):
                             ("recurrence", "--starters"), ("recurrence", "--bounces"))),
 ], ids=lambda argv: argv[0])
 def test_cli_rejects_non_positive_counts(argv, tmp_path, capsys):
+    code, payload = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert payload["error"]["type"] == "validation"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--preset", "disk", "--grid", "8", "--resolution", "0"],
+    ["reconstruct", "--preset", "disk", "--grid", "8", "--resolution", "-1"],
+    ["mfp", "--preset", "disk", "--samples", "100", "--lmax", "0"],
+    ["mfp", "--preset", "disk", "--samples", "100", "--lmax", "-1"],
+    ["mfp", "--preset", "disk", "--samples", "100", "--lmax", "nan"],
+    ["hear", "--lengths", "{good}", "--boundary", "0", "--dim", "2"],
+    ["hear", "--lengths", "{good}", "--boundary", "inf", "--dim", "2"],
+    ["hear", "--lengths", "{good}", "--boundary", "1", "--dim", "0"],
+    ["hear", "--lengths", "{missing}", "--boundary", "1", "--dim", "2"],
+    ["hear", "--lengths", "{bad_row}", "--boundary", "1", "--dim", "2"],
+    ["recurrence", "--preset", "disk", "--box-piece", "5", "--starters", "4", "--bounces", "10"],
+    ["recurrence", "--preset", "disk", "--box-piece", "-1", "--starters", "4", "--bounces", "10"],
+], ids=["resolution-0", "resolution-negative", "lmax-0", "lmax-negative", "lmax-nan",
+        "boundary-0", "boundary-inf", "dim-0", "lengths-missing", "lengths-bad-row",
+        "box-piece-5", "box-piece-negative"])
+def test_cli_rejects_out_of_domain_values(argv, tmp_path, capsys):
+    files = {"good": tmp_path / "good.csv", "bad_row": tmp_path / "bad_row.csv",
+             "missing": tmp_path / "missing.csv"}
+    files["good"].write_text("length\n1.0\n2.0\n")
+    files["bad_row"].write_text("length\n1.0\nabc\n3.0\n")
+    argv = [a.format(**files) for a in argv]
     code, payload = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
     assert code == 1
     assert payload["error"]["type"] == "validation"

@@ -316,8 +316,8 @@ def test_two_ball_configuration_blocks_all_lines(two_balls, one_ball):
 
 
 def test_probe_respects_l_max_override(one_ball):
-    probe_short = trapping_probe(one_ball, 5_000, l_max=3.0, seed=4)
-    probe_long = trapping_probe(one_ball, 5_000, l_max=300.0, seed=4)
+    probe_short = trapping_probe(one_ball.with_l_max(3.0), 5_000, seed=4)
+    probe_long = trapping_probe(one_ball.with_l_max(300.0), 5_000, seed=4)
     assert probe_short.max_chord <= 3.0
     assert probe_long.max_chord > probe_short.max_chord
     assert probe_short.escape_fraction < 1.0

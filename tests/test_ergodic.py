@@ -172,8 +172,6 @@ def test_inequality_report_disk(disk, disk_F):
     assert abs(gd.margin - 4.0 / np.pi) < 0.01
     assert byname["slice-area bound"].status == "pass"
     assert byname["slice-average identity"].status == "pass"
-    skipped = byname["trajectory-volume vs boundary area of SM"]
-    assert skipped.status == "skipped" and skipped.note
     assert rep.passed
 
 
@@ -226,21 +224,3 @@ def test_birkhoff_report_labels_status(two_balls, disk):
     disk_reports = birkhoff_report(disk, Elastic(), ChordLength(),
                                    starters=1, bounces=200, count=5_000, seed=19)
     assert "not ergodic" in disk_reports[0].agreement["ergodicity_status"]
-
-
-def test_average_report_csv_and_inequality_json(disk, disk_F, tmp_path):
-    rep = time_average(disk, Elastic(), ChordLength(),
-                       entry_at(disk, 0.1, 0.8), 64)
-    csv_path = tmp_path / "convergence.csv"
-    rep.to_csv(csv_path)
-    rows = csv_path.read_text().strip().splitlines()
-    assert rows[0] == "bounces,running_average"
-    assert len(rows) == 1 + len(rep.checkpoints)
-
-    ineq = inequality_report(disk, f=disk_F, count=20_000, seed=20)
-    json_path = tmp_path / "inequalities.json"
-    ineq.to_json(json_path)
-    import json as _json
-    payload = _json.loads(json_path.read_text())
-    assert payload["passed"] is True
-    assert any(c["status"] == "skipped" for c in payload["checks"])

@@ -4,7 +4,7 @@ import pytest
 from billiardlab.dynamics import causality_batch, causality_map
 from billiardlab.errors import BodyTooSmall
 from billiardlab.lyapunov import (EnclosingBody, build_well_balanced_F, delta_F,
-                                  delta_F_batch, slice_area, slice_area_curve,
+                                  delta_F_batch, slice_area_curve,
                                   var_F_boundary, default_enclosing_body)
 from billiardlab.measure import sample_mu_theta, trajectory_space_volume
 from billiardlab.presets import disk as make_disk
@@ -141,11 +141,10 @@ def test_var_f_monotone_in_count(disk, disk_F):
 
 
 def test_slice_trivials(disk, disk_F):
-    below = slice_area(disk, disk_F, 0.5, 20_000, seed=12)  # below F_min
+    # levels below F_min, above F_max, and at sqrt(3)
+    below, above, mid = slice_area_curve(disk, disk_F, [0.5, 3.5, np.sqrt(3.0)], 20_000, seed=12)
     assert below.mean == 0.0
-    above = slice_area(disk, disk_F, 3.5, 20_000, seed=12)
     assert above.mean == 0.0
-    mid = slice_area(disk, disk_F, np.sqrt(3.0), 20_000, seed=12)
     # every chord straddles the level sqrt(3): the slice carries full mass
     assert abs(mid.mean - trajectory_space_volume(disk)) < 1e-9
 

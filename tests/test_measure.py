@@ -37,16 +37,15 @@ def test_density_off_boundary_raises(disk):
 
 def test_density_sign_matches_strata(disk, one_ball):
     from billiardlab.dynamics import causality_batch
-    from billiardlab.measure import mu_theta_density_batch
     from billiardlab.tables import StratumLabel
 
     for table in (disk, one_ball):
         s = sample_mu_theta(table, 512, seed=41)
         batch = causality_batch(table, s.q, s.v)
-        d_in = mu_theta_density_batch(table, batch.entry_q, batch.entry_v)
+        d_in = table.classify(batch.entry_q, batch.entry_v)[1]
         assert np.all(d_in > 0)
         ok = batch.ok
-        d_out = mu_theta_density_batch(table, batch.exit_q[ok], batch.exit_v[ok])
+        d_out = table.classify(batch.exit_q[ok], batch.exit_v[ok])[1]
         assert np.all(d_out < 0)
         assert np.all(batch.exit_label[ok] == int(StratumLabel.TRANSVERSAL_OUT))
 
@@ -254,12 +253,3 @@ def test_degenerate_box_raises(disk):
     box = PhaseBox(piece=0, incidence=(1.57078, 1.57079))  # sliver at grazing
     with pytest.raises(DegenerateSet):
         measure_preservation_test(disk, Elastic(), [box], 5_000, seed=9)
-
-
-def test_csv_export(disk, tmp_path):
-    s = sample_mu_theta(disk, 64, seed=10)
-    path = tmp_path / "samples.csv"
-    s.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert len(rows) == 65
-    assert rows[0].split(",")[:2] == ["q0", "q1"]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from billiardlab.errors import AmbiguousGeodesic
-from billiardlab.spaces import (Euclidean, FlatTorus, HyperbolicBall, PhasePoint,
-                                Sphere, geodesic_flow)
+from billiardlab.spaces import Euclidean, FlatTorus, HyperbolicBall, Sphere
 
 ALL_SPACES = [Euclidean(2), Euclidean(3), FlatTorus((1.0, 1.0)),
               FlatTorus((1.0, 2.0, 0.5)), HyperbolicBall(2), HyperbolicBall(3),
@@ -50,24 +49,23 @@ def hyperbolic_rk4(q0, v0, s, steps=6000):
 
 
 def test_euclidean_straight_line():
-    z1 = geodesic_flow(Euclidean(2), PhasePoint([0.0, 0.0], [1.0, 0.0]), 2.0)
-    assert np.allclose(z1.q, [2.0, 0.0])
-    assert np.allclose(z1.v, [1.0, 0.0])
+    q1, v1 = Euclidean(2).flow(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), [2.0])
+    assert np.allclose(q1[0], [2.0, 0.0])
+    assert np.allclose(v1[0], [1.0, 0.0])
 
 
 def test_sphere_pole_to_antipode():
-    north = PhasePoint([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    z1 = geodesic_flow(Sphere(2), north, np.pi)
-    assert np.allclose(z1.q, [0.0, 0.0, -1.0], atol=1e-12)
-    assert np.allclose(z1.v, [-1.0, 0.0, 0.0], atol=1e-12)
+    q1, v1 = Sphere(2).flow(np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]]), [np.pi])
+    assert np.allclose(q1[0], [0.0, 0.0, -1.0], atol=1e-12)
+    assert np.allclose(v1[0], [-1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_hyperbolic_radial_flow_closed_form():
     # unit g-speed at the origin has chart speed (1 - |q|^2)/2 = 1/2
-    z1 = geodesic_flow(HyperbolicBall(2), PhasePoint([0.0, 0.0], [0.5, 0.0]), 1.0)
-    assert abs(z1.q[0] - np.tanh(0.5)) < 1e-12
-    assert abs(z1.q[0] - 0.46211715726000974) < 1e-12
-    assert abs(z1.q[1]) < 1e-15
+    q1, _ = HyperbolicBall(2).flow(np.array([[0.0, 0.0]]), np.array([[0.5, 0.0]]), [1.0])
+    assert abs(q1[0, 0] - np.tanh(0.5)) < 1e-12
+    assert abs(q1[0, 0] - 0.46211715726000974) < 1e-12
+    assert abs(q1[0, 1]) < 1e-15
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -76,10 +74,10 @@ def test_hyperbolic_flow_matches_rk4_oracle(seed):
     space = HyperbolicBall(2)
     q, v = random_phase(space, rng, 1)
     s = rng.uniform(0.2, 1.5)
-    z1 = geodesic_flow(space, PhasePoint(q[0], v[0]), s)
+    q1, v1 = space.flow(q, v, [s])
     q_ref, v_ref = hyperbolic_rk4(q[0], v[0], s)
-    assert np.linalg.norm(z1.q - q_ref) < 1e-8
-    assert np.linalg.norm(z1.v - v_ref) < 1e-7
+    assert np.linalg.norm(q1[0] - q_ref) < 1e-8
+    assert np.linalg.norm(v1[0] - v_ref) < 1e-7
 
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
+from billiardlab.dynamics import causality_map
 from billiardlab.errors import ConfigError, DegenerateStart, NotOnBoundary, Trapped
 from billiardlab.spaces import Euclidean, FlatTorus, PhasePoint
-from billiardlab.tables import (Ball, HalfSpaceOrCap, RadialFourierCurve, StratumLabel,
-                                Table, classify_boundary_point, first_boundary_hit,
-                                inward_normal)
+from billiardlab.tables import Ball, HalfSpaceOrCap, RadialFourierCurve, StratumLabel, Table
 
 
 def test_disk_diameter_hit(disk):
-    rec = first_boundary_hit(disk, PhasePoint([1.0, 0.0], [-1.0, 0.0]))
-    assert abs(rec.s_hit - 2.0) < 1e-12
-    assert np.allclose(rec.q_hit, [-1.0, 0.0], atol=1e-12)
-    assert abs(rec.cos_in - (-1.0)) < 1e-12
-    assert rec.stratum.label == StratumLabel.TRANSVERSAL_OUT
+    hit = disk.first_hit(np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]]))
+    assert abs(hit.s[0] - 2.0) < 1e-12
+    assert np.allclose(hit.q[0], [-1.0, 0.0], atol=1e-12)
+    assert abs(hit.cos_in[0] - (-1.0)) < 1e-12
+    assert hit.label[0] == StratumLabel.TRANSVERSAL_OUT
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.5, 1.0, 1.4])
@@ -23,19 +22,19 @@ def test_disk_chord_length_oracle(disk, theta):
     n = np.array([-1.0, 0.0])
     t = np.array([0.0, 1.0])
     v = np.cos(theta) * n + np.sin(theta) * t
-    rec = first_boundary_hit(disk, PhasePoint([1.0, 0.0], v))
-    assert abs(rec.s_hit - 2.0 * np.cos(theta)) < 1e-12
+    hit = disk.first_hit(np.array([[1.0, 0.0]]), v[None])
+    assert abs(hit.s[0] - 2.0 * np.cos(theta)) < 1e-12
 
 
 def test_interior_point_not_on_boundary(disk):
     assert disk.active_piece(np.array([[0.2, 0.1]]))[0] == -1
     with pytest.raises(NotOnBoundary):
-        inward_normal(disk, [0.2, 0.1])
+        disk.classify(np.array([[0.2, 0.1]]), np.array([[1.0, 0.0]]))
 
 
 def test_degenerate_start_raises(disk):
     with pytest.raises(DegenerateStart):
-        first_boundary_hit(disk, PhasePoint([1.0, 0.0], [1.0, 0.0]))
+        causality_map(disk, PhasePoint([1.0, 0.0], [1.0, 0.0]))
 
 
 def brute_force_first_crossing(table, q, v, s_max, samples=400_000):
@@ -52,32 +51,34 @@ def test_torus_image_hit_against_dense_scan(one_ball):
     q = np.array([0.75, 0.5])  # east point of the obstacle
     for ang in (0.3, 1.1, 2.0, -2.4):
         v = np.array([np.cos(ang), np.sin(ang)])
-        st = classify_boundary_point(one_ball, PhasePoint(q, v))
-        if st.label != StratumLabel.TRANSVERSAL_IN:
+        label, _ = one_ball.classify(q[None], v[None])
+        if label[0] != StratumLabel.TRANSVERSAL_IN:
             continue
-        rec = first_boundary_hit(one_ball, PhasePoint(q, v))
-        oracle = brute_force_first_crossing(one_ball, q, v, rec.s_hit + 0.5)
-        assert abs(rec.s_hit - oracle) < 1e-4  # oracle is grid-limited
+        hit = one_ball.first_hit(q[None], v[None])
+        oracle = brute_force_first_crossing(one_ball, q, v, hit.s[0] + 0.5)
+        assert abs(hit.s[0] - oracle) < 1e-4  # oracle is grid-limited
         # exact: the hit point lies on the obstacle circle
-        assert abs(one_ball.max_gauge(rec.q_hit[None])[0]) < 1e-10
+        assert abs(one_ball.max_gauge(hit.q)[0]) < 1e-10
 
 
 def test_torus_interior_start_rejected_for_normal(one_ball):
     with pytest.raises(NotOnBoundary):
-        inward_normal(one_ball, [0.0, 0.0])
+        one_ball.classify(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
 
 
 def test_disk_normal_and_obstacle_normal(disk, one_ball):
-    n = inward_normal(disk, [1.0, 0.0])
+    q = np.array([[1.0, 0.0]])
+    n = disk.inward_normal_at(q, disk.active_piece(q))[0]
     assert np.allclose(n, [-1.0, 0.0], atol=1e-14)
-    n = inward_normal(one_ball, [0.75, 0.5])  # obstacle boundary east point
+    q = np.array([[0.75, 0.5]])  # obstacle boundary east point
+    n = one_ball.inward_normal_at(q, one_ball.active_piece(q))[0]
     assert np.allclose(n, [1.0, 0.0], atol=1e-12)  # points away from the ball
 
 
 def test_hyperbolic_normal_against_fd_gradient(hyp_disk):
     space = hyp_disk.space
     qb = np.array([np.tanh(0.5), 0.0])
-    n = inward_normal(hyp_disk, qb)
+    n = hyp_disk.inward_normal_at(qb[None], hyp_disk.active_piece(qb[None]))[0]
     # oracle: chart gradient of the distance gauge by finite differences,
     # converted to a g-unit vector (conformal metric keeps the direction)
     piece = hyp_disk.pieces[0]
@@ -97,18 +98,18 @@ def test_classification_trivials(disk):
     n = np.array([-1.0, 0.0])
     t = np.array([0.0, 1.0])
     v = 0.5 * n + np.sqrt(1 - 0.25) * t
-    st = classify_boundary_point(disk, PhasePoint([1.0, 0.0], v))
-    assert st.label == StratumLabel.TRANSVERSAL_IN
-    assert abs(st.cos_in - 0.5) < 1e-12
-    st = classify_boundary_point(disk, PhasePoint([1.0, 0.0], [0.0, 1.0]))
-    assert st.label == StratumLabel.TANGENT_CONVEX
+    q = np.array([[1.0, 0.0], [1.0, 0.0]])
+    label, cos_in = disk.classify(q, np.array([v, [0.0, 1.0]]))
+    assert label[0] == StratumLabel.TRANSVERSAL_IN
+    assert abs(cos_in[0] - 0.5) < 1e-12
+    assert label[1] == StratumLabel.TANGENT_CONVEX
 
 
 def test_obstacle_tangency_is_discontinuity(one_ball):
     # tangency on a dispersing obstacle separates chords that clip the ball
     # from chords that pass it: the exit point jumps under a tiny turn of v
-    st = classify_boundary_point(one_ball, PhasePoint([0.75, 0.5], [0.0, 1.0]))
-    assert st.label == StratumLabel.TANGENT_CONCAVE
+    label, _ = one_ball.classify(np.array([[0.75, 0.5]]), np.array([[0.0, 1.0]]))
+    assert label[0] == StratumLabel.TANGENT_CONCAVE
     # aim from the east point of the obstacle at the tangent of its periodic
     # image one period over; a tiny turn across the tangent flips between
     # clipping the image and flying past it
@@ -133,13 +134,13 @@ def test_stratum_stable_under_small_turns(disk):
         t = np.array([-n[1], n[0]])
         theta = rng.uniform(-1.4, 1.4)
         v = np.cos(theta) * n + np.sin(theta) * t
-        st = classify_boundary_point(disk, PhasePoint(q, v))
-        assert st.label == StratumLabel.TRANSVERSAL_IN
-        margin = (st.cos_in - disk.tol.grazing_tol) / 2.0
+        label, cos_in = disk.classify(q[None], v[None])
+        assert label[0] == StratumLabel.TRANSVERSAL_IN
+        margin = (cos_in[0] - disk.tol.grazing_tol) / 2.0
         turn = 0.9 * margin  # cosine is 1-Lipschitz in the angle
         v2 = np.cos(theta + turn) * n + np.sin(theta + turn) * t
-        st2 = classify_boundary_point(disk, PhasePoint(q, v2))
-        assert st2.label == StratumLabel.TRANSVERSAL_IN
+        label2, _ = disk.classify(q[None], v2[None])
+        assert label2[0] == StratumLabel.TRANSVERSAL_IN
 
 
 def test_hit_minimality_gauge_sign(disk, one_ball, hyp_disk):
@@ -158,7 +159,7 @@ def test_hit_minimality_gauge_sign(disk, one_ball, hyp_disk):
 def test_trapped_when_cap_too_small(one_ball):
     short = one_ball.with_l_max(0.05)
     with pytest.raises(Trapped):
-        first_boundary_hit(short, PhasePoint([0.75, 0.5], [1.0, 0.0]))
+        causality_map(short, PhasePoint([0.75, 0.5], [1.0, 0.0]))
 
 
 # -- Fourier walls ----------------------------------------------------------
@@ -166,14 +167,14 @@ def test_trapped_when_cap_too_small(one_ball):
 
 def test_fourier_hit_against_dense_scan(ellipse):
     q = ellipse.pieces[0].point_at_param(ellipse.space, np.array([0.0]))[0]
-    n = inward_normal(ellipse, q)
+    n = ellipse.inward_normal_at(q[None], ellipse.active_piece(q[None]))[0]
     t = np.array([-n[1], n[0]])
     for theta in (0.0, 0.6, -1.1):
         v = np.cos(theta) * n + np.sin(theta) * t
-        rec = first_boundary_hit(ellipse, PhasePoint(q, v))
-        oracle = brute_force_first_crossing(ellipse, q, v, rec.s_hit + 0.3)
-        assert abs(rec.s_hit - oracle) < 1e-4
-        assert abs(ellipse.max_gauge(rec.q_hit[None])[0]) < 1e-9
+        hit = ellipse.first_hit(q[None], v[None])
+        oracle = brute_force_first_crossing(ellipse, q, v, hit.s[0] + 0.3)
+        assert abs(hit.s[0] - oracle) < 1e-4
+        assert abs(ellipse.max_gauge(hit.q)[0]) < 1e-9
 
 
 def test_fourier_normal_matches_fd(ellipse):
