@@ -61,6 +61,9 @@ CASES = {
     "reconstruct-hyperbolic-disk-1": ["reconstruct", "--preset", "hyperbolic-disk-1",
                                       "--grid", "16", "--reference-points", "512",
                                       "--seed", "20"],
+    "reconstruct-torus-two-balls": ["reconstruct", "--preset", "torus-two-balls",
+                                    "--grid", "16", "--reference-points", "512",
+                                    "--seed", "21"],
 }
 
 
