@@ -289,8 +289,7 @@ def _cmd_reconstruct(args):
     data_path = out_dir / "scattering.jsonl"
     data.to_jsonl(data_path)
     cloud_path = out_dir / "chord_cloud.csv"
-    np.savetxt(cloud_path, recon.points, delimiter=",",
-               header=",".join(f"x{i}" for i in range(recon.points.shape[1])))
+    recon.to_csv(cloud_path)
     results = {
         "records": len(data), "skipped_grid_cells": data.skipped,
         "cloud_points": int(recon.points.shape[0]),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import causality_batch
-from .errors import AmbiguousGeodesic, ConfigError
+from .errors import ConfigError
 from .measure import boundary_rng, sample_blocks
 from .spaces import FlatTorus, HyperbolicBall, Sphere
 
@@ -23,6 +23,19 @@ __all__ = [
     "reconstruct_chords", "rotation_map", "reflection_map",
     "torus_translation_map", "identity_map", "domain_reference_sample",
 ]
+
+# rows per formatted string in the writers, and chords per block of the cloud:
+# large enough to amortize the Python calls, small enough to bound temporaries
+_WRITE_ROWS = 8192
+_CLOUD_CHORDS = 256
+_RECORD = ("entry_q", "entry_v", "exit_q", "exit_v", "f_entry", "f_exit")
+
+
+def _write_blocks(fh, values, row_fmt):
+    """Write the rows of a 2-D array, formatting one block of rows per `%` call."""
+    for lo in range(0, values.shape[0], _WRITE_ROWS):
+        block = values[lo:lo + _WRITE_ROWS]
+        fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -48,34 +61,27 @@ class ScatteringDataset:
         return self.entry_q.shape[0]
 
     def to_jsonl(self, path):
+        """A JSON header line, then per record the line `json.dumps` writes for the
+        dict of its `_RECORD` fields (`%r` gives the same float reprs)."""
+        values = np.column_stack([getattr(self, key) for key in _RECORD])
+        if not np.isfinite(values).all():  # JSON has no spelling for other floats
+            raise ValueError("scattering records must be finite")
+        vec = "[" + ", ".join(["%r"] * self.entry_q.shape[-1]) + "]"
+        row_fmt = ('{"entry_q": %s, "entry_v": %s, "exit_q": %s, "exit_v": %s, '
+                   '"f_entry": %%r, "f_exit": %%r}\n') % ((vec,) * 4)
         with open(path, "w") as fh:
             header = {"table_id": self.table_id, "grid": self.grid, "skipped": self.skipped}
             fh.write(json.dumps({"header": header}) + "\n")
-            for i in range(len(self)):
-                fh.write(json.dumps({
-                    "entry_q": self.entry_q[i].tolist(), "entry_v": self.entry_v[i].tolist(),
-                    "exit_q": self.exit_q[i].tolist(), "exit_v": self.exit_v[i].tolist(),
-                    "f_entry": float(self.f_entry[i]), "f_exit": float(self.f_exit[i]),
-                }) + "\n")
+            _write_blocks(fh, values, row_fmt)
 
     @staticmethod
     def from_jsonl(path):
-        rows = []
-        header = {}
         with open(path) as fh:
-            for line in fh:
-                obj = json.loads(line)
-                if "header" in obj:
-                    header = obj["header"]
-                else:
-                    rows.append(obj)
+            lines = [json.loads(line) for line in fh]
+        header = next((obj["header"] for obj in lines if "header" in obj), {})
+        rows = [obj for obj in lines if "header" not in obj]
         return ScatteringDataset(
-            entry_q=np.array([r["entry_q"] for r in rows]),
-            entry_v=np.array([r["entry_v"] for r in rows]),
-            exit_q=np.array([r["exit_q"] for r in rows]),
-            exit_v=np.array([r["exit_v"] for r in rows]),
-            f_entry=np.array([r["f_entry"] for r in rows]),
-            f_exit=np.array([r["f_exit"] for r in rows]),
+            **{key: np.array([r[key] for r in rows]) for key in _RECORD},
             table_id=header.get("table_id", "unknown"),
             grid=tuple(header["grid"]) if header.get("grid") else None,
             skipped=header.get("skipped", 0),
@@ -246,71 +252,85 @@ class Reconstruction:
     skipped_ambiguous: int
     resolution: float
 
+    def to_csv(self, path):
+        """The cloud as `np.savetxt(path, points, delimiter=",", header=...)` writes it."""
+        ncol = self.points.shape[1]
+        with open(path, "w") as fh:
+            fh.write("# " + ",".join(f"x{i}" for i in range(ncol)) + "\n")
+            _write_blocks(fh, self.points, ",".join(["%.18e"] * ncol) + "\n")
+
 
 def _nearest_distances(space, reference, cloud):
     """Geodesic distance from each reference point to the nearest cloud point."""
     from scipy.spatial import cKDTree  # costs most of the package's import time
 
+    def nearest(points):
+        # an unbalanced tree builds in half the time and finds the same nearest points
+        tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+        return (tree, *tree.query(reference, k=1))
+
+    tree, d, near = nearest(cloud)
     if isinstance(space, FlatTorus):
-        offs = [np.array(k) for k in np.ndindex(*([3] * space.dim))]
-        tiled = np.concatenate([cloud + (np.array(o) - 1) * space.periods for o in offs])
-        tree = cKDTree(tiled)
-        d, _ = tree.query(reference, k=1)
-        return d
+        # images nearer than the nearest unshifted point lie that near the reference's box
+        reach = np.max(d) * (1.0 + 1e-9)
+        lo, hi = reference.min(axis=0) - reach, reference.max(axis=0) + reach
+        offsets = np.array(list(np.ndindex(*([3] * space.dim)))) - 1
+        images = (cloud + o * space.periods for o in offsets)
+        tiled = np.concatenate([x[np.all((x >= lo) & (x <= hi), axis=1)] for x in images])
+        return nearest(tiled)[1]
     if isinstance(space, Sphere):
-        tree = cKDTree(cloud)
-        d, _ = tree.query(reference, k=1)
         return 2.0 * np.arcsin(np.clip(d / 2.0, 0.0, 1.0))
     if isinstance(space, HyperbolicBall):
-        out = np.empty(reference.shape[0])
-        step = 256
-        for i in range(0, reference.shape[0], step):
-            ref = reference[i:i + step]
-            dist = space.distance(ref[:, None, :], cloud[None, :, :])
-            out[i:i + step] = np.min(dist, axis=1)
-        return out
-    tree = cKDTree(cloud)
-    d, _ = tree.query(reference, k=1)
+        # with D the distance to the Euclidean-nearest point, d(p, q) <= D implies
+        # |p - q|^2 <= sinh^2(D/2) (1 - |p|^2)(1 - |q|^2) <= sinh^2(D/2) (1 - |p|^2):
+        # the minimum over that ball, widened for roundoff, is the minimum over the cloud
+        bound = space.distance(reference, cloud[near])
+        r2 = np.sinh(bound / 2.0) ** 2 * (1.0 + 1e-9) + 1e-15
+        balls = tree.query_ball_point(reference, np.sqrt(r2 * (1.0 - np.sum(reference ** 2, 1))))
+        sizes = np.array([len(b) for b in balls])
+        cand = np.concatenate([np.asarray(b, dtype=np.intp) for b in balls])
+        dist = space.distance(np.repeat(reference, sizes, axis=0), cloud[cand])
+        return np.minimum.reduceat(dist, np.cumsum(sizes) - sizes)
     return d
 
 
 def reconstruct_chords(data, space, h=0.01, reference_points=None):
     """Chord point cloud from entry/exit pairs in the bare model space.
 
-    Chords are rebuilt as geodesic segments between the recorded endpoints;
-    on a flat torus, where endpoints do not determine the geodesic, the
-    segment is retraced from the entry direction over the F-length.  When a
-    reference sample of the domain is supplied, the one-sided Hausdorff
-    distance from the reference to the cloud is reported.
+    Each chord is the geodesic segment between its endpoints, sampled at
+    k = max(ceil(length / h) + 1, 2) points; on a flat torus, where endpoints
+    do not determine the geodesic, it is retraced from the entry direction
+    over the F-length.  Antipodal sphere endpoints are ambiguous and skipped.
+    With a reference sample of the domain, the one-sided Hausdorff distance
+    from the reference to the cloud is reported.
     """
-    clouds = []
-    lengths = []
-    skipped = 0
-    for i in range(len(data)):
-        if isinstance(space, FlatTorus):
-            ell = float(data.f_exit[i] - data.f_entry[i])
-            k = max(int(np.ceil(ell / h)) + 1, 2)
-            t = np.linspace(0.0, ell, k)
-            pts = space.wrap(data.entry_q[i][None, :] + t[:, None] * data.entry_v[i][None, :])
-            clouds.append(pts)
-            lengths.append(ell)
-            continue
-        try:
-            dist = float(space.distance(data.entry_q[i], data.exit_q[i]))
-            k = max(int(np.ceil(dist / h)) + 1, 2)
-            pts = space.geodesic_between(data.entry_q[i], data.exit_q[i], k)
-        except AmbiguousGeodesic:
-            skipped += 1
-            continue
-        clouds.append(pts)
-        lengths.append(dist)
-    points = np.concatenate(clouds) if clouds else np.empty((0, space.chart_dim))
+    torus = isinstance(space, FlatTorus)
+    lengths = data.f_exit - data.f_entry if torus else space.distance(data.entry_q, data.exit_q)
+    rows = np.flatnonzero(~(lengths > space.diameter - 1e-8))
+    lengths = lengths[rows]
+    counts = np.maximum(np.ceil(lengths / h).astype(np.int64) + 1, 2)
+    # np.linspace(0, span, k): point j is j * (span / (k - 1)), the last is span
+    span = lengths if torus else np.ones(rows.size)
+    ends = np.cumsum(counts)
+    points = np.empty((int(ends[-1]) if rows.size else 0, space.chart_dim))
+    for lo in range(0, rows.size, _CLOUD_CHORDS):
+        block = slice(lo, lo + _CLOUD_CHORDS)
+        k, end, chord = counts[block], ends[block], rows[block]
+        base = end[0] - k[0]
+        j = np.arange(end[-1] - base) - np.repeat(end - k - base, k)  # index within its chord
+        t = j * np.repeat(span[block] / (k - 1), k)
+        t[end - 1 - base] = span[block]
+        qa = np.repeat(data.entry_q[chord], k, axis=0)
+        if torus:
+            pts = space.flow(qa, np.repeat(data.entry_v[chord], k, axis=0), t)[0]
+        else:
+            pts = space.geodesic_between(qa, np.repeat(data.exit_q[chord], k, axis=0), t)
+        points[base:end[-1]] = pts
     hausdorff = None
     if reference_points is not None and points.shape[0]:
         hausdorff = float(np.max(_nearest_distances(space, reference_points, points)))
-    return Reconstruction(points=points, hausdorff=hausdorff,
-                          segment_lengths=np.asarray(lengths),
-                          skipped_ambiguous=skipped, resolution=h)
+    return Reconstruction(points=points, hausdorff=hausdorff, segment_lengths=lengths,
+                          skipped_ambiguous=len(data) - rows.size, resolution=h)
 
 
 def domain_reference_sample(table, count, seed):

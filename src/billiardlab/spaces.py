@@ -59,12 +59,19 @@ class ModelSpace:
     kind = "abstract"
     dim = None        # dimension n of the base manifold M
     chart_dim = None  # length of chart coordinate vectors
+    ambient = 0       # chart_dim - dim
     diameter = np.inf  # largest distance between two points
+
+    def __init__(self, dim=2):
+        if dim not in (2, 3):
+            raise ValueError("base dimension must be 2 or 3")
+        self.dim = dim
+        self.chart_dim = dim + self.ambient
 
     # -- metric ----------------------------------------------------------
 
     def metric_dot(self, q, u, w):
-        raise NotImplementedError
+        return _dot(u, w)
 
     def norm(self, q, u):
         return np.sqrt(np.maximum(self.metric_dot(q, u, u), 0.0))
@@ -104,8 +111,9 @@ class ModelSpace:
         """
         raise NotImplementedError
 
-    def geodesic_between(self, qa, qb, count):
-        """Sample the geodesic segment qa -> qb at `count` points (single pair)."""
+    def geodesic_between(self, qa, qb, t):
+        """Points at fractions t, shape (P,), of the geodesic segments qa -> qb, whose
+        rows (shape (P, chart_dim), or (1, chart_dim) for one segment) pair up."""
         raise NotImplementedError
 
     def validate_point(self, q):
@@ -137,15 +145,6 @@ def _euclidean_frame(n_hat):
 class Euclidean(ModelSpace):
     kind = "euclidean"
 
-    def __init__(self, dim=2):
-        if dim not in (2, 3):
-            raise ValueError("base dimension must be 2 or 3")
-        self.dim = dim
-        self.chart_dim = dim
-
-    def metric_dot(self, q, u, w):
-        return _dot(u, w)
-
     def flow(self, q, v, s):
         s = np.asarray(s, dtype=float)
         out_q = q + s[..., None] * v
@@ -156,9 +155,9 @@ class Euclidean(ModelSpace):
     def tangent_frame(self, q, n):
         return _euclidean_frame(n)
 
-    def geodesic_between(self, qa, qb, count):
-        t = np.linspace(0.0, 1.0, count)[:, None]
-        return (1.0 - t) * np.asarray(qa)[None, :] + t * np.asarray(qb)[None, :]
+    def geodesic_between(self, qa, qb, t):
+        t = np.asarray(t, dtype=float)[:, None]
+        return (1.0 - t) * np.asarray(qa) + t * np.asarray(qb)
 
     def _sphere_normal(self, q, c):
         """g-unit tangent at q pointing away from the centre c."""
@@ -218,7 +217,7 @@ class FlatTorus(Euclidean):
         out_q, out_v = super().flow(q, v, s)
         return self.wrap(out_q), out_v
 
-    def geodesic_between(self, qa, qb, count):
+    def geodesic_between(self, qa, qb, t):
         # not unique on a torus; callers reconstruct from direction instead
         raise AmbiguousGeodesic("torus endpoints do not determine a geodesic")
 
@@ -245,12 +244,6 @@ class HyperbolicBall(ModelSpace):
     """Poincare ball chart |q| < 1 with metric factor 4 / (1 - |q|^2)^2."""
 
     kind = "hyperbolic-ball"
-
-    def __init__(self, dim=2):
-        if dim not in (2, 3):
-            raise ValueError("base dimension must be 2 or 3")
-        self.dim = dim
-        self.chart_dim = dim
 
     def conformal_factor(self, q):
         return 2.0 / (1.0 - _dot(q, q))
@@ -311,17 +304,14 @@ class HyperbolicBall(ModelSpace):
         n_hat = np.atleast_2d(n) * lam[:, None]
         return _euclidean_frame(n_hat) / lam[:, None, None]
 
-    def geodesic_between(self, qa, qb, count):
+    def geodesic_between(self, qa, qb, t):
         xa = self.to_hyperboloid(np.asarray(qa, dtype=float))
         xb = self.to_hyperboloid(np.asarray(qb, dtype=float))
-        d = np.arccosh(max(-float(_mink_dot(xa, xb)), 1.0))
-        t = np.linspace(0.0, 1.0, count)
-        if d < 1e-12:
-            pts = np.repeat(xa[None, :], count, axis=0)
-        else:
-            pts = (np.sinh((1.0 - t) * d)[:, None] * xa[None, :]
-                   + np.sinh(t * d)[:, None] * xb[None, :]) / np.sinh(d)
-        return self.from_hyperboloid(pts)
+        d = np.arccosh(np.maximum(-_mink_dot(xa, xb), 1.0))[:, None]
+        t = np.asarray(t, dtype=float)[:, None]
+        with np.errstate(invalid="ignore"):  # 0 / 0 on rows of coincident endpoints
+            pts = (np.sinh((1.0 - t) * d) * xa + np.sinh(t * d) * xb) / np.sinh(d)
+        return self.from_hyperboloid(np.where(d < 1e-12, xa, pts))
 
     def _sphere_normal(self, q, c):
         x = self.to_hyperboloid(q)
@@ -382,15 +372,7 @@ class Sphere(ModelSpace):
 
     kind = "sphere"
     diameter = np.pi
-
-    def __init__(self, dim=2):
-        if dim not in (2, 3):
-            raise ValueError("base dimension must be 2 or 3")
-        self.dim = dim
-        self.chart_dim = dim + 1
-
-    def metric_dot(self, q, u, w):
-        return _dot(u, w)
+    ambient = 1
 
     def validate_point(self, q):
         if np.any(np.abs(_dot(q, q) - 1.0) > 1e-9):
@@ -425,18 +407,17 @@ class Sphere(ModelSpace):
         qf, _ = np.linalg.qr(a)
         return np.transpose(qf[:, :, 2:4], (0, 2, 1))
 
-    def geodesic_between(self, qa, qb, count):
+    def geodesic_between(self, qa, qb, t):
         qa = np.asarray(qa, dtype=float)
         qb = np.asarray(qb, dtype=float)
-        ang = float(self.distance(qa, qb))
-        if ang > np.pi - 1e-8:
+        ang = self.distance(qa, qb)[:, None]
+        if (ang > self.diameter - 1e-8).any():
             raise AmbiguousGeodesic("antipodal endpoints on the sphere")
-        t = np.linspace(0.0, 1.0, count)
-        if ang < 1e-12:
-            return np.repeat(qa[None, :], count, axis=0)
-        pts = (np.sin((1.0 - t) * ang)[:, None] * qa[None, :]
-               + np.sin(t * ang)[:, None] * qb[None, :]) / np.sin(ang)
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        t = np.asarray(t, dtype=float)[:, None]
+        with np.errstate(invalid="ignore"):  # 0 / 0 on rows of coincident endpoints
+            pts = (np.sin((1.0 - t) * ang) * qa + np.sin(t * ang) * qb) / np.sin(ang)
+            pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        return np.where(ang < 1e-12, qa, pts)
 
     def _sphere_normal(self, q, c):
         ang = self.distance(q, c)

@@ -600,14 +600,23 @@ class Table:
                 out[rows] = getattr(piece, method)(self.space, x[rows])
         return out
 
+    @staticmethod
+    def _on_boundary(piece_idx):
+        """Piece indices as an array; -1 (off the boundary) raises NotOnBoundary."""
+        piece_idx = np.atleast_1d(piece_idx)
+        if (piece_idx < 0).any():
+            raise NotOnBoundary("point is not on the table boundary")
+        return piece_idx
+
     def piece_gauge(self, q, piece_idx):
         """Gauge of each row's own piece at q."""
         q = np.atleast_2d(q)
-        return self._per_piece("gauge", np.atleast_1d(piece_idx), q, np.empty(q.shape[0]))
+        return self._per_piece("gauge", self._on_boundary(piece_idx), q, np.empty(q.shape[0]))
 
     def inward_normal_at(self, q, piece_idx):
         q = np.atleast_2d(q)
-        return self._per_piece("inward_normal", np.atleast_1d(piece_idx), q, np.empty_like(q))
+        return self._per_piece("inward_normal", self._on_boundary(piece_idx), q,
+                               np.empty_like(q))
 
     # -- strata ---------------------------------------------------------------
 
@@ -628,11 +637,7 @@ class Table:
         """
         q = np.atleast_2d(q)
         v = np.atleast_2d(v)
-        if piece_idx is None:
-            piece_idx = self.active_piece(q)
-        piece_idx = np.atleast_1d(piece_idx)
-        if (piece_idx < 0).any():
-            raise NotOnBoundary("point is not on the table boundary")
+        piece_idx = self._on_boundary(self.active_piece(q) if piece_idx is None else piece_idx)
         if normal is None:
             normal = self.inward_normal_at(q, piece_idx)
         cos_in = self.space.metric_dot(q, v, normal)

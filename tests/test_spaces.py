@@ -146,7 +146,7 @@ def test_geodesic_between_endpoints_and_length(space):
     rng = np.random.default_rng(11)
     qa, va = random_phase(space, rng, 1)
     qb, _ = space.flow(qa, va, np.array([0.8]))
-    pts = space.geodesic_between(qa[0], qb[0], 400)
+    pts = space.geodesic_between(qa, qb, np.linspace(0.0, 1.0, 400))
     assert np.linalg.norm(pts[0] - qa[0]) < 1e-12
     assert np.linalg.norm(pts[-1] - qb[0]) < 1e-9
     # polyline length converges to the geodesic distance
@@ -156,12 +156,14 @@ def test_geodesic_between_endpoints_and_length(space):
 
 def test_sphere_antipodal_ambiguous():
     with pytest.raises(AmbiguousGeodesic):
-        Sphere(2).geodesic_between(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), 8)
+        Sphere(2).geodesic_between(np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, -1.0]]),
+                                    np.linspace(0.0, 1.0, 8))
 
 
 def test_torus_between_ambiguous():
     with pytest.raises(AmbiguousGeodesic):
-        FlatTorus((1.0, 1.0)).geodesic_between(np.zeros(2), np.full(2, 0.3), 8)
+        FlatTorus((1.0, 1.0)).geodesic_between(np.zeros((1, 2)), np.full((1, 2), 0.3),
+                                                np.linspace(0.0, 1.0, 8))
 
 
 def test_hyperbolic_validate_rejects_outside():

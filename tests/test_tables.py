@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from billiardlab.dynamics import causality_map
+from billiardlab.dynamics import Elastic, causality_map, reflect_batch
 from billiardlab.errors import ConfigError, DegenerateStart, NotOnBoundary, Trapped
 from billiardlab.spaces import Euclidean, FlatTorus, PhasePoint
 from billiardlab.tables import Ball, HalfSpaceOrCap, RadialFourierCurve, StratumLabel, Table
@@ -30,6 +30,22 @@ def test_interior_point_not_on_boundary(disk):
     assert disk.active_piece(np.array([[0.2, 0.1]]))[0] == -1
     with pytest.raises(NotOnBoundary):
         disk.classify(np.array([[0.2, 0.1]]), np.array([[1.0, 0.0]]))
+
+
+def test_off_boundary_rows_raise_instead_of_garbage_normals(disk, two_balls):
+    # a row with piece -1 used to leave its normal or gauge uninitialized
+    q = np.array([[1.0, 0.0], [0.2, 0.1]])
+    piece = disk.active_piece(q)
+    assert piece.tolist() == [0, -1]
+    with pytest.raises(NotOnBoundary):
+        disk.inward_normal_at(q, piece)
+    with pytest.raises(NotOnBoundary):
+        disk.piece_gauge(q, piece)
+    with pytest.raises(NotOnBoundary):
+        reflect_batch(Elastic(), disk, q[1:], np.array([[1.0, 0.0]]))
+    with pytest.raises(NotOnBoundary):
+        two_balls.inward_normal_at(np.array([[0.5, 0.5]]), np.array([-1]))
+    assert np.allclose(disk.inward_normal_at(q[:1], piece[:1]), [[-1.0, 0.0]])
 
 
 def test_degenerate_start_raises(disk):
