@@ -9,11 +9,10 @@ __version__ = "0.1.0"
 
 from .config import load_table_config, table_from_dict
 from .dynamics import (ChordRecord, Elastic, OrbitRecord, Rescaled, Termination,
-                       billiard_map, causality_map, iterate_orbit, reflect,
-                       trapping_probe)
+                       billiard_map, causality_map, iterate_orbit, reflect)
 from .ergodic import (AverageReport, ChordLength, DeltaF, hear_volume,
                       inequality_report, mean_free_path, recurrence_test,
-                      space_average, time_average)
+                      space_average, time_average, trapping_probe)
 from .errors import (AmbiguousGeodesic, BilliardError, BodyTooSmall, ConfigError,
                      DegenerateSet, DegenerateStart, EmptySequence, NotOnBoundary,
                      TooManyTrapped, Trapped)

@@ -7,9 +7,10 @@ are produced.  Sampling subcommands call the API estimators, which share one
 block reduction, so reports equal the API's for any worker count.
 
 Exit codes: 0 success, 1 validation error (bad configuration, a count flag
-below 1, a length flag that is not positive and finite, an unreadable input
-file, boundary angles on an n = 3 table), 2 runtime error (trapping budget
-exceeded, degenerate test sets).
+below 1, a negative seed, a length flag that is not positive and finite, a
+non-finite box bound or map parameter, a translation without one component per
+torus axis, an unreadable input file, boundary angles on an n = 3 table), 2
+runtime error (trapping budget exceeded, degenerate test sets).
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ import numpy as np
 
 from . import __version__
 from .config import load_table_config
-from .dynamics import Elastic, iterate_orbits, trapping_probe
+from .dynamics import Elastic, orbit_batches
 from .errors import BilliardError, ConfigError
-from .ergodic import _checkpoint_list, hear_volume, mean_free_path, recurrence_test
+from .ergodic import (_checkpoint_list, hear_volume, mean_free_path, recurrence_test,
+                      trapping_probe)
 from .holography import (boundary_param_map, conjugacy_residual,
                          domain_reference_sample, generate_scattering_dataset,
                          identity_map, reconstruct_chords, reflection_map,
@@ -43,18 +45,23 @@ from .spaces import FlatTorus
 
 __all__ = ["main"]
 
+_version = None  # what version_string found: `git describe` runs once per process
+
 
 def version_string():
     """Package version, suffixed with the git description when available."""
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=5,
-                             cwd=Path(__file__).parent)
-        if out.returncode == 0 and out.stdout.strip():
-            return f"{__version__}+g{out.stdout.strip()}"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return __version__
+    global _version
+    if _version is None:
+        _version = __version__
+        try:
+            out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                                 capture_output=True, text=True, timeout=5,
+                                 cwd=Path(__file__).parent)
+            if out.returncode == 0 and out.stdout.strip():
+                _version = f"{__version__}+g{out.stdout.strip()}"
+        except (OSError, subprocess.SubprocessError):
+            pass
+    return _version
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +69,10 @@ def version_string():
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser, samples=True):
+def _table_command(sub, name, func, help, samples=True):
+    """A subcommand on one table, with the flags every such subcommand takes."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(func=func)
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=sorted(PRESETS), help="named table preset")
     group.add_argument("--config", help="path to a JSON table config")
@@ -73,6 +83,7 @@ def _add_common(parser, samples=True):
     parser.add_argument("--lmax", type=float, default=None, help="override the length cap")
     if samples:
         parser.add_argument("--samples", type=float, default=1e5)
+    return parser
 
 
 # count and length flags of every subcommand; checked once, before any output
@@ -90,34 +101,48 @@ def _check_flags(args):
         value = getattr(args, name, None)
         if value is not None and not 0.0 < value < np.inf:
             raise ConfigError(f"--{name} must be positive and finite")
+    if (args.seed or 0) < 0:
+        raise ConfigError("--seed must be at least 0")
+    for name in ("box_angle", "box_incidence"):
+        if not np.isfinite(getattr(args, name, 0.0)).all():
+            raise ConfigError(f"--{name.replace('_', '-')} bounds must be finite")
 
 
-def _build_table(args):
-    table = preset_table(args.preset) if args.preset else load_table_config(args.config)
-    if args.lmax:
-        table = table.with_l_max(args.lmax)
-    return table
+def _csv_writer(header, rows):
+    """A side-file writer: one header row, then `rows`."""
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return write
 
 
-def _table_ref(args):
-    return {"preset": args.preset, "config": args.config}
+def _run(args):
+    """Run one subcommand, then write its side files and its report.
 
-
-def _emit(args, command, params, results, started, files=()):
-    report = {
-        "command": command,
-        "config": params,
-        "seed": getattr(args, "seed", None),
-        "version": version_string(),
-        "wall_time_s": round(time.time() - started, 3),
-        "files": list(files),
-        "results": results,
-    }
+    A subcommand returns (params, results, side), `side` mapping each side-file
+    name to a function that writes that path; nothing is written before that.
+    """
+    started = time.time()
+    table = None
+    if getattr(args, "preset", None) or getattr(args, "config", None):
+        table = preset_table(args.preset) if args.preset else load_table_config(args.config)
+        table = table.with_l_max(args.lmax) if args.lmax else table
+    params, results, side = args.func(args, table)
+    if table is not None:
+        params = {"preset": args.preset, "config": args.config, **params}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{command}.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    files = [str(out_dir / name) for name in side]
+    for path, write in zip(files, side.values()):
+        write(path)
+    report = {"command": args.command, "config": params, "seed": args.seed,
+              "version": version_string(), "wall_time_s": round(time.time() - started, 3),
+              "files": files, "results": results}
+    text = json.dumps(report, indent=2, sort_keys=True)
+    (out_dir / f"{args.command}.json").write_text(text + "\n")
+    print(text)
     return 0
 
 
@@ -126,32 +151,20 @@ def _emit(args, command, params, results, started, files=()):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_mfp(args):
-    started = time.time()
-    table = _build_table(args)
+def _cmd_mfp(args, table):
     total = int(args.samples)
     report = mean_free_path(table, total, args.seed, workers=args.workers)
     vols = domain_volumes(table)
-    results = {
-        "prediction": report.prediction,
-        "space_mean": report.space.mean,
-        "stderr": report.space.stderr,
-        "count": report.space.count,
-        "relative_gap": report.relative_gap,
-        "trapped_fraction": report.space.trapped_fraction,
-        "grazing_fraction": report.space.grazing_fraction,
-        "vol_m": vols.vol_m,
-        "vol_dm": vols.vol_dm,
-        "note": report.note,
-    }
-    params = {**_table_ref(args), "samples": total, "lmax": table.l_max,
-              "block_size": BLOCK_SIZE}
-    return _emit(args, "mfp", params, results, started)
+    space = report.space
+    results = {"prediction": report.prediction, "space_mean": space.mean,
+               "stderr": space.stderr, "count": space.count,
+               "relative_gap": report.relative_gap, "trapped_fraction": space.trapped_fraction,
+               "grazing_fraction": space.grazing_fraction, "vol_m": vols.vol_m,
+               "vol_dm": vols.vol_dm, "note": report.note}
+    return {"samples": total, "lmax": table.l_max, "block_size": BLOCK_SIZE}, results, {}
 
 
-def _cmd_probe(args):
-    started = time.time()
-    table = _build_table(args)
+def _cmd_probe(args, table):
     probe = trapping_probe(table, int(args.samples), seed=args.seed, workers=args.workers)
     warning = ""
     if not probe.gd_stabilized:
@@ -166,77 +179,61 @@ def _cmd_probe(args):
         "l_max": probe.l_max,
         "warning": warning,
     }
-    params = {**_table_ref(args), "samples": int(args.samples), "lmax": table.l_max}
-    return _emit(args, "probe", params, results, started)
+    return {"samples": int(args.samples), "lmax": table.l_max}, results, {}
 
 
-def _cmd_simulate(args):
-    started = time.time()
-    table = _build_table(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    law = Elastic()
-    files = []
-    summary_rows = []
-    starts = sample_mu_theta(table, args.orbits, args.seed)
-    orbits = iterate_orbits(table, law, starts.q, starts.v, int(args.bounces))
-    for i, orbit in enumerate(orbits):
-        path = out_dir / f"orbit_{i:03d}.jsonl"
+def _orbit_writer(chords):
+    """A side-file writer of one orbit: the JSON line of each chord."""
+    def write(path):
         with open(path, "w") as fh:
-            for ch in orbit.chords:
-                fh.write(json.dumps({
-                    "entry_q": ch.entry.q.tolist(), "entry_v": ch.entry.v.tolist(),
-                    "exit_q": ch.exit.q.tolist(), "exit_v": ch.exit.v.tolist(),
-                    "length": ch.length, "degenerate": ch.degenerate,
-                    "grazing": ch.grazing,
-                }) + "\n")
-        files.append(str(path))
-        lengths = [c.length for c in orbit.chords]
-        summary_rows.append([i, orbit.termination.kind, orbit.termination.bounces,
-                             sum(lengths), np.mean(lengths) if lengths else 0.0])
-    summary = out_dir / "orbits_summary.csv"
-    with open(summary, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["orbit", "termination", "bounces", "total_length", "mean_length"])
-        writer.writerows(summary_rows)
-    files.append(str(summary))
-    results = {"orbits": args.orbits,
-               "terminations": {row[1]: sum(1 for r in summary_rows if r[1] == row[1])
-                                for row in summary_rows}}
-    params = {**_table_ref(args), "orbits": args.orbits, "bounces": int(args.bounces)}
-    return _emit(args, "simulate", params, results, started, files)
+            for eq, ev, xq, xv, length, degenerate, grazing in zip(
+                    chords.entry_q.tolist(), chords.entry_v.tolist(), chords.exit_q.tolist(),
+                    chords.exit_v.tolist(), chords.length.tolist(),
+                    chords.degenerate.tolist(), chords.grazing.tolist()):
+                fh.write(json.dumps({"entry_q": eq, "entry_v": ev, "exit_q": xq, "exit_v": xv,
+                                     "length": length, "degenerate": degenerate,
+                                     "grazing": grazing}) + "\n")
+    return write
 
 
-def _cmd_measure_check(args):
-    started = time.time()
-    table = _build_table(args)
+def _cmd_simulate(args, table):
+    starts = sample_mu_theta(table, args.orbits, args.seed)
+    kinds, orbits = orbit_batches(table, Elastic(), starts.q, starts.v, int(args.bounces))
+    side, summary = {}, []
+    for i, (kind, chords) in enumerate(zip(kinds, orbits)):
+        side[f"orbit_{i:03d}.jsonl"] = _orbit_writer(chords)
+        lengths = chords.length.tolist()
+        summary.append([i, kind, len(lengths), sum(lengths),
+                        np.mean(lengths) if lengths else 0.0])
+    side["orbits_summary.csv"] = _csv_writer(
+        ["orbit", "termination", "bounces", "total_length", "mean_length"], summary)
+    results = {"orbits": args.orbits, "terminations": {k: kinds.count(k) for k in kinds}}
+    return {"orbits": args.orbits, "bounces": int(args.bounces)}, results, side
+
+
+def _cmd_measure_check(args, table):
     rng = boundary_rng(args.seed, 7777)
     boxes = random_phase_boxes(table, args.boxes, rng)
     results = measure_preservation_test(table, Elastic(), boxes, int(args.samples), args.seed,
                                         workers=args.workers)
-    rows = []
-    for r in results:
-        rows.append({
-            "piece": r.box.piece,
-            "boundary": list(r.box.boundary) if r.box.boundary else None,
-            "incidence": list(r.box.incidence) if r.box.incidence else None,
-            "mu_k": r.mu_k.mean, "mu_k_stderr": r.mu_k.stderr,
-            "mu_preimage_k": r.mu_preimage_k.mean,
-            "z_score": r.z_score,
-        })
+    rows = [{
+        "piece": r.box.piece,
+        "boundary": list(r.box.boundary) if r.box.boundary else None,
+        "incidence": list(r.box.incidence) if r.box.incidence else None,
+        "mu_k": r.mu_k.mean, "mu_k_stderr": r.mu_k.stderr,
+        "mu_preimage_k": r.mu_preimage_k.mean,
+        "z_score": r.z_score,
+    } for r in results]
     summary = {
         "boxes": rows,
         "max_abs_z": max(abs(r.z_score) for r in results),
         "excluded_fraction": results[0].excluded_fraction if results else 0.0,
         "total_mass": trajectory_space_volume(table),
     }
-    params = {**_table_ref(args), "samples": int(args.samples), "boxes": args.boxes}
-    return _emit(args, "measure-check", params, summary, started)
+    return {"samples": int(args.samples), "boxes": args.boxes}, summary, {}
 
 
-def _cmd_recurrence(args):
-    started = time.time()
-    table = _build_table(args)
+def _cmd_recurrence(args, table):
     if not 0 <= args.box_piece < len(table.pieces):
         raise ConfigError(f"--box-piece must index one of the table's {len(table.pieces)} pieces")
     box = PhaseBox(piece=args.box_piece, boundary=tuple(args.box_angle),
@@ -245,38 +242,28 @@ def _cmd_recurrence(args):
     results = {"returned_fraction": res.returned_fraction,
                "mean_return_count": res.mean_return_count,
                "starters": res.starters, "bounces": res.bounces}
-    params = {**_table_ref(args), "starters": args.starters, "bounces": int(args.bounces),
+    params = {"starters": args.starters, "bounces": int(args.bounces),
               "box_piece": args.box_piece, "box_angle": list(args.box_angle),
               "box_incidence": list(args.box_incidence)}
-    return _emit(args, "recurrence", params, results, started)
+    return params, results, {}
 
 
-def _cmd_slices(args):
-    started = time.time()
-    table = _build_table(args)
+def _cmd_slices(args, table):
     f = build_well_balanced_F(table, seed=args.seed)
     total = int(args.samples)
     res = slice_identity(table, f, total, args.seed, args.grid_points, workers=args.workers)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curve_path = out_dir / "slice_areas.csv"
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "area_mean", "area_stderr"])
-        writer.writerows([t, e.mean, e.stderr] for t, e in zip(res.grid, res.areas))
     var = res.variation
     results = {"f_min": var.f_min, "f_max": var.f_max, "var_f": var.var,
                "integral_a_dt": res.integral, "predicted_integral": res.predicted,
                "relative_gap": res.relative_gap, "max_area": res.max_area,
                "trajectory_space_volume": trajectory_space_volume(table)}
-    params = {**_table_ref(args), "samples": total, "grid_points": args.grid_points,
-              "block_size": BLOCK_SIZE}
-    return _emit(args, "slices", params, results, started, [str(curve_path)])
+    curve = _csv_writer(["t", "area_mean", "area_stderr"],
+                        [[t, e.mean, e.stderr] for t, e in zip(res.grid, res.areas)])
+    params = {"samples": total, "grid_points": args.grid_points, "block_size": BLOCK_SIZE}
+    return params, results, {"slice_areas.csv": curve}
 
 
-def _cmd_reconstruct(args):
-    started = time.time()
-    table = _build_table(args)
+def _cmd_reconstruct(args, table):
     f = None
     if not isinstance(table.space, FlatTorus):
         f = build_well_balanced_F(table, seed=args.seed)
@@ -284,22 +271,26 @@ def _cmd_reconstruct(args):
     reference = domain_reference_sample(table, args.reference_points, args.seed)
     recon = reconstruct_chords(data, table.space, h=args.resolution,
                                reference_points=reference)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data_path = out_dir / "scattering.jsonl"
-    data.to_jsonl(data_path)
-    cloud_path = out_dir / "chord_cloud.csv"
-    recon.to_csv(cloud_path)
     results = {
         "records": len(data), "skipped_grid_cells": data.skipped,
         "cloud_points": int(recon.points.shape[0]),
         "hausdorff_reference_to_cloud": recon.hausdorff,
         "skipped_ambiguous": recon.skipped_ambiguous,
     }
-    params = {**_table_ref(args), "grid": args.grid, "resolution": args.resolution,
+    params = {"grid": args.grid, "resolution": args.resolution,
               "reference_points": args.reference_points}
-    return _emit(args, "reconstruct", params, results, started,
-                 [str(data_path), str(cloud_path)])
+    return params, results, {"scattering.jsonl": data.to_jsonl, "chord_cloud.csv": recon.to_csv}
+
+
+def _map_numbers(spec, count):
+    """The `count` finite comma-separated numbers after the colon of a map spec."""
+    try:
+        values = [float(x) for x in spec.split(":", 1)[1].split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count or not np.isfinite(values).all():
+        raise ConfigError(f"--map {spec!r} needs {count} finite comma-separated number(s)")
+    return values
 
 
 def _parse_boundary_map(spec, table, other):
@@ -310,19 +301,17 @@ def _parse_boundary_map(spec, table, other):
     if spec == "reflection":
         return reflection_map()
     if spec.startswith("rotation:"):
-        return rotation_map(float(spec.split(":", 1)[1]))
+        return rotation_map(_map_numbers(spec, 1)[0])
     if spec.startswith("translation:"):
         if not isinstance(table.space, FlatTorus):
             raise ConfigError("translation maps need a flat torus")
-        parts = [float(x) for x in spec.split(":", 1)[1].split(",")]
-        return torus_translation_map(parts, table.space.periods)
+        periods = table.space.periods
+        return torus_translation_map(_map_numbers(spec, len(periods)), periods)
     raise ConfigError(f"unknown boundary map {spec!r}; use identity, param, "
                       "reflection, rotation:ANGLE, or translation:DX,DY")
 
 
-def _cmd_conjugacy(args):
-    started = time.time()
-    table = _build_table(args)
+def _cmd_conjugacy(args, table):
     other = preset_table(args.other) if args.other else table
     if args.lmax:
         other = other.with_l_max(args.lmax)
@@ -331,13 +320,10 @@ def _cmd_conjugacy(args):
                              workers=args.workers)
     results = {"max_residual": res.max_residual, "mean_residual": res.mean_residual,
                "used": res.used, "skipped": res.skipped}
-    params = {**_table_ref(args), "other": args.other, "map": args.map,
-              "samples": int(args.samples)}
-    return _emit(args, "conjugacy", params, results, started)
+    return {"other": args.other, "map": args.map, "samples": int(args.samples)}, results, {}
 
 
-def _cmd_hear(args):
-    started = time.time()
+def _cmd_hear(args, table):
     try:
         with open(args.lengths, newline="") as fh:
             cells = [row[0] for row in csv.reader(fh) if row]
@@ -347,16 +333,11 @@ def _cmd_hear(args):
     with contextlib.suppress(IndexError, ValueError):  # no rows, or a header row
         lengths.insert(0, float(cells[0]))
     running = hear_volume(np.asarray(lengths), args.boundary, args.dim)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curve_path = out_dir / "hear_volume.csv"
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bounces", "vol_estimate"])
-        writer.writerows([k, running[k - 1]] for k in _checkpoint_list(len(running)))
+    curve = _csv_writer(["bounces", "vol_estimate"],
+                        [[k, running[k - 1]] for k in _checkpoint_list(len(running))])
     results = {"bounces": len(running), "vol_m_estimate": float(running[-1])}
     params = {"lengths": args.lengths, "boundary": args.boundary, "dim": args.dim}
-    return _emit(args, "hear", params, results, started, [str(curve_path)])
+    return params, results, {"hear_volume.csv": curve}
 
 
 # ---------------------------------------------------------------------------
@@ -371,53 +352,40 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=version_string())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mfp", help="mean free path: prediction vs Monte Carlo")
-    _add_common(p)
-    p.set_defaults(func=_cmd_mfp)
+    _table_command(sub, "mfp", _cmd_mfp, "mean free path: prediction vs Monte Carlo")
+    _table_command(sub, "probe", _cmd_probe, "trapping probe and geodesic-diameter estimate")
 
-    p = sub.add_parser("probe", help="trapping probe and geodesic-diameter estimate")
-    _add_common(p)
-    p.set_defaults(func=_cmd_probe)
-
-    p = sub.add_parser("simulate", help="dump billiard orbits as JSON lines")
-    _add_common(p, samples=False)
+    p = _table_command(sub, "simulate", _cmd_simulate,
+                       "dump billiard orbits as JSON lines", samples=False)
     p.add_argument("--orbits", type=int, default=4)
     p.add_argument("--bounces", type=float, default=1000)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("measure-check", help="pushforward invariance on random boxes")
-    _add_common(p)
+    p = _table_command(sub, "measure-check", _cmd_measure_check,
+                       "pushforward invariance on random boxes")
     p.add_argument("--boxes", type=int, default=20)
-    p.set_defaults(func=_cmd_measure_check)
 
-    p = sub.add_parser("recurrence", help="return statistics for a phase box")
-    _add_common(p, samples=False)
+    p = _table_command(sub, "recurrence", _cmd_recurrence,
+                       "return statistics for a phase box", samples=False)
     p.add_argument("--bounces", type=float, default=1e4)
     p.add_argument("--starters", type=int, default=200)
     p.add_argument("--box-piece", type=int, default=0)
     p.add_argument("--box-angle", type=float, nargs=2, default=(0.0, 0.1))
     p.add_argument("--box-incidence", type=float, nargs=2, default=(0.4, 0.6))
-    p.set_defaults(func=_cmd_recurrence)
 
-    p = sub.add_parser("slices", help="level-slice area curve A(t)")
-    _add_common(p)
+    p = _table_command(sub, "slices", _cmd_slices, "level-slice area curve A(t)")
     p.add_argument("--grid-points", type=int, default=100)
-    p.set_defaults(func=_cmd_slices)
 
-    p = sub.add_parser("reconstruct", help="chord-cloud reconstruction of the domain")
-    _add_common(p, samples=False)
+    p = _table_command(sub, "reconstruct", _cmd_reconstruct,
+                       "chord-cloud reconstruction of the domain", samples=False)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--resolution", type=float, default=0.01)
     p.add_argument("--reference-points", type=int, default=4096)
-    p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("conjugacy", help="scattering-map conjugacy residual")
-    _add_common(p)
+    p = _table_command(sub, "conjugacy", _cmd_conjugacy, "scattering-map conjugacy residual")
     p.add_argument("--other", choices=sorted(PRESETS), default=None,
                    help="second table (default: same table)")
     p.add_argument("--map", default="identity",
                    help="identity | reflection | rotation:ANGLE | translation:DX,DY")
-    p.set_defaults(func=_cmd_conjugacy)
 
     p = sub.add_parser("hear", help="recover the volume from a bounce-length file")
     p.add_argument("--lengths", required=True, help="CSV with one length per row")
@@ -437,7 +405,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         _check_flags(args)
-        return args.func(args)
+        return _run(args)
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "validation", "message": str(exc)}}))
         return 1

@@ -11,26 +11,26 @@ chord starts, so the piece and inward normal found when classifying a hit
 are all that both need.  A `BoundaryState` carries them: `billiard_batch`
 returns one and takes its piece and normal back on the next step, checking
 only that the point is still within `hit_tol` of its piece.  Every orbit
-loop (`iterate_orbits`, Birkhoff and recurrence averages, the preservation
-test, the CLI `simulate`) runs on the one lockstep engine `lockstep_orbits`.
+loop (`orbit_batches` and `iterate_orbits`, Birkhoff and recurrence averages,
+the preservation test) runs on the one lockstep engine `lockstep_orbits`;
+`orbit_batches` alone decides where an orbit ends and which chords it keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateStart, NotOnBoundary, Trapped
-from .measure import sample_blocks
 from .spaces import PhasePoint
 from .tables import Stratum, StratumLabel
 
 __all__ = [
     "ChordRecord", "ChordBatch", "BoundaryState", "OrbitRecord", "Termination",
     "Elastic", "Rescaled", "causality_map", "reflect", "billiard_map",
-    "iterate_orbit", "iterate_orbits", "lockstep_orbits", "trapping_probe",
+    "iterate_orbit", "iterate_orbits", "orbit_batches", "lockstep_orbits",
     "causality_batch", "reflect_batch", "billiard_batch",
 ]
 
@@ -333,85 +333,40 @@ def billiard_map(table, law, z):
     return z_next, record.length
 
 
-def iterate_orbits(table, law, q, v, k_max):
+def orbit_batches(table, law, q, v, k_max):
     """Iterate the billiard map from a batch of starts, in lockstep.
 
-    Returns one OrbitRecord per start, with its chords up to termination:
-    a trapped chord ends the orbit unrecorded, a grazing one recorded.
+    Returns (kinds, batches): per start, how its orbit ended ("completed",
+    "trapped" or "grazing") and a ChordBatch of its chords in order.  A
+    trapped chord ends the orbit unrecorded, a grazing one recorded.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    chords = [[] for _ in range(np.atleast_2d(q).shape[0])]
-    kinds = ["completed"] * len(chords)
+    n = np.atleast_2d(q).shape[0]
+    kinds = ["completed"] * n
+    names = [f.name for f in fields(ChordBatch)]
+    orbit, columns = [np.zeros(0, dtype=int)], []
     for _, rows, batch, _ in lockstep_orbits(table, law, q, v, k_max):
-        for j, i in enumerate(rows.tolist()):
-            if batch.trapped[j]:
-                kinds[i] = "trapped"
-                continue
-            chords[i].append(_record_from_batch(batch, j))
-            if batch.grazing[j]:
-                kinds[i] = "grazing"
-    return [OrbitRecord(tuple(c), Termination(k, len(c))) for c, k in zip(chords, kinds)]
+        stop = batch.stops
+        for i, trapped in zip(rows[stop].tolist(), batch.trapped[stop].tolist()):
+            kinds[i] = "trapped" if trapped else "grazing"
+        kept = ~batch.trapped
+        orbit.append(rows[kept])
+        columns.append([getattr(batch, name)[kept] for name in names])
+    orbit = np.concatenate(orbit)
+    order = np.argsort(orbit, kind="stable")
+    cut = np.cumsum(np.bincount(orbit, minlength=n))[:-1]
+    split = [np.split(np.concatenate(c)[order], cut) for c in zip(*columns)]
+    return kinds, [ChordBatch(*parts) for parts in zip(*split)]
+
+
+def iterate_orbits(table, law, q, v, k_max):
+    """One OrbitRecord per start, with its chords up to termination (see orbit_batches)."""
+    kinds, batches = orbit_batches(table, law, q, v, k_max)
+    return [OrbitRecord(tuple(_record_from_batch(b, j) for j in range(len(b))),
+                        Termination(k, len(b))) for b, k in zip(batches, kinds)]
 
 
 def iterate_orbit(table, law, z0, k_max):
     """Iterate the billiard map, recording chords until termination."""
     return iterate_orbits(table, law, z0.q[None, :], z0.v[None, :], k_max)[0]
-
-
-# ---------------------------------------------------------------------------
-# Trapping probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrappingProbe:
-    escape_fraction: float
-    max_chord: float
-    grazing_fraction: float
-    max_chord_progression: tuple
-    gd_stabilized: bool
-    sample_count: int
-    l_max: float
-
-
-def _probe_block(table, samples):
-    batch = causality_batch(table, samples.q, samples.v)
-    return batch.length, batch.trapped, batch.grazing
-
-
-def trapping_probe(table, sample_count, seed=0, workers=None):
-    """Monte Carlo escape statistics; max_chord is a lower bound for gd(M,g).
-
-    Tables with unbounded free paths have power tails in the chord length,
-    so some chords land far beyond the bulk of the distribution.  The probe
-    flags the longest-chord estimate as unstabilized when any chord exceeds
-    twice the 99.5% quantile: for a bounded geodesic diameter the top
-    chords cluster below it, while a power tail always populates it.
-    """
-    parts = sample_blocks(_probe_block, table, sample_count, seed, workers=workers)
-    length, trapped, grazing = (np.concatenate(column) for column in zip(*parts))
-    escaped = ~trapped
-    lengths = length[escaped]
-    quarters = np.array_split(length * np.where(escaped, 1.0, np.nan), 4)
-    progression = []
-    running = 0.0
-    for part in quarters:
-        vals = part[np.isfinite(part)]
-        if vals.size:
-            running = max(running, float(np.max(vals)))
-        progression.append(running)
-    if lengths.size < 200:
-        stabilized = True  # not enough data to judge the tail
-    else:
-        stabilized = bool(np.all(lengths <= 2.0 * np.quantile(lengths, 0.995)))
-    stabilized = stabilized and bool(np.all(escaped))
-    return TrappingProbe(
-        escape_fraction=float(np.mean(escaped)),
-        max_chord=float(np.max(lengths)) if lengths.size else 0.0,
-        grazing_fraction=float(np.mean(grazing)),
-        max_chord_progression=tuple(progression),
-        gd_stabilized=stabilized,
-        sample_count=sample_count,
-        l_max=table.l_max,
-    )

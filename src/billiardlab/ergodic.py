@@ -1,4 +1,4 @@
-"""Birkhoff time averages, measure space averages, and inequality checks.
+"""Birkhoff time averages, space averages, the trapping probe, inequality checks.
 
 Space averages integrate observables of one free chord against the cosine
 boundary measure.  Time averages iterate the billiard map and log running
@@ -9,20 +9,20 @@ scaled by unit-ball constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import causality_batch, lockstep_orbits
 from .errors import DegenerateSet, EmptySequence, TooManyTrapped
-from .lyapunov import delta_F_batch
+from .lyapunov import delta_F_batch, slice_identity
 from .measure import (Estimate, domain_volumes, sample_blocks, sample_mu_theta,
                       trajectory_space_volume, unit_ball_volume, unit_sphere_volume)
 
 __all__ = [
     "ChordLength", "DeltaF", "SpaceAverage", "AverageReport", "space_average",
-    "time_average", "time_average_many", "birkhoff_report", "mean_free_path", "hear_volume",
-    "recurrence_test", "inequality_report",
+    "time_average", "time_average_many", "mean_free_path", "hear_volume",
+    "recurrence_test", "trapping_probe", "inequality_report",
 ]
 
 _MAX_EXCLUDED = 0.01       # largest excluded sample fraction of a space average
@@ -106,9 +106,6 @@ class AverageReport:
     time_avg: tuple
     bounces: int
     termination: str
-    space_avg: Estimate | None = None
-    prediction: float | None = None
-    agreement: dict = field(default_factory=dict)
 
     @property
     def final(self):
@@ -164,38 +161,6 @@ def time_average(table, law, observable, z0, bounces):
     return AverageReport(checkpoints=tuple(checkpoints),
                          time_avg=tuple(float(x) for x in running[0]),
                          bounces=int(done[0]), termination=str(term[0]))
-
-
-def birkhoff_report(table, law, observable, starters, bounces, count, seed):
-    """Time averages of several starters against the space average.
-
-    The agreement block carries the table's ergodicity status quoted from
-    the literature; nothing is asserted by the computation itself (time and
-    space averages coincide almost everywhere only for ergodic maps).
-    """
-    from .presets import ergodicity_status
-
-    starts = sample_mu_theta(table, starters, seed)
-    checkpoints, running, done, term = time_average_many(
-        table, law, observable, starts.q, starts.v, bounces)
-    sa = space_average(table, observable, count, seed, stream=971)
-    finals = running[:, -1]
-    gaps = np.abs(finals - sa.mean) / abs(sa.mean)
-    reports = []
-    agreement = {
-        "ergodicity_status": ergodicity_status(table),
-        "relative_gaps": [float(g) for g in gaps],
-        "within_2pct": int(np.sum(gaps < 0.02)),
-        "starters": starters,
-    }
-    for i in range(starters):
-        reports.append(AverageReport(
-            checkpoints=tuple(checkpoints),
-            time_avg=tuple(float(x) for x in running[i]),
-            bounces=int(done[i]), termination=str(term[i]),
-            space_avg=sa.estimate, prediction=float(sa.mean),
-            agreement=agreement))
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +261,64 @@ def recurrence_test(table, law, box, starters, bounces, seed):
 
 
 # ---------------------------------------------------------------------------
+# Trapping probe
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrappingProbe:
+    escape_fraction: float
+    max_chord: float
+    grazing_fraction: float
+    max_chord_progression: tuple
+    gd_stabilized: bool
+    sample_count: int
+    l_max: float
+
+
+def _probe_block(table, samples):
+    batch = causality_batch(table, samples.q, samples.v)
+    return batch.length, batch.trapped, batch.grazing
+
+
+def trapping_probe(table, sample_count, seed=0, workers=None):
+    """Monte Carlo escape statistics; max_chord is a lower bound for gd(M,g).
+
+    Tables with unbounded free paths have power tails in the chord length,
+    so some chords land far beyond the bulk of the distribution.  The probe
+    flags the longest-chord estimate as unstabilized when any chord exceeds
+    twice the 99.5% quantile: for a bounded geodesic diameter the top
+    chords cluster below it, while a power tail always populates it.
+    """
+    parts = sample_blocks(_probe_block, table, sample_count, seed, workers=workers)
+    length, trapped, grazing = (np.concatenate(column) for column in zip(*parts))
+    escaped = ~trapped
+    lengths = length[escaped]
+    quarters = np.array_split(length * np.where(escaped, 1.0, np.nan), 4)
+    progression = []
+    running = 0.0
+    for part in quarters:
+        vals = part[np.isfinite(part)]
+        if vals.size:
+            running = max(running, float(np.max(vals)))
+        progression.append(running)
+    if lengths.size < 200:
+        stabilized = True  # not enough data to judge the tail
+    else:
+        stabilized = bool(np.all(lengths <= 2.0 * np.quantile(lengths, 0.995)))
+    stabilized = stabilized and bool(np.all(escaped))
+    return TrappingProbe(
+        escape_fraction=float(np.mean(escaped)),
+        max_chord=float(np.max(lengths)) if lengths.size else 0.0,
+        grazing_fraction=float(np.mean(grazing)),
+        max_chord_progression=tuple(progression),
+        gd_stabilized=stabilized,
+        sample_count=sample_count,
+        l_max=table.l_max,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Inequality report
 # ---------------------------------------------------------------------------
 
@@ -321,9 +344,6 @@ class InequalityReport:
 
 def inequality_report(table, f=None, probe=None, count=50_000, seed=0):
     """Structured pass/fail checks of the volume inequalities and identities."""
-    from .dynamics import trapping_probe
-    from .lyapunov import slice_identity
-
     checks = []
     n = table.space.dim
     vols = domain_volumes(table)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import causality_batch, causality_map
 from .errors import BodyTooSmall
 from .measure import (Estimate, boundary_points, boundary_rng, domain_volumes, merge_blocks,
                       sample_blocks, sample_mu_theta, unit_sphere_volume)
@@ -82,8 +83,6 @@ def default_enclosing_body(table):
 
 def build_well_balanced_F(table, body=None, pilot_count=512, seed=1234):
     """Build F and verify the double transversal crossing on a pilot sample."""
-    from .dynamics import causality_batch
-
     if body is None:
         body = default_enclosing_body(table)
     f = LyapunovF(table, body)
@@ -108,8 +107,6 @@ def build_well_balanced_F(table, body=None, pilot_count=512, seed=1234):
 
 def delta_F(table, f, z):
     """F-variation along the chord through z; equals the chord length."""
-    from .dynamics import causality_map
-
     record = causality_map(table, z)
     if record.degenerate:
         return 0.0
@@ -165,8 +162,6 @@ def var_F_boundary(table, f, count, seed):
 
 
 def _slice_block(table, samples, f, t_grid):
-    from .dynamics import causality_batch
-
     batch = causality_batch(table, samples.q, samples.v)
     ok = batch.ok
     f_lo = f.value_batch(batch.entry_q[ok], batch.entry_v[ok])

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import lockstep_orbits
 from .errors import ConfigError, DegenerateSet
 from .parallel import block_counts, run_blocks
 from .spaces import FlatTorus
@@ -328,8 +329,6 @@ class PreservationResult:
 
 def _preservation_block(table, samples, law, boxes):
     """Per box, estimates of 1_K(z) - 1_K(Bz), 1_K(z) and 1_K(Bz) over valid rows."""
-    from .dynamics import lockstep_orbits
-
     _, _, batch, state = next(lockstep_orbits(table, law, samples.q, samples.v, 1))
     valid = ~batch.stops
     q1, v1, p1, n1 = (a[valid] for a in (batch.entry_q, batch.entry_v, batch.entry_piece,

@@ -11,7 +11,6 @@ from .tables import Ball, RadialFourierCurve, Table
 __all__ = [
     "disk", "ball3", "ellipse", "torus_one_ball", "torus_two_balls",
     "hyperbolic_disk", "spherical_cap", "preset_table", "PRESETS",
-    "ergodicity_status",
 ]
 
 
@@ -78,24 +77,6 @@ PRESETS = {
     "cap-pi6": lambda: spherical_cap(np.pi / 6.0),
     "cap-pi4": lambda: spherical_cap(np.pi / 4.0),
 }
-
-# literature status used to label Birkhoff comparisons; ergodicity is never
-# asserted by this package, only quoted
-ERGODICITY_STATUS = {
-    "disk": "integrable (incidence angle conserved): not ergodic",
-    "ball3": "integrable: not ergodic",
-    "ellipse": "convex oval: large quasi-integrable regions expected",
-    "torus-two-balls": "dispersing (all walls concave): ergodic in the classical literature",
-}
-
-
-def ergodicity_status(table):
-    base = table.name.split("-r0")[0]
-    if table.name.startswith("torus-one-ball"):
-        return "dispersing but with unbounded free paths: averages are cap-limited"
-    return ERGODICITY_STATUS.get(base, ERGODICITY_STATUS.get(table.name,
-                                 "unknown: ergodicity not established here"))
-
 
 def preset_table(name):
     try:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,9 @@ import pytest
 
 from billiardlab.cli import main, version_string
 from billiardlab.config import load_table_config, table_from_dict
+from billiardlab.dynamics import Elastic, iterate_orbits
 from billiardlab.errors import ConfigError
+from billiardlab.measure import sample_mu_theta
 from billiardlab.presets import PRESETS, preset_table
 from billiardlab.tables import Ball
 
@@ -262,9 +266,24 @@ def test_cli_rejects_non_positive_counts(argv, tmp_path, capsys):
     ["hear", "--lengths", "{bad_row}", "--boundary", "1", "--dim", "2"],
     ["recurrence", "--preset", "disk", "--box-piece", "5", "--starters", "4", "--bounces", "10"],
     ["recurrence", "--preset", "disk", "--box-piece", "-1", "--starters", "4", "--bounces", "10"],
+    ["mfp", "--preset", "disk", "--samples", "100", "--seed", "-1"],
+    ["simulate", "--preset", "disk", "--orbits", "2", "--bounces", "5", "--seed", "-1"],
+    ["reconstruct", "--preset", "disk", "--grid", "8", "--seed", "-1"],
+    ["conjugacy", "--preset", "disk", "--map", "rotation:abc", "--samples", "100"],
+    ["conjugacy", "--preset", "disk", "--map", "rotation:nan", "--samples", "100"],
+    ["conjugacy", "--preset", "torus-two-balls", "--map", "translation:0.1,0.2,0.3",
+     "--samples", "100"],
+    ["conjugacy", "--preset", "torus-two-balls", "--map", "translation:0.1", "--samples", "100"],
+    ["recurrence", "--preset", "disk", "--box-angle", "nan", "0.1", "--starters", "4",
+     "--bounces", "10"],
+    ["recurrence", "--preset", "disk", "--box-incidence", "0.4", "inf", "--starters", "4",
+     "--bounces", "10"],
 ], ids=["resolution-0", "resolution-negative", "lmax-0", "lmax-negative", "lmax-nan",
         "boundary-0", "boundary-inf", "dim-0", "lengths-missing", "lengths-bad-row",
-        "box-piece-5", "box-piece-negative"])
+        "box-piece-5", "box-piece-negative", "seed-negative-mfp", "seed-negative-simulate",
+        "seed-negative-reconstruct", "rotation-not-a-number", "rotation-nan",
+        "translation-three-components", "translation-one-component", "box-angle-nan",
+        "box-incidence-inf"])
 def test_cli_rejects_out_of_domain_values(argv, tmp_path, capsys):
     files = {"good": tmp_path / "good.csv", "bad_row": tmp_path / "bad_row.csv",
              "missing": tmp_path / "missing.csv"}
@@ -361,6 +380,61 @@ def test_cli_simulate_writes_orbits(tmp_path, capsys):
     assert len(lines) == 50
     record = json.loads(lines[0])
     assert set(record) >= {"entry_q", "entry_v", "exit_q", "exit_v", "length"}
+
+
+# a torus with a wide grazing band: at --lmax 6 its orbits end trapped, grazing or completed
+GRAZING_TORUS_CONF = {
+    "space": "flat-torus", "dimension": 2, "periods": [1.0, 1.0],
+    "pieces": [{"shape": "ball", "side": "obstacle", "center": [0.5, 0.5], "radius": 0.25}],
+    "tolerances": {"grazing_tol": 0.15},
+}
+
+
+@pytest.mark.parametrize("preset, lmax, orbits, bounces, seed", [
+    ("torus-one-ball", 1.5, 6, 40, 0),
+    ("ball3", None, 3, 60, 3),
+    (None, 6.0, 6, 40, 0),
+], ids=["torus-one-ball-trapped", "ball3", "torus-config-grazing"])
+def test_cli_simulate_dumps_the_iterate_orbits_records(preset, lmax, orbits, bounces, seed,
+                                                       tmp_path, capsys):
+    table_args = ["--preset", preset]
+    if preset is None:
+        config = tmp_path / "table.json"
+        config.write_text(json.dumps(GRAZING_TORUS_CONF))
+        table_args = ["--config", str(config)]
+    out = tmp_path / "out"
+    argv = ["simulate", *table_args, "--orbits", str(orbits), "--bounces", str(bounces),
+            "--seed", str(seed), "--out", str(out)]
+    code, rep = run_cli(argv + (["--lmax", str(lmax)] if lmax else []), capsys)
+    assert code == 0
+    table = preset_table(preset) if preset else table_from_dict(GRAZING_TORUS_CONF)
+    if lmax:
+        table = table.with_l_max(lmax)
+    starts = sample_mu_theta(table, orbits, seed)
+    records = iterate_orbits(table, Elastic(), starts.q, starts.v, bounces)
+    summary = io.StringIO()
+    writer = csv.writer(summary)
+    writer.writerow(["orbit", "termination", "bounces", "total_length", "mean_length"])
+    for i, orbit in enumerate(records):
+        lines = "".join(json.dumps({
+            "entry_q": ch.entry.q.tolist(), "entry_v": ch.entry.v.tolist(),
+            "exit_q": ch.exit.q.tolist(), "exit_v": ch.exit.v.tolist(),
+            "length": ch.length, "degenerate": ch.degenerate, "grazing": ch.grazing,
+        }) + "\n" for ch in orbit.chords)
+        assert (out / f"orbit_{i:03d}.jsonl").read_bytes() == lines.encode()
+        lengths = [ch.length for ch in orbit.chords]
+        writer.writerow([i, orbit.termination.kind, orbit.termination.bounces, sum(lengths),
+                         np.mean(lengths) if lengths else 0.0])
+    assert (out / "orbits_summary.csv").read_bytes() == summary.getvalue().encode()
+    kinds = [o.termination.kind for o in records]
+    assert rep["results"]["terminations"] == {k: kinds.count(k) for k in kinds}
+    if preset is None:  # every ending, and a grazing chord written as the last line
+        assert set(kinds) == {"completed", "trapped", "grazing"}
+        assert all(o.chords[-1].grazing for o in records if o.termination.kind == "grazing")
+    elif lmax:  # the case exists to cover trapped orbits, some with empty dumps
+        assert "trapped" in kinds and any(not o.chords for o in records)
+    else:
+        assert records[0].chords[0].entry.q.shape == (3,)
 
 
 def test_cli_measure_check(tmp_path, capsys):

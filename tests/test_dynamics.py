@@ -3,7 +3,8 @@ import pytest
 
 from billiardlab.dynamics import (Elastic, Rescaled, billiard_map, causality_batch,
                                   causality_map, iterate_orbit, reflect,
-                                  reflect_batch, trapping_probe)
+                                  reflect_batch)
+from billiardlab.ergodic import trapping_probe
 from billiardlab.measure import sample_mu_theta
 from billiardlab.spaces import PhasePoint
 from billiardlab.tables import StratumLabel

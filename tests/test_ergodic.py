@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from billiardlab.dynamics import Elastic, trapping_probe
+from billiardlab.dynamics import Elastic
 from billiardlab.ergodic import (ChordLength, DeltaF, hear_volume, inequality_report,
                                  mean_free_path, mean_free_path_prediction,
                                  recurrence_test, space_average, time_average,
-                                 time_average_many)
+                                 time_average_many, trapping_probe)
 from billiardlab.errors import EmptySequence, TooManyTrapped
 from billiardlab.measure import PhaseBox, sample_mu_theta
 from billiardlab.presets import torus_one_ball
@@ -210,17 +210,3 @@ def test_hear_volume_round_trip_all_presets(disk, ball3, hyp_disk, cap, two_ball
 def test_mfp_report_documents_cap():
     rep = mean_free_path(torus_one_ball(0.1), count=5_000, seed=17)
     assert "cap" in rep.note and "capped fraction" in rep.note
-
-
-def test_birkhoff_report_labels_status(two_balls, disk):
-    from billiardlab.ergodic import birkhoff_report
-
-    reports = birkhoff_report(two_balls, Elastic(), ChordLength(),
-                              starters=2, bounces=2_000, count=40_000, seed=18)
-    assert len(reports) == 2
-    assert "ergodic" in reports[0].agreement["ergodicity_status"]
-    assert reports[0].prediction is not None
-    assert reports[0].space_avg is not None
-    disk_reports = birkhoff_report(disk, Elastic(), ChordLength(),
-                                   starters=1, bounces=200, count=5_000, seed=19)
-    assert "not ergodic" in disk_reports[0].agreement["ergodicity_status"]
