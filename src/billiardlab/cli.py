@@ -301,6 +301,8 @@ def _parse_boundary_map(spec, table, other):
     if spec == "reflection":
         return reflection_map()
     if spec.startswith("rotation:"):
+        if table.space.chart_dim != 2 or other.space.chart_dim != 2:
+            raise ConfigError("rotation maps need planar charts: n = 2 tables off the sphere")
         return rotation_map(_map_numbers(spec, 1)[0])
     if spec.startswith("translation:"):
         if not isinstance(table.space, FlatTorus):

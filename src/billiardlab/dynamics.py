@@ -98,12 +98,12 @@ class ChordBatch:
         tangent = (self.exit_label == _CONVEX) | (self.exit_label == _CONCAVE)
         return tangent & ~self.degenerate & ~self.trapped
 
-    @property
+    @cached_property
     def ok(self):
         """Rows with a clean transversal chord."""
-        return ~self.trapped & ~self.degenerate & ~self.grazing
+        return ~(self.stops | self.degenerate)
 
-    @property
+    @cached_property
     def stops(self):
         """Rows whose orbit ends with this chord: trapped or grazing."""
         return self.trapped | self.grazing
@@ -226,15 +226,13 @@ def causality_batch(table, q, v, piece=None, normal=None):
     q = np.atleast_2d(q)
     v = np.atleast_2d(v)
     n = q.shape[0]
-    if piece is None:
-        piece = table.active_piece(q)
-    else:
-        piece = np.atleast_1d(piece)
-        if (np.abs(table.piece_gauge(q, piece)) > table.tol.hit_tol).any():
-            raise NotOnBoundary("carried phase point is off its boundary piece")
+    carried = piece is not None
+    piece = table._on_boundary(piece if carried else table.active_piece(q))
+    if carried and (np.abs(table._own_gauge(q, piece)) > table.tol.hit_tol).any():
+        raise NotOnBoundary("carried phase point is off its boundary piece")
     if normal is None:
-        normal = table.inward_normal_at(q, piece)
-    entry_label, entry_cos = table.classify(q, v, piece, normal)
+        normal = table._own_normal(q, piece)
+    entry_label, entry_cos = table._strata(q, v, piece, normal)
     if (entry_label == _OUT).any():
         raise DegenerateStart("causality map applied to an outward phase point")
     degenerate = entry_label == _CONVEX
@@ -243,10 +241,11 @@ def causality_batch(table, q, v, piece=None, normal=None):
     exits = (q, v, np.zeros(n), entry_label, entry_cos, piece, normal)
     traced = np.flatnonzero(~degenerate)
     if traced.size:
-        hit = table.first_hit(q[traced], v[traced])
+        every = traced.size == n
+        hit = table.first_hit(q, v) if every else table.first_hit(q[traced], v[traced])
         trapped[traced] = hit.trapped
         found = (hit.q, hit.v, hit.s, hit.label, hit.cos_in, hit.piece, hit.normal)
-        if traced.size == n and not trapped.any():
+        if every and not trapped.any():
             exits = found
         else:
             good, sel = traced[~hit.trapped], ~hit.trapped

@@ -139,11 +139,11 @@ def time_average_many(table, law, observable, z0_q, z0_v, bounces):
     for step, rows, batch, _ in lockstep_orbits(table, law, z0_q, z0_v, bounces):
         vals = observable.values(batch)
         bad = batch.stops
-        good = ~bad
-        gi = rows[good]
-        sums[gi] += vals[good]
-        done_bounces[gi] = step
-        termination[rows[bad]] = np.where(batch.trapped[bad], "trapped", "grazing")
+        if bad.any():
+            termination[rows[bad]] = np.where(batch.trapped[bad], "trapped", "grazing")
+            rows, vals = rows[~bad], vals[~bad]
+        sums[rows] += vals
+        done_bounces[rows] = step
         if step in marks:
             j = marks[step]
             live = done_bounces >= step

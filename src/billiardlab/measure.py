@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -258,48 +259,50 @@ class PhaseBox:
     incidence: tuple | None = None
     cos_range: tuple | None = None
 
+    @cached_property
+    def _arc(self):
+        return np.mod(self.boundary, 2.0 * np.pi)
+
     def contains(self, table, q, v, piece_idx=None, normal=None):
         """Rows inside the box; points off the boundary (piece -1) never are.
 
         `piece_idx` and `normal` carry what the hit at q found; unset, they
-        are derived from q.
+        are derived from q.  The piece and boundary tests run first, and the
+        normals, frames and angles only on the rows that pass them.
         """
         space = table.space
         q = np.atleast_2d(q)
         v = np.atleast_2d(v)
-        if piece_idx is None:
-            piece_idx = table.active_piece(q)
-        piece_idx = np.atleast_1d(piece_idx)
+        piece_idx = table.active_piece(q) if piece_idx is None else np.atleast_1d(piece_idx)
         mask = piece_idx >= 0
         if self.piece is not None:
             mask &= piece_idx == self.piece
-        if not mask.any():
-            return mask
-        if self.boundary is not None:
-            ang = table._per_piece("boundary_param", np.where(mask, piece_idx, -1), q,
-                                   np.full(q.shape[0], np.nan))
-            lo, hi = self.boundary
-            lo, hi = np.mod(lo, 2.0 * np.pi), np.mod(hi, 2.0 * np.pi)
-            if lo <= hi:
-                mask &= (ang >= lo) & (ang < hi)
-            else:
-                mask &= (ang >= lo) | (ang < hi)
-        if self.incidence is not None or self.cos_range is not None:
-            if normal is None:
-                normal = table.inward_normal_at(q, np.maximum(piece_idx, 0))
-            cos_in = space.metric_dot(q, v, normal)
+        rows = mask.nonzero()[0]
+        if rows.size and self.boundary is not None:
+            ang = table._per_piece("boundary_param", piece_idx[rows], q[rows], np.empty(rows.size))
+            lo, hi = self._arc
+            rows = rows[(ang >= lo) & (ang < hi) if lo <= hi else (ang >= lo) | (ang < hi)]
+        if self.incidence is not None and space.dim != 2:
+            raise ValueError("signed incidence boxes need n = 2")
+        if rows.size and (self.incidence is not None or self.cos_range is not None):
+            qr, vr = q[rows], v[rows]
+            nr = table._own_normal(qr, piece_idx[rows]) if normal is None else normal[rows]
+            cos_in = space.metric_dot(qr, vr, nr)
+            keep = True
             if self.cos_range is not None:
-                lo, hi = self.cos_range
-                mask &= (cos_in >= lo) & (cos_in < hi)
+                keep = _within(cos_in, self.cos_range)
             if self.incidence is not None:
-                if space.dim != 2:
-                    raise ValueError("signed incidence boxes need n = 2")
-                frame = space.tangent_frame(q, normal)[:, 0]
-                sin_in = space.metric_dot(q, v, frame)
-                theta = np.arctan2(sin_in, cos_in)
-                lo, hi = self.incidence
-                mask &= (theta >= lo) & (theta < hi)
+                sin_in = space.metric_dot(qr, vr, space.tangent_frame(qr, nr)[:, 0])
+                keep = keep & _within(np.arctan2(sin_in, cos_in), self.incidence)
+            rows = rows[keep]
+        mask = np.zeros(q.shape[0], dtype=bool)
+        mask[rows] = True
         return mask
+
+
+def _within(x, interval):
+    lo, hi = interval
+    return (x >= lo) & (x < hi)
 
 
 def random_phase_boxes(table, count, rng):

@@ -28,7 +28,17 @@ __all__ = ["Euclidean", "FlatTorus", "HyperbolicBall", "Sphere", "ModelSpace", "
 
 
 def _dot(a, b):
-    return (a * b).sum(axis=-1)
+    """Sum of a * b over the last axis, column by column.
+
+    The columns are added in the order np.sum uses on an axis this short, so
+    the bits are np.sum's; a short last-axis reduction is several times
+    slower than these few whole-array additions.
+    """
+    p = a * b
+    out = p[..., 0]
+    for k in range(1, p.shape[-1]):
+        out = out + p[..., k]
+    return out
 
 
 def _smallest_root(roots, valid, s_lo, s_hi):
@@ -99,7 +109,8 @@ class ModelSpace:
         return np.asarray(p) - np.asarray(q)
 
     def chart_distance(self, p, q):
-        return np.linalg.norm(self.delta(p, q), axis=-1)
+        d = self.delta(p, q)
+        return np.sqrt(_dot(d, d))
 
     # -- frames and segments ----------------------------------------------
 
@@ -130,8 +141,10 @@ def _euclidean_frame(n_hat):
     n_hat = np.atleast_2d(n_hat)
     big_n, d = n_hat.shape
     if d == 2:
-        t = np.stack([-n_hat[:, 1], n_hat[:, 0]], axis=1)
-        return t[:, None, :]
+        t = np.empty((big_n, 1, 2))
+        t[:, 0, 0] = -n_hat[:, 1]
+        t[:, 0, 1] = n_hat[:, 0]
+        return t
     # d == 3: seed with the coordinate axis least aligned with n
     idx = np.argmin(np.abs(n_hat), axis=1)
     e = np.zeros_like(n_hat)
@@ -148,7 +161,9 @@ class Euclidean(ModelSpace):
     def flow(self, q, v, s):
         s = np.asarray(s, dtype=float)
         out_q = q + s[..., None] * v
-        return out_q, np.broadcast_to(v, out_q.shape).copy()
+        out_v = np.empty_like(out_q)
+        out_v[...] = v
+        return out_q, out_v
 
     distance = ModelSpace.chart_distance
 
@@ -162,7 +177,7 @@ class Euclidean(ModelSpace):
     def _sphere_normal(self, q, c):
         """g-unit tangent at q pointing away from the centre c."""
         d = self.delta(q, c)
-        return d / np.linalg.norm(d, axis=-1, keepdims=True)
+        return d / np.sqrt(_dot(d, d))[..., None]
 
     def _sphere_hit(self, q, v, c, r, s_lo, s_hi):
         """Smallest arclength in (s_lo, s_hi] where the geodesic meets S(c, r); inf if none."""
@@ -205,12 +220,13 @@ class FlatTorus(Euclidean):
             raise ValueError("periods must be strictly positive")
         super().__init__(dim=periods.size)
         self.periods = periods
+        self._half = 0.5 * periods
 
     def wrap(self, q):
         return np.mod(q, self.periods)
 
     def delta(self, p, q):
-        half = 0.5 * self.periods
+        half = self._half
         return np.mod(np.asarray(p) - np.asarray(q) + half, self.periods) - half
 
     def flow(self, q, v, s):
@@ -231,7 +247,7 @@ class FlatTorus(Euclidean):
 
 
 def _mink_dot(x, y):
-    return -x[..., 0] * y[..., 0] + np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+    return -x[..., 0] * y[..., 0] + _dot(x[..., 1:], y[..., 1:])
 
 
 def _mobius_add(a, x):
@@ -379,16 +395,16 @@ class Sphere(ModelSpace):
             raise ValueError("sphere chart point must satisfy |q| = 1")
 
     def wrap(self, q):
-        return q / np.linalg.norm(q, axis=-1, keepdims=True)
+        return q / np.sqrt(_dot(q, q))[..., None]
 
     def flow(self, q, v, s):
         s = np.asarray(s, dtype=float)
         cs, sn = np.cos(s)[..., None], np.sin(s)[..., None]
         q2 = cs * q + sn * v
         v2 = -sn * q + cs * v
-        q2 = q2 / np.linalg.norm(q2, axis=-1, keepdims=True)
+        q2 = q2 / np.sqrt(_dot(q2, q2))[..., None]
         v2 = v2 - _dot(v2, q2)[..., None] * q2
-        v2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
+        v2 = v2 / np.sqrt(_dot(v2, v2))[..., None]
         return q2, v2
 
     def distance(self, p, q):
@@ -423,7 +439,7 @@ class Sphere(ModelSpace):
         ang = self.distance(q, c)
         sn = np.sin(np.maximum(ang, 1e-12))[..., None]
         t = (np.cos(ang)[..., None] * q - c) / sn
-        return t / np.linalg.norm(t, axis=-1, keepdims=True)
+        return t / np.sqrt(_dot(t, t))[..., None]
 
     def _sphere_hit(self, q, v, c, r, s_lo, s_hi):
         a = _dot(q, c)

@@ -9,12 +9,14 @@ first zero of the gauge, so no crossing is skipped.  A ball's space computes
 its geodesic sphere (normal, hits, volumes, samples, angle) in private
 methods, so a tracer that wraps public methods books that time to `Ball`.
 Flat-torus tables trace rays through periodic images in windows no longer
-than the shortest period; one vectorized call covers a block of consecutive
-windows.  A block is one window while the active rows fill the row budget
-and doubles each pass once they do not, so a ray in a free channel takes
-about log2(l_max / window) passes.  Since 2r < every period, each window's
-2^d nearest images hold every image its segment can hit, and the hits are
-those of a one-window loop, bit for bit.
+than the shortest period; one call of the stacked kernel `window_hit` covers
+a block of consecutive windows for every obstacle ball at once.  A block is
+one window while the active rows fill the row budget and doubles each pass
+once they do not, so a ray in a free channel takes about log2(l_max /
+window) passes; a call holds at most that budget of (row, window, ball)
+triples, so a block of many rows is split into row chunks.  Since 2r <
+every period, each window's 2^d nearest images hold every image its segment
+can hit, and the hits are those of a one-window loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,15 +31,15 @@ from .spaces import Euclidean, FlatTorus, HyperbolicBall, Sphere, _dot
 
 __all__ = [
     "StratumLabel", "Stratum", "Tolerances", "Ball", "HalfSpaceOrCap",
-    "RadialFourierCurve", "Table",
+    "RadialFourierCurve", "Table", "window_hit",
 ]
 
 OUTER = "outer"
 OBSTACLE = "obstacle"
 
 # per axis, the two periodic images a torus window can reach: floor and floor + 1
-_IMAGE_PAIR = np.array([0.0, 1.0])[:, None, None]
-# row-windows per window_hit call in a torus block
+_IMAGE_PAIR = np.array([0.0, 1.0])[:, None, None, None]
+# row x window x ball triples per window_hit call in a torus block
 _BLOCK_ROWS = 65536
 
 
@@ -141,45 +143,6 @@ class Ball(BoundaryPiece):
 
     def ray_hit(self, space, q, v, s_lo, s_hi):
         return space._sphere_hit(q, v, self.center, self.radius, s_lo, s_hi)
-
-    def window_hit(self, space, q, v, s0, s1, s_lo):
-        """Torus only: per row, the smallest root in any window (max(s0_j, s_lo), s1_j].
-
-        `s0`, `s1` are the bounds of consecutive windows, none longer than the
-        shortest period.  On axis i a window's segment stays within P_i / 2
-        of its midpoint m, and an image it hits lies within r < P_i / 2 of
-        the segment, so only the images floor(y) and floor(y) + 1, with
-        y = (m_i - c_i) / P_i, can be hit: 2^d images per row and window.
-        Each root comes from the same image centre by the same operations
-        whichever window computes it.  The exit root -b + sq can come first
-        only for an image that holds the start point (any other image is
-        entered, and so hit, first), whose exit lies within s_lo + 2r of the
-        start; blocks past that point skip it.
-        """
-        n, dim = q.shape
-        periods = space.periods
-        t = (0.5 * (s0 + s1))[:, None]
-        # b = d.v and c = |d|^2 summed axis by axis in the order np.sum uses
-        for i in range(dim):
-            qi, vi = q[:, i], v[:, i]
-            base = np.floor((qi + t * vi - self.center[i]) / periods[i])
-            d = qi - (self.center[i] + (base + _IMAGE_PAIR) * periods[i])  # (2, W, n)
-            shape = (1,) * i + (2,) + (1,) * (dim - 1 - i) + d.shape[1:]
-            dv, dd = (d * vi).reshape(shape), (d * d).reshape(shape)
-            b, c = (dv, dd) if i == 0 else (b + dv, c + dd)
-        disc = b * b - (c - self.radius ** 2)
-        cand = np.flatnonzero(disc >= 0.0)
-        nb = -b.ravel()[cand]
-        sq = np.sqrt(disc.ravel()[cand])
-        j = (cand // n) % s0.size
-        lo, hi, rows = np.maximum(s0, s_lo)[j], s1[j], cand % n
-        # past s_lo + 2r, with room for roundoff, no exit root can win
-        exits = s0[0] <= s_lo + 2.0 * self.radius + 1e-9 * float(np.max(periods))
-        best = np.full(n, np.inf)
-        for root in ((nb - sq, nb + sq) if exits else (nb - sq,)):
-            ok = (root > lo) & (root <= hi)
-            np.minimum.at(best, rows[ok], root[ok])
-        return best
 
     def boundary_volume(self, space):
         return space._sphere_area(self.radius)
@@ -400,6 +363,96 @@ class RadialFourierCurve(BoundaryPiece):
 
 
 # ---------------------------------------------------------------------------
+# Torus obstacles
+# ---------------------------------------------------------------------------
+
+
+class _BallStack:
+    """A torus table's obstacle balls, stacked.
+
+    `window_hit` traces rays against all of them in one call, and `gauge`
+    and `inward_normal` give each row the value of its own ball (index
+    piece_idx, every one >= 0) by Ball's formulas on per-row centres: one
+    call covers every piece, with the bits of each piece's own call.
+    """
+
+    def __init__(self, balls):
+        self.centers = np.array([b.center for b in balls])
+        self.radii = np.array([b.radius for b in balls])
+        # b.radius ** 2 (libm pow), not radii ** 2 (a multiply): they can
+        # differ in the last bit, which moves grazing roots
+        self.radii_sq = np.array([b.radius ** 2 for b in balls])
+
+    def gauge(self, space, q, piece_idx):
+        return -(space.distance(q, self.centers[piece_idx]) - self.radii[piece_idx])
+
+    def inward_normal(self, space, q, piece_idx):
+        return space._sphere_normal(q, self.centers[piece_idx])
+
+
+def window_hit(q, v, s0, s1, s_lo, space, centers, radii_sq):
+    """First hits on a torus's obstacle balls over consecutive windows.
+
+    Returns (s, piece): per row the smallest root over every ball (rows of
+    `centers`, radius squares `radii_sq`) in any window (max(s0_j, s_lo),
+    s1_j], ties to the lower ball index; inf and -1 when there is none.
+    `s0`, `s1` bound windows no longer than the shortest period.  On axis i
+    a window's segment stays within P_i / 2 of its midpoint m, and an image
+    it hits lies within r < P_i / 2 of the segment, so only the images
+    floor(y) and floor(y) + 1, with y = (m_i - c_i) / P_i, can be hit: 2^d
+    images per ball, row and window, laid out (2^d, balls, windows, rows).
+    Each root comes from the same image centre by the same operations
+    whichever window or block computes it.  The exit root -b + sq can come
+    first only for an image that holds the start point (any other image is
+    entered, and so hit, first), whose exit lies within s_lo + 2r of the
+    start; blocks past that point skip a ball's exit roots.
+    """
+    n, dim = q.shape
+    periods = space.periods
+    balls, windows = radii_sq.size, s0.size
+    t = (0.5 * (s0 + s1))[:, None]
+    # b = d.v and c = |d|^2 summed axis by axis in the order np.sum uses
+    for i in range(dim):
+        qi, vi = q[:, i], v[:, i]
+        ci = centers[:, i, None, None]
+        base = np.floor((qi + t * vi - ci) / periods[i])             # (P, W, n)
+        d = qi - (ci + (base + _IMAGE_PAIR) * periods[i])            # (2, P, W, n)
+        shape = (1,) * i + (2,) + (1,) * (dim - 1 - i) + d.shape[1:]
+        dv, dd = (d * vi).reshape(shape), (d * d).reshape(shape)
+        b, c = (dv, dd) if i == 0 else (b + dv, c + dd)
+    disc = b * b - (c - radii_sq[:, None, None])
+    cand = (disc >= 0.0).ravel().nonzero()[0]
+    nb = -b.ravel()[cand]
+    sq = np.sqrt(disc.ravel()[cand])
+    wn, row = np.divmod(cand, n)
+    if windows == 1:  # the usual block of a small batch: scalar bounds
+        ball, lo, hi = wn % balls, max(s0[0], s_lo), s1[0]
+    else:
+        image_ball, j = np.divmod(wn, windows)
+        ball, lo, hi = image_ball % balls, np.maximum(s0, s_lo)[j], s1[j]
+    key = ball * n + row
+    best = np.full(balls * n, np.inf)
+    root = nb - sq
+    ok = (root > lo) & (root <= hi)
+    np.minimum.at(best, key[ok], root[ok])
+    # past s_lo + 2r, with room for roundoff, no exit root can win; sqrt(r^2)
+    # is within an ulp of r, far inside that room
+    exits = s0[0] <= s_lo + 2.0 * np.sqrt(radii_sq) + 1e-9 * float(periods.max())
+    if exits.any():
+        if not exits.all():
+            e = exits[ball].nonzero()[0]
+            nb, sq, key = nb[e], sq[e], key[e]
+            if windows > 1:
+                lo, hi = lo[e], hi[e]
+        root = nb + sq
+        ok = (root > lo) & (root <= hi)
+        np.minimum.at(best, key[ok], root[ok])
+    best = best.reshape(balls, n)
+    s = best.min(axis=0)
+    return s, np.where(s < np.inf, best.argmin(axis=0), -1)
+
+
+# ---------------------------------------------------------------------------
 # Table
 # ---------------------------------------------------------------------------
 
@@ -438,6 +491,11 @@ class Table:
         if not np.isfinite(self._diameter):
             raise ConfigError("table domain is unbounded")
         self.l_max = self.tol.l_max if self.tol.l_max else 1e4 * self._diameter
+        self._balls = _BallStack(self.pieces) if isinstance(space, FlatTorus) else None
+        # Fourier obstacles last: they stop at the best hit found so far
+        self._trace_order = sorted(
+            enumerate(self.pieces),
+            key=lambda kp: isinstance(kp[1], RadialFourierCurve) and kp[1].side == OBSTACLE)
         if check:
             self._check_geometry()
 
@@ -593,10 +651,15 @@ class Table:
 
     def _per_piece(self, method, piece_idx, x, out):
         """Fill each row of `out` with pieces[k].method(space, x) for its piece k;
-        rows whose index names no piece (-1 off the boundary) keep their value."""
+        rows whose index names no piece (-1 off the boundary) keep their value.
+        A piece that owns every row is called on x itself, and its result is
+        returned in place of `out`."""
         for k, piece in enumerate(self.pieces):
             rows = piece_idx == k
-            if rows.any():
+            count = np.count_nonzero(rows)
+            if count == rows.size:
+                return getattr(piece, method)(self.space, x)
+            if count:
                 out[rows] = getattr(piece, method)(self.space, x[rows])
         return out
 
@@ -608,15 +671,24 @@ class Table:
             raise NotOnBoundary("point is not on the table boundary")
         return piece_idx
 
+    def _own_gauge(self, q, piece_idx):
+        """Gauge of each row's own piece at (N, chart_dim) rows q; every index >= 0."""
+        if self._balls is not None:
+            return self._balls.gauge(self.space, q, piece_idx)
+        return self._per_piece("gauge", piece_idx, q, np.empty(q.shape[0]))
+
+    def _own_normal(self, q, piece_idx):
+        """Inward normal of each row's own piece at (N, chart_dim) rows q; every index >= 0."""
+        if self._balls is not None:
+            return self._balls.inward_normal(self.space, q, piece_idx)
+        return self._per_piece("inward_normal", piece_idx, q, np.empty_like(q))
+
     def piece_gauge(self, q, piece_idx):
         """Gauge of each row's own piece at q."""
-        q = np.atleast_2d(q)
-        return self._per_piece("gauge", self._on_boundary(piece_idx), q, np.empty(q.shape[0]))
+        return self._own_gauge(np.atleast_2d(q), self._on_boundary(piece_idx))
 
     def inward_normal_at(self, q, piece_idx):
-        q = np.atleast_2d(q)
-        return self._per_piece("inward_normal", self._on_boundary(piece_idx), q,
-                               np.empty_like(q))
+        return self._own_normal(np.atleast_2d(q), self._on_boundary(piece_idx))
 
     # -- strata ---------------------------------------------------------------
 
@@ -625,8 +697,7 @@ class Table:
         h = 1e-4 * max(self._diameter, 1e-6)
         qp, _ = self.space.flow(q, v, np.full(q.shape[0], h))
         qm, _ = self.space.flow(q, v, np.full(q.shape[0], -h))
-        g0, gp, gm = (self._per_piece("gauge", piece_idx, x, np.empty(q.shape[0]))
-                      for x in (q, qp, qm))
+        g0, gp, gm = (self._own_gauge(x, piece_idx) for x in (q, qp, qm))
         return (gp - 2.0 * g0 + gm) / (h * h)
 
     def classify(self, q, v, piece_idx=None, normal=None):
@@ -639,17 +710,20 @@ class Table:
         v = np.atleast_2d(v)
         piece_idx = self._on_boundary(self.active_piece(q) if piece_idx is None else piece_idx)
         if normal is None:
-            normal = self.inward_normal_at(q, piece_idx)
+            normal = self._own_normal(q, piece_idx)
+        return self._strata(q, v, piece_idx, normal)
+
+    def _strata(self, q, v, piece_idx, normal):
+        """`classify` on (N, chart_dim) rows whose pieces (all >= 0) and normals are known."""
         cos_in = self.space.metric_dot(q, v, normal)
-        gtol = self.tol.grazing_tol
-        label = np.where(cos_in > gtol, int(StratumLabel.TRANSVERSAL_IN),
-                         np.where(cos_in < -gtol, int(StratumLabel.TRANSVERSAL_OUT), -1))
-        tangent = label < 0
+        # TRANSVERSAL_IN is 0 and TRANSVERSAL_OUT is 1; a NaN cosine is tangent
+        label = (cos_in < -self.tol.grazing_tol).astype(np.int8)
+        tangent = ~(np.abs(cos_in) > self.tol.grazing_tol)
         if tangent.any():
             dds = self._gauge_dds(q[tangent], v[tangent], piece_idx[tangent])
             label[tangent] = np.where(dds >= 0.0, int(StratumLabel.TANGENT_CONVEX),
                                       int(StratumLabel.TANGENT_CONCAVE))
-        return label.astype(np.int8), cos_in
+        return label, cos_in
 
     # -- ray tracing -----------------------------------------------------------
 
@@ -662,35 +736,36 @@ class Table:
         if isinstance(self.space, FlatTorus):
             best_s, best_piece = self._first_hit_torus(q, v, s_lo, s_hi)
         else:
-            best_s = np.full(n, np.inf)
-            best_piece = np.full(n, -1)
-            ordered = sorted(enumerate(self.pieces),
-                             key=lambda kp: isinstance(kp[1], RadialFourierCurve) and kp[1].side == OBSTACLE)
-            for k, piece in ordered:
+            best_s = None
+            for k, piece in self._trace_order:
                 if isinstance(piece, RadialFourierCurve) and piece.side == OBSTACLE:
                     cap = np.where(np.isfinite(best_s), best_s, s_hi)
                     s_k = piece.ray_hit(self.space, q, v, s_lo, cap)
                 else:
                     s_k = piece.ray_hit(self.space, q, v, s_lo, s_hi)
+                # roots are finite or inf, never NaN
+                if best_s is None:
+                    best_s, best_piece = s_k, np.where(s_k < np.inf, k, -1)
+                    continue
                 better = s_k < best_s
                 best_s = np.where(better, s_k, best_s)
                 best_piece = np.where(better, k, best_piece)
         trapped = ~np.isfinite(best_s)
-        s_eff = np.where(trapped, 0.0, best_s)
-        q_hit, v_hit = self.space.flow(q, v, s_eff)
-        ok = ~trapped
-        if ok.all():
-            # the common case keeps the arrays classify reads, uncopied
-            normal = self.inward_normal_at(q_hit, best_piece)
-            label, cos_in = self.classify(q_hit, v_hit, best_piece, normal)
+        if not trapped.any():
+            # the common case keeps the arrays _strata reads, uncopied
+            q_hit, v_hit = self.space.flow(q, v, best_s)
+            normal = self._own_normal(q_hit, best_piece)
+            label, cos_in = self._strata(q_hit, v_hit, best_piece, normal)
         else:
+            q_hit, v_hit = self.space.flow(q, v, np.where(trapped, 0.0, best_s))
+            ok = ~trapped
             normal = np.zeros_like(q_hit)
             cos_in = np.zeros(n)
             label = np.full(n, -1, dtype=np.int8)
             if ok.any():
-                normal[ok] = self.inward_normal_at(q_hit[ok], best_piece[ok])
-                label[ok], cos_in[ok] = self.classify(q_hit[ok], v_hit[ok], best_piece[ok],
-                                                      normal[ok])
+                qo, po = q_hit[ok], best_piece[ok]
+                normal[ok] = no = self._own_normal(qo, po)
+                label[ok], cos_in[ok] = self._strata(qo, v_hit[ok], po, no)
         return HitBatch(s=best_s, q=q_hit, v=v_hit, piece=best_piece, normal=normal,
                         cos_in=cos_in, label=label, trapped=trapped)
 
@@ -700,35 +775,38 @@ class Table:
         The first block is the window [0, window].  After each block the
         width doubles, capped so that width x active rows stays within
         _BLOCK_ROWS; while the active rows alone fill that budget a block is
-        one window.  Window bounds come from the same repeated additions as a
-        one-window loop, and windows are disjoint, so the smallest root over
-        a block is the first window's hit, ties to the lower piece index.
+        one window.  Each block is one `window_hit` call over every ball,
+        split into row chunks so that rows x windows x balls stays within
+        _BLOCK_ROWS too.  Window bounds come from the same repeated additions
+        as a one-window loop, and windows are disjoint, so the smallest root
+        over a block is the first window's hit, ties to the lower piece index.
         """
-        n = q.shape[0]
         window = float(np.min(self.space.periods))
-        best_s = np.full(n, np.inf)
-        best_piece = np.full(n, -1)
-        ai = np.arange(n)
+        rows = None  # the rows still tracing; None while that is every row
         s0, width = 0.0, 1
-        while ai.size and s0 < s_hi:
+        while s0 < s_hi:
             edges = [s0]
             while len(edges) <= width and edges[-1] < s_hi:
                 edges.append(min(edges[-1] + window, s_hi))
             edges = np.array(edges)
-            qa, va = q[ai], v[ai]
-            local_best = np.full(ai.size, np.inf)
-            local_piece = np.full(ai.size, -1)
-            for k, piece in enumerate(self.pieces):
-                s_k = piece.window_hit(self.space, qa, va, edges[:-1], edges[1:], s_lo)
-                better = s_k < local_best
-                local_best = np.where(better, s_k, local_best)
-                local_piece = np.where(better, k, local_piece)
-            hit = np.isfinite(local_best)
-            best_s[ai[hit]] = local_best[hit]
-            best_piece[ai[hit]] = local_piece[hit]
-            ai = ai[~hit]
+            qa, va = (q, v) if rows is None else (q[rows], v[rows])
+            chunk = max(1, _BLOCK_ROWS // ((edges.size - 1) * len(self.pieces)))
+            found = [window_hit(qa[i:i + chunk], va[i:i + chunk], edges[:-1], edges[1:], s_lo,
+                                self.space, self._balls.centers, self._balls.radii_sq)
+                     for i in range(0, max(qa.shape[0], 1), chunk)]
+            s, piece = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+            if rows is None:
+                best_s, best_piece = s, piece
+                rows = (s == np.inf).nonzero()[0]
+            else:
+                hit = s < np.inf
+                best_s[rows[hit]] = s[hit]
+                best_piece[rows[hit]] = piece[hit]
+                rows = rows[~hit]
+            if not rows.size:
+                break
             s0 = edges[-1]
-            width = max(1, min(2 * width, _BLOCK_ROWS // max(ai.size, 1)))
+            width = max(1, min(2 * width, _BLOCK_ROWS // rows.size))
         return best_s, best_piece
 
     def with_l_max(self, l_max):

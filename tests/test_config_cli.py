@@ -467,6 +467,17 @@ def test_cli_conjugacy(tmp_path, capsys):
     assert rep["results"]["max_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("preset, other", [("ball3", None), ("cap-pi4", None), ("disk", "ball3")])
+def test_cli_conjugacy_rejects_rotations_of_non_planar_charts(preset, other, tmp_path, capsys):
+    args = ["conjugacy", "--preset", preset, "--map", "rotation:1.0", "--samples", "100",
+            "--out", str(tmp_path)] + (["--other", other] if other else [])
+    code, payload = run_cli(args, capsys)
+    assert code == 1
+    assert payload["error"]["type"] == "validation"
+    assert "planar" in payload["error"]["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_reconstruct(tmp_path, capsys):
     code, rep = run_cli(["reconstruct", "--preset", "disk", "--grid", "24",
                          "--seed", "8", "--out", str(tmp_path)], capsys)

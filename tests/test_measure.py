@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from billiardlab.dynamics import Elastic, Rescaled
+from billiardlab.dynamics import Elastic, Rescaled, lockstep_orbits
 from billiardlab.errors import DegenerateSet, NotOnBoundary
 from billiardlab.measure import (Estimate, PhaseBox, domain_volumes,
                                  measure_preservation_test, mu_theta_density,
@@ -253,3 +253,68 @@ def test_degenerate_box_raises(disk):
     box = PhaseBox(piece=0, incidence=(1.57078, 1.57079))  # sliver at grazing
     with pytest.raises(DegenerateSet):
         measure_preservation_test(disk, Elastic(), [box], 5_000, seed=9)
+
+
+# -- phase boxes ----------------------------------------------------------------------
+
+
+def reference_contains(box, table, q, v, piece_idx, normal=None):
+    """Every test of the box on every row, unfiltered."""
+    space = table.space
+    n = q.shape[0]
+    on = piece_idx >= 0
+    mask = on & ((piece_idx == box.piece) if box.piece is not None else True)
+    safe = np.where(on, piece_idx, 0)
+    if normal is None:
+        normal = table.inward_normal_at(q, safe)
+    cos_in = space.metric_dot(q, v, normal)
+    if box.boundary is not None:
+        ang = np.empty(n)
+        for k, piece in enumerate(table.pieces):
+            rows = safe == k
+            ang[rows] = piece.boundary_param(space, q[rows])
+        lo, hi = np.mod(box.boundary, 2.0 * np.pi)
+        mask &= (ang >= lo) & (ang < hi) if lo <= hi else (ang >= lo) | (ang < hi)
+    if box.cos_range is not None:
+        mask &= (cos_in >= box.cos_range[0]) & (cos_in < box.cos_range[1])
+    if box.incidence is not None:
+        theta = np.arctan2(space.metric_dot(q, v, space.tangent_frame(q, normal)[:, 0]), cos_in)
+        mask &= (theta >= box.incidence[0]) & (theta < box.incidence[1])
+    return mask
+
+
+def _box_rows(table, seed):
+    """Measure samples, some moved off the boundary, and their images after one bounce."""
+    s = sample_mu_theta(table, 4096, seed)
+    piece = s.piece.copy()
+    piece[::7] = -1
+    _, _, _, state = next(lockstep_orbits(table, Elastic(), s.q, s.v, 1))
+    return (s.q, s.v, piece), (state.q, state.v, state.piece, state.normal)
+
+
+@pytest.mark.parametrize("name", ["disk", "two_balls", "ball3"])
+def test_filtered_box_matches_unfiltered_reference(name, request):
+    table = request.getfixturevalue(name)
+    if table.space.dim == 2:
+        boxes = random_phase_boxes(table, 12, boundary_rng(3, 0))
+        boxes += [PhaseBox(boundary=(5.5, 0.7), cos_range=(0.2, 0.9)), PhaseBox()]
+    else:
+        boxes = [PhaseBox(cos_range=(0.3, 0.8)), PhaseBox(piece=0, cos_range=(0.0, 0.5))]
+    (q, v, piece), after = _box_rows(table, 11)
+    hits = 0
+    for box in boxes:
+        got = box.contains(table, q, v, piece)
+        assert np.array_equal(got, reference_contains(box, table, q, v, piece))
+        for carried in (after, after[:3]):   # with and without the carried normals
+            got_after = box.contains(table, *carried)
+            assert np.array_equal(got_after, reference_contains(box, table, *carried))
+        hits += int(got.sum())
+    assert hits > 0
+
+
+def test_incidence_box_needs_a_planar_table(ball3):
+    s = sample_mu_theta(ball3, 16, 0)
+    with pytest.raises(ValueError):
+        PhaseBox(incidence=(0.0, 0.5)).contains(ball3, s.q, s.v, s.piece)
+    with pytest.raises(ValueError):   # even when no row is on the boundary
+        PhaseBox(incidence=(0.0, 0.5)).contains(ball3, s.q, s.v, np.full(16, -1))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from billiardlab import presets
+from billiardlab import presets, tables
 from billiardlab.errors import ConfigError
 from billiardlab.measure import sample_mu_theta
-from billiardlab.spaces import FlatTorus
+from billiardlab.spaces import Euclidean, FlatTorus
 from billiardlab.tables import Ball, Table, Tolerances
 
 _STENCILS = {d: np.array(list(np.ndindex(*([3] * d))), dtype=float) - 1.0 for d in (2, 3)}
@@ -105,9 +105,8 @@ def torus_tables(draw):
         assume(False)
 
 
-@settings(max_examples=40)
-@given(table=torus_tables(), seed=st.integers(0, 2**16))
-def test_block_hits_match_one_window_loop(table, seed):
+def _mixed_starts(table, seed):
+    """Measure samples, grazing starts and free starts anywhere in the torus."""
     rng = np.random.default_rng(seed)
     s = sample_mu_theta(table, 48, seed)
     qg, vg = _grazing_starts(table, rng, 32)
@@ -115,7 +114,36 @@ def test_block_hits_match_one_window_loop(table, seed):
     qa = rng.uniform(0.0, 1.0, (32, table.space.dim)) * table.space.periods
     va = rng.standard_normal((32, table.space.dim))
     va /= np.linalg.norm(va, axis=1, keepdims=True)
-    _assert_same_hits(table, np.concatenate([s.q, qg, qa]), np.concatenate([s.v, vg, va]))
+    return np.concatenate([s.q, qg, qa]), np.concatenate([s.v, vg, va])
+
+
+@settings(max_examples=40)
+@given(table=torus_tables(), seed=st.integers(0, 2**16))
+def test_block_hits_match_one_window_loop(table, seed):
+    _assert_same_hits(table, *_mixed_starts(table, seed))
+
+
+def test_block_hits_match_one_window_loop_on_a_grazing_example():
+    # squaring this radius as an array (a multiply) and as a Python float
+    # (libm pow) differs in the last bit, which moves grazing roots
+    periods = np.array([2.0, 1.1])
+    ball = Ball(np.zeros(2), 0.07482043088499854, side="obstacle")
+    table = Table(FlatTorus(periods), [ball], Tolerances(l_max=200.0 * 1.1), name="grazing")
+    _assert_same_hits(table, *_mixed_starts(table, 0))
+
+
+@pytest.mark.parametrize("space, outer", [
+    (FlatTorus([1.0, 1.0]), []),
+    (Euclidean(2), [Ball([0.0, 0.0], 1.0)]),
+])
+def test_coincident_pieces_tie_to_the_lower_index(space, outer):
+    balls = [Ball([0.5, 0.5], 0.2, side="obstacle"), Ball([0.5, 0.5], 0.2, side="obstacle")]
+    table = Table(space, balls + outer, name="coincident", check=False)
+    q = np.array([[0.05, 0.5], [0.5, 0.05]])
+    v = np.array([[1.0, 0.0], [0.0, 1.0]])
+    hit = table.first_hit(q, v)
+    assert np.allclose(hit.s, 0.25, atol=1e-12)
+    assert hit.piece.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("name", ["torus-eps-0.1", "torus-one-ball", "torus-two-balls"])
@@ -129,13 +157,13 @@ def test_block_hits_match_one_window_loop_on_presets(name):
 
 def test_channel_ray_is_traced_in_few_blocks(one_ball, monkeypatch):
     calls = []
-    window_hit = Ball.window_hit
+    window_hit = tables.window_hit
 
-    def counted(self, space, q, v, s0, s1, s_lo):
+    def counted(q, v, s0, s1, *args):
         calls.append(s1[-1])
-        return window_hit(self, space, q, v, s0, s1, s_lo)
+        return window_hit(q, v, s0, s1, *args)
 
-    monkeypatch.setattr(Ball, "window_hit", counted)
+    monkeypatch.setattr(tables, "window_hit", counted)
     q = np.array([[0.0, 0.0]])
     # the horizontal channel |y| < 1/4 (mod 1) misses the obstacle for ever
     hit = one_ball.first_hit(q, np.array([[1.0, 0.0]]))
