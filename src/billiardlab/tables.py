@@ -367,30 +367,7 @@ class RadialFourierCurve(BoundaryPiece):
 # ---------------------------------------------------------------------------
 
 
-class _BallStack:
-    """A torus table's obstacle balls, stacked.
-
-    `window_hit` traces rays against all of them in one call, and `gauge`
-    and `inward_normal` give each row the value of its own ball (index
-    piece_idx, every one >= 0) by Ball's formulas on per-row centres: one
-    call covers every piece, with the bits of each piece's own call.
-    """
-
-    def __init__(self, balls):
-        self.centers = np.array([b.center for b in balls])
-        self.radii = np.array([b.radius for b in balls])
-        # b.radius ** 2 (libm pow), not radii ** 2 (a multiply): they can
-        # differ in the last bit, which moves grazing roots
-        self.radii_sq = np.array([b.radius ** 2 for b in balls])
-
-    def gauge(self, space, q, piece_idx):
-        return -(space.distance(q, self.centers[piece_idx]) - self.radii[piece_idx])
-
-    def inward_normal(self, space, q, piece_idx):
-        return space._sphere_normal(q, self.centers[piece_idx])
-
-
-def window_hit(q, v, s0, s1, s_lo, space, centers, radii_sq):
+def window_hit(q, v, s0, s1, s_lo, space, centers, radii_sq, exit_reach):
     """First hits on a torus's obstacle balls over consecutive windows.
 
     Returns (s, piece): per row the smallest root over every ball (rows of
@@ -405,7 +382,8 @@ def window_hit(q, v, s0, s1, s_lo, space, centers, radii_sq):
     whichever window or block computes it.  The exit root -b + sq can come
     first only for an image that holds the start point (any other image is
     entered, and so hit, first), whose exit lies within s_lo + 2r of the
-    start; blocks past that point skip a ball's exit roots.
+    start; blocks that start past s_lo + `exit_reach` (2 r_max plus room
+    for roundoff) skip exit roots.
     """
     n, dim = q.shape
     periods = space.periods
@@ -425,26 +403,11 @@ def window_hit(q, v, s0, s1, s_lo, space, centers, radii_sq):
     nb = -b.ravel()[cand]
     sq = np.sqrt(disc.ravel()[cand])
     wn, row = np.divmod(cand, n)
-    if windows == 1:  # the usual block of a small batch: scalar bounds
-        ball, lo, hi = wn % balls, max(s0[0], s_lo), s1[0]
-    else:
-        image_ball, j = np.divmod(wn, windows)
-        ball, lo, hi = image_ball % balls, np.maximum(s0, s_lo)[j], s1[j]
-    key = ball * n + row
+    image_ball, j = np.divmod(wn, windows)
+    key = image_ball % balls * n + row
+    lo, hi = np.maximum(s0, s_lo)[j], s1[j]
     best = np.full(balls * n, np.inf)
-    root = nb - sq
-    ok = (root > lo) & (root <= hi)
-    np.minimum.at(best, key[ok], root[ok])
-    # past s_lo + 2r, with room for roundoff, no exit root can win; sqrt(r^2)
-    # is within an ulp of r, far inside that room
-    exits = s0[0] <= s_lo + 2.0 * np.sqrt(radii_sq) + 1e-9 * float(periods.max())
-    if exits.any():
-        if not exits.all():
-            e = exits[ball].nonzero()[0]
-            nb, sq, key = nb[e], sq[e], key[e]
-            if windows > 1:
-                lo, hi = lo[e], hi[e]
-        root = nb + sq
+    for root in ((nb - sq, nb + sq) if s0[0] <= s_lo + exit_reach else (nb - sq,)):
         ok = (root > lo) & (root <= hi)
         np.minimum.at(best, key[ok], root[ok])
     best = best.reshape(balls, n)
@@ -491,7 +454,15 @@ class Table:
         if not np.isfinite(self._diameter):
             raise ConfigError("table domain is unbounded")
         self.l_max = self.tol.l_max if self.tol.l_max else 1e4 * self._diameter
-        self._balls = _BallStack(self.pieces) if isinstance(space, FlatTorus) else None
+        if isinstance(space, FlatTorus):
+            # the obstacle balls stacked for window_hit; each square is
+            # radius ** 2 (libm pow), not an array multiply: the two can differ
+            # in the last bit, which moves grazing roots
+            self._centers = np.array([p.center for p in self.pieces])
+            self._radii_sq = np.array([p.radius ** 2 for p in self.pieces])
+            # past s_lo + 2r, with room for roundoff, no exit root can win
+            self._exit_reach = (2.0 * max(p.radius for p in self.pieces)
+                                + 1e-9 * float(np.max(space.periods)))
         # Fourier obstacles last: they stop at the best hit found so far
         self._trace_order = sorted(
             enumerate(self.pieces),
@@ -673,14 +644,10 @@ class Table:
 
     def _own_gauge(self, q, piece_idx):
         """Gauge of each row's own piece at (N, chart_dim) rows q; every index >= 0."""
-        if self._balls is not None:
-            return self._balls.gauge(self.space, q, piece_idx)
         return self._per_piece("gauge", piece_idx, q, np.empty(q.shape[0]))
 
     def _own_normal(self, q, piece_idx):
         """Inward normal of each row's own piece at (N, chart_dim) rows q; every index >= 0."""
-        if self._balls is not None:
-            return self._balls.inward_normal(self.space, q, piece_idx)
         return self._per_piece("inward_normal", piece_idx, q, np.empty_like(q))
 
     def piece_gauge(self, q, piece_idx):
@@ -792,7 +759,7 @@ class Table:
             qa, va = (q, v) if rows is None else (q[rows], v[rows])
             chunk = max(1, _BLOCK_ROWS // ((edges.size - 1) * len(self.pieces)))
             found = [window_hit(qa[i:i + chunk], va[i:i + chunk], edges[:-1], edges[1:], s_lo,
-                                self.space, self._balls.centers, self._balls.radii_sq)
+                                self.space, self._centers, self._radii_sq, self._exit_reach)
                      for i in range(0, max(qa.shape[0], 1), chunk)]
             s, piece = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
             if rows is None:

@@ -3,6 +3,7 @@ import pytest
 
 from billiardlab.dynamics import Elastic, causality_map, reflect_batch
 from billiardlab.errors import ConfigError, DegenerateStart, NotOnBoundary, Trapped
+from billiardlab.measure import sample_mu_theta
 from billiardlab.spaces import Euclidean, FlatTorus, PhasePoint
 from billiardlab.tables import Ball, HalfSpaceOrCap, RadialFourierCurve, StratumLabel, Table
 
@@ -46,6 +47,44 @@ def test_off_boundary_rows_raise_instead_of_garbage_normals(disk, two_balls):
     with pytest.raises(NotOnBoundary):
         two_balls.inward_normal_at(np.array([[0.5, 0.5]]), np.array([-1]))
     assert np.allclose(disk.inward_normal_at(q[:1], piece[:1]), [[-1.0, 0.0]])
+
+
+def _three_balls():
+    pieces = [Ball((0.25, 0.25), 0.2, side="obstacle"),
+              Ball((0.75, 0.75), 0.15, side="obstacle"),
+              Ball((0.25, 0.75), 0.1, side="obstacle")]
+    return Table(FlatTorus((1.0, 1.0)), pieces, name="torus-three-balls")
+
+
+def _scattered(table, method, piece, x, out):
+    """pieces[k].method on the rows of piece k, one piece at a time."""
+    for k, p in enumerate(table.pieces):
+        rows = piece == k
+        out[rows] = getattr(p, method)(table.space, x[rows])
+    return out
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("three", [False, True], ids=["two_balls", "three_balls"])
+def test_torus_piece_values_match_each_ball_bit_for_bit(two_balls, three):
+    table = _three_balls() if three else two_balls
+    s = sample_mu_theta(table, 600, seed=12)
+    q, v, piece = s.q, s.v, s.piece
+    assert set(piece.tolist()) == set(range(len(table.pieces)))
+    h = 1e-4 * max(table._diameter, 1e-6)
+    qp, _ = table.space.flow(q, v, np.full(q.shape[0], h))
+    qm, _ = table.space.flow(q, v, np.full(q.shape[0], -h))
+    g0, gp, gm = (_scattered(table, "gauge", piece, x, np.empty(x.shape[0])) for x in (q, qp, qm))
+    dds = (gp - 2.0 * g0 + gm) / (h * h)
+    normal = _scattered(table, "inward_normal", piece, q, np.empty_like(q))
+    # mixed rows, and rows that all lie on one piece
+    for rows in (slice(None), piece == 1):
+        assert _same_bits(table.piece_gauge(q[rows], piece[rows]), g0[rows])
+        assert _same_bits(table.inward_normal_at(q[rows], piece[rows]), normal[rows])
+        assert _same_bits(table._gauge_dds(q[rows], v[rows], piece[rows]), dds[rows])
 
 
 def test_degenerate_start_raises(disk):
