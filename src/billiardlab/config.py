@@ -37,6 +37,8 @@ _TOL_KEYS = {"hit_tol", "grazing_tol", "l_max"}
 
 
 def _reject_unknown(mapping, allowed, where):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -78,24 +80,22 @@ def _build_piece(conf, space):
 
 
 def table_from_dict(conf):
-    if not isinstance(conf, dict):
-        raise ConfigError("table config must be a JSON object")
     _reject_unknown(conf, _TOP_KEYS, "table config")
-    if "pieces" not in conf or not conf["pieces"]:
-        raise ConfigError("table config needs a nonempty 'pieces' list")
-    space = _build_space(conf)
-    try:
-        pieces = [_build_piece(p, space) for p in conf["pieces"]]
-    except KeyError as exc:
-        raise ConfigError(f"piece is missing key {exc}") from exc
+    if not isinstance(conf.get("pieces"), list) or not conf["pieces"]:
+        raise ConfigError("table config needs a nonempty 'pieces' list of objects")
     tol_conf = conf.get("tolerances", {})
     _reject_unknown(tol_conf, _TOL_KEYS, "tolerances")
-    tol = Tolerances(hit_tol=tol_conf.get("hit_tol", 1e-10),
-                     grazing_tol=tol_conf.get("grazing_tol", 1e-7),
-                     l_max=tol_conf.get("l_max"))
+    # the space, piece and table constructors raise plain errors on bad values
     try:
+        space = _build_space(conf)
+        pieces = [_build_piece(p, space) for p in conf["pieces"]]
+        tol = Tolerances(hit_tol=tol_conf.get("hit_tol", 1e-10),
+                         grazing_tol=tol_conf.get("grazing_tol", 1e-7),
+                         l_max=tol_conf.get("l_max"))
         return Table(space, pieces, tol, name=conf.get("name", "config-table"))
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"piece is missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

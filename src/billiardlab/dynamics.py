@@ -3,17 +3,17 @@
 The causality map sends an inward boundary phase point to the exit point of
 its geodesic chord; tangent points on a convex outer wall are fixed points
 by convention.  Composing with a boundary reflection involution gives the
-billiard map B = tau o C.  Batch variants operate on arrays and back every
-Monte Carlo statistic; the scalar API mirrors them one phase point at a time.
+billiard map B = tau o C.  Every map works on batches of phase points,
+arrays of shape (N, d); a single (d,) point is read as a batch of one.
 
 The exit point of one chord is where the reflection acts and where the next
 chord starts, so the piece and inward normal found when classifying a hit
 are all that both need.  A `BoundaryState` carries them: `billiard_batch`
 returns one and takes its piece and normal back on the next step, checking
 only that the point is still within `hit_tol` of its piece.  Every orbit
-loop (`orbit_batches` and `iterate_orbits`, Birkhoff and recurrence averages,
-the preservation test) runs on the one lockstep engine `lockstep_orbits`;
-`orbit_batches` alone decides where an orbit ends and which chords it keeps.
+loop (`orbit_batches`, Birkhoff and recurrence averages, the preservation
+test) runs on the one lockstep engine `lockstep_orbits`; `orbit_batches`
+alone decides where an orbit ends and which chords it keeps.
 """
 
 from __future__ import annotations
@@ -23,15 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateStart, NotOnBoundary, Trapped
-from .spaces import PhasePoint
-from .tables import Stratum, StratumLabel
+from .errors import DegenerateStart, NotOnBoundary
+from .tables import StratumLabel
 
 __all__ = [
-    "ChordRecord", "ChordBatch", "BoundaryState", "OrbitRecord", "Termination",
-    "Elastic", "Rescaled", "causality_map", "reflect", "billiard_map",
-    "iterate_orbit", "iterate_orbits", "orbit_batches", "lockstep_orbits",
-    "causality_batch", "reflect_batch", "billiard_batch",
+    "ChordBatch", "BoundaryState", "Elastic", "Rescaled", "orbit_batches",
+    "lockstep_orbits", "causality_batch", "reflect_batch", "billiard_batch",
 ]
 
 _OUT = int(StratumLabel.TRANSVERSAL_OUT)
@@ -42,35 +39,6 @@ _CONCAVE = int(StratumLabel.TANGENT_CONCAVE)
 # ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChordRecord:
-    """One application of the causality map."""
-
-    entry: PhasePoint
-    exit: PhasePoint
-    length: float
-    entry_stratum: Stratum
-    exit_stratum: Stratum
-    degenerate: bool
-
-    @property
-    def grazing(self):
-        return (not self.degenerate) and self.exit_stratum.label in (
-            StratumLabel.TANGENT_CONVEX, StratumLabel.TANGENT_CONCAVE)
-
-
-@dataclass(frozen=True)
-class Termination:
-    kind: str          # "completed" | "trapped" | "grazing"
-    bounces: int
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    chords: tuple
-    termination: Termination
 
 
 @dataclass
@@ -204,12 +172,6 @@ def reflect_batch(law, table, q, v, piece=None, normal=None):
     return np.einsum("nj,njd->nd", z, basis)
 
 
-def reflect(law, table, z):
-    """Scalar reflection: outgoing or tangent phase point to incoming one."""
-    v = reflect_batch(law, table, z.q[None, :], z.v[None, :])[0]
-    return PhasePoint(z.q, v)
-
-
 # ---------------------------------------------------------------------------
 # Causality and billiard maps
 # ---------------------------------------------------------------------------
@@ -261,25 +223,6 @@ def causality_batch(table, q, v, piece=None, normal=None):
                       degenerate=degenerate, trapped=trapped)
 
 
-def _record_from_batch(batch, i):
-    return ChordRecord(
-        entry=PhasePoint(batch.entry_q[i], batch.entry_v[i]),
-        exit=PhasePoint(batch.exit_q[i], batch.exit_v[i]),
-        length=float(batch.length[i]),
-        entry_stratum=Stratum(StratumLabel(int(batch.entry_label[i])), float(batch.entry_cos[i])),
-        exit_stratum=Stratum(StratumLabel(int(batch.exit_label[i])), float(batch.exit_cos[i])),
-        degenerate=bool(batch.degenerate[i]),
-    )
-
-
-def causality_map(table, z):
-    """First return of the geodesic through z to the boundary."""
-    batch = causality_batch(table, z.q[None, :], z.v[None, :])
-    if batch.trapped[0]:
-        raise Trapped(table.l_max)
-    return _record_from_batch(batch, 0)
-
-
 def billiard_batch(table, law, q, v, piece=None, normal=None):
     """One billiard step: chords plus the next entry points.
 
@@ -307,8 +250,12 @@ def lockstep_orbits(table, law, q, v, bounces):
     indexes the orbits stepped, `batch` holds their chords and `state` their
     next entry points.  The first step derives piece and normal from q;
     later steps carry them.  An orbit stops after a trapped or grazing
-    chord, and the run ends once every orbit has stopped.
+    chord, and the run ends once every orbit has stopped.  Every orbit loop
+    of the package runs here, so this is where a bounce count below 1 is
+    rejected.
     """
+    if bounces < 1:
+        raise ValueError("bounces must be at least 1")
     q = np.atleast_2d(np.asarray(q, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     rows = np.arange(q.shape[0])
@@ -323,15 +270,6 @@ def lockstep_orbits(table, law, q, v, bounces):
         q, v, piece, normal = state.q, state.v, state.piece, state.normal
 
 
-def billiard_map(table, law, z):
-    """Scalar billiard map: returns (next entry phase point, chord length)."""
-    record = causality_map(table, z)
-    if record.degenerate:
-        return PhasePoint(record.exit.q, record.exit.v), 0.0
-    z_next = reflect(law, table, record.exit)
-    return z_next, record.length
-
-
 def orbit_batches(table, law, q, v, k_max):
     """Iterate the billiard map from a batch of starts, in lockstep.
 
@@ -339,8 +277,6 @@ def orbit_batches(table, law, q, v, k_max):
     "trapped" or "grazing") and a ChordBatch of its chords in order.  A
     trapped chord ends the orbit unrecorded, a grazing one recorded.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     n = np.atleast_2d(q).shape[0]
     kinds = ["completed"] * n
     names = [f.name for f in fields(ChordBatch)]
@@ -357,15 +293,3 @@ def orbit_batches(table, law, q, v, k_max):
     cut = np.cumsum(np.bincount(orbit, minlength=n))[:-1]
     split = [np.split(np.concatenate(c)[order], cut) for c in zip(*columns)]
     return kinds, [ChordBatch(*parts) for parts in zip(*split)]
-
-
-def iterate_orbits(table, law, q, v, k_max):
-    """One OrbitRecord per start, with its chords up to termination (see orbit_batches)."""
-    kinds, batches = orbit_batches(table, law, q, v, k_max)
-    return [OrbitRecord(tuple(_record_from_batch(b, j) for j in range(len(b))),
-                        Termination(k, len(b))) for b, k in zip(batches, kinds)]
-
-
-def iterate_orbit(table, law, z0, k_max):
-    """Iterate the billiard map, recording chords until termination."""
-    return iterate_orbits(table, law, z0.q[None, :], z0.v[None, :], k_max)[0]

@@ -20,8 +20,8 @@ from .measure import (Estimate, domain_volumes, sample_blocks, sample_mu_theta,
                       trajectory_space_volume, unit_ball_volume, unit_sphere_volume)
 
 __all__ = [
-    "ChordLength", "DeltaF", "SpaceAverage", "AverageReport", "space_average",
-    "time_average", "time_average_many", "mean_free_path", "hear_volume",
+    "ChordLength", "DeltaF", "SpaceAverage", "space_average",
+    "time_average_many", "mean_free_path", "hear_volume",
     "recurrence_test", "trapping_probe", "inequality_report",
 ]
 
@@ -98,20 +98,6 @@ def space_average(table, observable, count, seed, stream=0, workers=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AverageReport:
-    """Running Birkhoff means logged at powers of two."""
-
-    checkpoints: tuple
-    time_avg: tuple
-    bounces: int
-    termination: str
-
-    @property
-    def final(self):
-        return self.time_avg[-1] if self.time_avg else float("nan")
-
-
 def _checkpoint_list(m):
     points = []
     k = 1
@@ -152,15 +138,6 @@ def time_average_many(table, law, observable, z0_q, z0_v, bounces):
     partial = sums / np.maximum(done_bounces, 1)
     running = np.where(np.isnan(running), partial[:, None], running)
     return checkpoints, running, done_bounces, termination
-
-
-def time_average(table, law, observable, z0, bounces):
-    """Running Birkhoff mean of the observable along one orbit."""
-    checkpoints, running, done, term = time_average_many(
-        table, law, observable, z0.q[None, :], z0.v[None, :], bounces)
-    return AverageReport(checkpoints=tuple(checkpoints),
-                         time_avg=tuple(float(x) for x in running[0]),
-                         bounces=int(done[0]), termination=str(term[0]))
 
 
 # ---------------------------------------------------------------------------

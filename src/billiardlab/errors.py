@@ -13,14 +13,6 @@ class DegenerateStart(BilliardError):
     """Ray starts on the boundary pointing strictly outward."""
 
 
-class Trapped(BilliardError):
-    """No boundary hit found within the length cap; trapping candidate."""
-
-    def __init__(self, l_max, message=None):
-        self.l_max = l_max
-        super().__init__(message or f"no boundary hit within l_max={l_max:g}")
-
-
 class AmbiguousGeodesic(BilliardError):
     """Endpoints do not determine a unique geodesic (antipodal on a sphere)."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import causality_batch, causality_map
+from .dynamics import causality_batch
 from .errors import BodyTooSmall
 from .measure import (Estimate, boundary_points, boundary_rng, domain_volumes, merge_blocks,
                       sample_blocks, sample_mu_theta, unit_sphere_volume)
@@ -22,7 +22,7 @@ from .spaces import FlatTorus, Sphere
 from .tables import Ball
 
 __all__ = [
-    "EnclosingBody", "LyapunovF", "build_well_balanced_F", "delta_F",
+    "EnclosingBody", "LyapunovF", "build_well_balanced_F", "delta_F_batch",
     "var_F_boundary", "slice_area_curve", "slice_identity", "default_enclosing_body",
 ]
 
@@ -53,9 +53,6 @@ class LyapunovF:
         if not np.all(np.isfinite(s)):
             raise BodyTooSmall("ray failed to reach the enclosing sphere")
         return s
-
-    def value(self, z):
-        return float(self.value_batch(z.q[None, :], z.v[None, :])[0])
 
     def exit_cos(self, q, v):
         """Incidence cosines (negative) where the rays (q, v) leave L."""
@@ -103,14 +100,6 @@ def build_well_balanced_F(table, body=None, pilot_count=512, seed=1234):
     if np.any(np.abs(cos) <= table.tol.grazing_tol):
         raise BodyTooSmall("extended chord crosses the enclosing sphere tangentially")
     return f
-
-
-def delta_F(table, f, z):
-    """F-variation along the chord through z; equals the chord length."""
-    record = causality_map(table, z)
-    if record.degenerate:
-        return 0.0
-    return float(f.value(record.exit) - f.value(record.entry))
 
 
 def delta_F_batch(f, batch):

@@ -22,7 +22,7 @@ from .parallel import block_counts, run_blocks
 from .spaces import FlatTorus
 
 __all__ = [
-    "Estimate", "WeightedSampleSet", "PhaseBox", "mu_theta_density",
+    "Estimate", "WeightedSampleSet", "PhaseBox",
     "sample_mu_theta", "trajectory_space_volume", "domain_volumes",
     "measure_preservation_test", "unit_ball_volume", "unit_sphere_volume",
     "random_phase_boxes", "boundary_rng", "boundary_points", "sample_blocks", "merge_blocks",
@@ -206,11 +206,6 @@ def merge_blocks(parts):
 # ---------------------------------------------------------------------------
 # Densities and volumes
 # ---------------------------------------------------------------------------
-
-
-def mu_theta_density(table, z):
-    """Cosine of the angle between v and the inward normal at q (NotOnBoundary off the boundary)."""
-    return float(table.classify(z.q[None, :], z.v[None, :])[1][0])
 
 
 def trajectory_space_volume(table):

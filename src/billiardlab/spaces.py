@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AmbiguousGeodesic
 
-__all__ = ["Euclidean", "FlatTorus", "HyperbolicBall", "Sphere", "ModelSpace", "PhasePoint"]
+__all__ = ["Euclidean", "FlatTorus", "HyperbolicBall", "Sphere", "ModelSpace"]
 
 
 def _dot(a, b):
@@ -50,19 +50,6 @@ def _smallest_root(roots, valid, s_lo, s_hi):
     return best
 
 
-class PhasePoint:
-    """A unit tangent element z = (q, v) of SM in chart coordinates."""
-
-    __slots__ = ("q", "v")
-
-    def __init__(self, q, v):
-        self.q = np.asarray(q, dtype=float)
-        self.v = np.asarray(v, dtype=float)
-
-    def __repr__(self):
-        return f"PhasePoint(q={self.q.tolist()}, v={self.v.tolist()})"
-
-
 class ModelSpace:
     """Common interface of the four model spaces."""
 
@@ -73,8 +60,8 @@ class ModelSpace:
     diameter = np.inf  # largest distance between two points
 
     def __init__(self, dim=2):
-        if dim not in (2, 3):
-            raise ValueError("base dimension must be 2 or 3")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (2, 3):
+            raise ValueError(f"base dimension must be the integer 2 or 3, not {dim!r}")
         self.dim = dim
         self.chart_dim = dim + self.ambient
 

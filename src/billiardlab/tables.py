@@ -30,7 +30,7 @@ from .errors import ConfigError, NotOnBoundary
 from .spaces import Euclidean, FlatTorus, HyperbolicBall, Sphere, _dot
 
 __all__ = [
-    "StratumLabel", "Stratum", "Tolerances", "Ball", "HalfSpaceOrCap",
+    "StratumLabel", "Tolerances", "Ball", "HalfSpaceOrCap",
     "RadialFourierCurve", "Table", "window_hit",
 ]
 
@@ -48,12 +48,6 @@ class StratumLabel(IntEnum):
     TRANSVERSAL_OUT = 1   # interior of the outward locus
     TANGENT_CONVEX = 2    # tangency on a wall convex from inside; C(x) = x
     TANGENT_CONCAVE = 3   # tangency on a dispersing piece; discontinuity locus
-
-
-@dataclass(frozen=True)
-class Stratum:
-    label: StratumLabel
-    cos_in: float
 
 
 @dataclass(frozen=True)
@@ -668,7 +662,7 @@ class Table:
         return (gp - 2.0 * g0 + gm) / (h * h)
 
     def classify(self, q, v, piece_idx=None, normal=None):
-        """Stratum labels and incidence cosines for boundary phase points.
+        """StratumLabel codes and incidence cosines for boundary phase points.
 
         `normal`, the inward normals of the pieces at q when already known,
         saves deriving them again; the cosine is one metric_dot either way.

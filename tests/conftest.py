@@ -49,3 +49,18 @@ def disk_F(disk):
     from billiardlab.lyapunov import build_well_balanced_F
 
     return build_well_balanced_F(disk, seed=5)
+
+
+@pytest.fixture(scope="session")
+def entry_at():
+    """Entry rows (q, v), shape (1, d): a point of the first piece at a boundary
+    angle, with incidence angle theta to the inward normal."""
+
+    def entry(table, boundary_angle, theta):
+        piece = table.pieces[0]
+        q = piece.point_at_param(table.space, np.array([boundary_angle]))
+        n = piece.inward_normal(table.space, q)
+        t = table.space.tangent_frame(q, n)[:, 0]
+        return q, np.cos(theta) * n + np.sin(theta) * t
+
+    return entry

@@ -11,7 +11,7 @@ import pytest
 
 from billiardlab.cli import main, version_string
 from billiardlab.config import load_table_config, table_from_dict
-from billiardlab.dynamics import Elastic, iterate_orbits
+from billiardlab.dynamics import Elastic, orbit_batches
 from billiardlab.errors import ConfigError
 from billiardlab.measure import sample_mu_theta
 from billiardlab.presets import PRESETS, preset_table
@@ -253,6 +253,24 @@ def test_cli_rejects_non_positive_counts(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# table configs with a bad value or a bad type; each is a validation error, not a traceback
+_DISK_PIECE = DISK_CONF["pieces"][0]
+_TORUS_CONF = {"space": "flat-torus", "pieces": [{"shape": "ball", "side": "obstacle",
+                                                 "center": [0.5, 0.5], "radius": 0.25}]}
+BAD_CONFIGS = {
+    "dimension-4": {**DISK_CONF, "dimension": 4},
+    "dimension-float": {**DISK_CONF, "dimension": 2.0},
+    "periods-negative": {**_TORUS_CONF, "periods": [1, -1]},
+    "periods-string": {**_TORUS_CONF, "periods": "ab"},
+    "radius-string": {**DISK_CONF, "pieces": [{**_DISK_PIECE, "radius": "1"}]},
+    "center-string": {**DISK_CONF, "pieces": [{**_DISK_PIECE, "center": "ab"}]},
+    "cos-coefficients-string": {**DISK_CONF, "pieces": [
+        {"shape": "radial-fourier", "base_radius": 1.0, "cos_coefficients": "x"}]},
+    "piece-not-an-object": {**DISK_CONF, "pieces": [3]},
+    "pieces-not-a-list": {**DISK_CONF, "pieces": _DISK_PIECE},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["reconstruct", "--preset", "disk", "--grid", "8", "--resolution", "0"],
     ["reconstruct", "--preset", "disk", "--grid", "8", "--resolution", "-1"],
@@ -278,17 +296,21 @@ def test_cli_rejects_non_positive_counts(argv, tmp_path, capsys):
      "--bounces", "10"],
     ["recurrence", "--preset", "disk", "--box-incidence", "0.4", "inf", "--starters", "4",
      "--bounces", "10"],
+    *(["mfp", "--config", f"{{{name}}}", "--samples", "100"] for name in BAD_CONFIGS),
 ], ids=["resolution-0", "resolution-negative", "lmax-0", "lmax-negative", "lmax-nan",
         "boundary-0", "boundary-inf", "dim-0", "lengths-missing", "lengths-bad-row",
         "box-piece-5", "box-piece-negative", "seed-negative-mfp", "seed-negative-simulate",
         "seed-negative-reconstruct", "rotation-not-a-number", "rotation-nan",
         "translation-three-components", "translation-one-component", "box-angle-nan",
-        "box-incidence-inf"])
+        "box-incidence-inf", *(f"config-{name}" for name in BAD_CONFIGS)])
 def test_cli_rejects_out_of_domain_values(argv, tmp_path, capsys):
     files = {"good": tmp_path / "good.csv", "bad_row": tmp_path / "bad_row.csv",
              "missing": tmp_path / "missing.csv"}
     files["good"].write_text("length\n1.0\n2.0\n")
     files["bad_row"].write_text("length\n1.0\nabc\n3.0\n")
+    for name, conf in BAD_CONFIGS.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(conf))
     argv = [a.format(**files) for a in argv]
     code, payload = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
     assert code == 1
@@ -395,8 +417,8 @@ GRAZING_TORUS_CONF = {
     ("ball3", None, 3, 60, 3),
     (None, 6.0, 6, 40, 0),
 ], ids=["torus-one-ball-trapped", "ball3", "torus-config-grazing"])
-def test_cli_simulate_dumps_the_iterate_orbits_records(preset, lmax, orbits, bounces, seed,
-                                                       tmp_path, capsys):
+def test_cli_simulate_dumps_the_orbit_batches(preset, lmax, orbits, bounces, seed,
+                                              tmp_path, capsys):
     table_args = ["--preset", preset]
     if preset is None:
         config = tmp_path / "table.json"
@@ -411,30 +433,29 @@ def test_cli_simulate_dumps_the_iterate_orbits_records(preset, lmax, orbits, bou
     if lmax:
         table = table.with_l_max(lmax)
     starts = sample_mu_theta(table, orbits, seed)
-    records = iterate_orbits(table, Elastic(), starts.q, starts.v, bounces)
+    kinds, chords = orbit_batches(table, Elastic(), starts.q, starts.v, bounces)
     summary = io.StringIO()
     writer = csv.writer(summary)
     writer.writerow(["orbit", "termination", "bounces", "total_length", "mean_length"])
-    for i, orbit in enumerate(records):
+    for i, (kind, ch) in enumerate(zip(kinds, chords)):
         lines = "".join(json.dumps({
-            "entry_q": ch.entry.q.tolist(), "entry_v": ch.entry.v.tolist(),
-            "exit_q": ch.exit.q.tolist(), "exit_v": ch.exit.v.tolist(),
-            "length": ch.length, "degenerate": ch.degenerate, "grazing": ch.grazing,
-        }) + "\n" for ch in orbit.chords)
+            "entry_q": ch.entry_q[j].tolist(), "entry_v": ch.entry_v[j].tolist(),
+            "exit_q": ch.exit_q[j].tolist(), "exit_v": ch.exit_v[j].tolist(),
+            "length": float(ch.length[j]), "degenerate": bool(ch.degenerate[j]),
+            "grazing": bool(ch.grazing[j]),
+        }) + "\n" for j in range(len(ch)))
         assert (out / f"orbit_{i:03d}.jsonl").read_bytes() == lines.encode()
-        lengths = [ch.length for ch in orbit.chords]
-        writer.writerow([i, orbit.termination.kind, orbit.termination.bounces, sum(lengths),
-                         np.mean(lengths) if lengths else 0.0])
+        lengths = [float(s) for s in ch.length]
+        writer.writerow([i, kind, len(ch), sum(lengths), np.mean(lengths) if lengths else 0.0])
     assert (out / "orbits_summary.csv").read_bytes() == summary.getvalue().encode()
-    kinds = [o.termination.kind for o in records]
     assert rep["results"]["terminations"] == {k: kinds.count(k) for k in kinds}
     if preset is None:  # every ending, and a grazing chord written as the last line
         assert set(kinds) == {"completed", "trapped", "grazing"}
-        assert all(o.chords[-1].grazing for o in records if o.termination.kind == "grazing")
+        assert all(ch.grazing[-1] for kind, ch in zip(kinds, chords) if kind == "grazing")
     elif lmax:  # the case exists to cover trapped orbits, some with empty dumps
-        assert "trapped" in kinds and any(not o.chords for o in records)
+        assert "trapped" in kinds and any(len(ch) == 0 for ch in chords)
     else:
-        assert records[0].chords[0].entry.q.shape == (3,)
+        assert chords[0].entry_q[0].shape == (3,)
 
 
 def test_cli_measure_check(tmp_path, capsys):

@@ -1,54 +1,40 @@
 import numpy as np
 import pytest
 
-from billiardlab.dynamics import (Elastic, Rescaled, billiard_map, causality_batch,
-                                  causality_map, iterate_orbit, reflect,
-                                  reflect_batch)
+from billiardlab.dynamics import (Elastic, Rescaled, billiard_batch, causality_batch,
+                                  orbit_batches, reflect_batch)
 from billiardlab.ergodic import trapping_probe
 from billiardlab.measure import sample_mu_theta
-from billiardlab.spaces import PhasePoint
-from billiardlab.tables import StratumLabel
-
-
-def entry_at(table, boundary_angle, theta):
-    """Disk-style entry: boundary angle, incidence angle theta to the normal."""
-    piece = table.pieces[0]
-    q = piece.point_at_param(table.space, np.array([boundary_angle]))[0]
-    n = piece.inward_normal(table.space, q[None])[0]
-    frame = table.space.tangent_frame(q[None], n[None])[0, 0]
-    v = np.cos(theta) * n + np.sin(theta) * frame
-    return PhasePoint(q, v)
 
 
 # -- causality map ------------------------------------------------------------
 
 
 def test_disk_diameter_chord(disk):
-    rec = causality_map(disk, PhasePoint([1.0, 0.0], [-1.0, 0.0]))
-    assert abs(rec.length - 2.0) < 1e-12
-    assert np.allclose(rec.exit.q, [-1.0, 0.0], atol=1e-12)
-    assert np.allclose(rec.exit.v, [-1.0, 0.0])
+    chord = causality_batch(disk, [1.0, 0.0], [-1.0, 0.0])
+    assert abs(chord.length[0] - 2.0) < 1e-12
+    assert np.allclose(chord.exit_q[0], [-1.0, 0.0], atol=1e-12)
+    assert np.allclose(chord.exit_v[0], [-1.0, 0.0])
 
 
-def test_disk_chord_at_pi_over_3(disk):
-    rec = causality_map(disk, entry_at(disk, 0.0, np.pi / 3))
-    assert abs(rec.length - 1.0) < 1e-12
+def test_disk_chord_at_pi_over_3(disk, entry_at):
+    chord = causality_batch(disk, *entry_at(disk, 0.0, np.pi / 3))
+    assert abs(chord.length[0] - 1.0) < 1e-12
 
 
 def test_hyperbolic_radial_chord(hyp_disk):
     qb = np.array([np.tanh(0.5), 0.0])
-    rec = causality_map(hyp_disk, PhasePoint(qb, hyp_disk.space.unit(qb[None], -qb[None])[0]))
-    assert abs(rec.length - 2.0) < 1e-11
-    assert np.allclose(rec.exit.q, [-np.tanh(0.5), 0.0], atol=1e-11)
+    chord = causality_batch(hyp_disk, qb, hyp_disk.space.unit(qb[None], -qb[None]))
+    assert abs(chord.length[0] - 2.0) < 1e-11
+    assert np.allclose(chord.exit_q[0], [-np.tanh(0.5), 0.0], atol=1e-11)
 
 
 def test_degenerate_tangent_chord_is_identity(disk):
-    z = PhasePoint([1.0, 0.0], [0.0, 1.0])
-    rec = causality_map(disk, z)
-    assert rec.degenerate
-    assert rec.length == 0.0
-    assert np.array_equal(rec.exit.q, rec.entry.q)
-    assert np.array_equal(rec.exit.v, rec.entry.v)
+    chord = causality_batch(disk, [1.0, 0.0], [0.0, 1.0])
+    assert chord.degenerate[0]
+    assert chord.length[0] == 0.0
+    assert np.array_equal(chord.exit_q, chord.entry_q)
+    assert np.array_equal(chord.exit_v, chord.entry_v)
 
 
 def test_time_reversal(disk, hyp_disk, one_ball):
@@ -78,17 +64,16 @@ def test_chord_replay(disk, hyp_disk, cap, one_ball):
 
 def test_elastic_component_flip(disk):
     # wall with inward normal (0, 1): velocity (0.6, -0.8) -> (0.6, 0.8)
-    z = PhasePoint([0.0, -1.0], [0.6, -0.8])
-    out = reflect(Elastic(), disk, z)
-    assert np.allclose(out.v, [0.6, 0.8], atol=1e-12)
+    out = reflect_batch(Elastic(), disk, [0.0, -1.0], [0.6, -0.8])
+    assert np.allclose(out[0], [0.6, 0.8], atol=1e-12)
 
 
 def test_tangent_vector_fixed(disk):
-    z = PhasePoint([1.0, 0.0], [0.0, 1.0])
-    out = reflect(Elastic(), disk, z)
-    assert np.allclose(out.v, [0.0, 1.0], atol=1e-12)
-    out = reflect(Rescaled(stretch=1.9, axis=(1.0, 0.7)), disk, z)
-    assert np.allclose(out.v, [0.0, 1.0], atol=1e-12)
+    q, v = [1.0, 0.0], [0.0, 1.0]
+    out = reflect_batch(Elastic(), disk, q, v)
+    assert np.allclose(out[0], [0.0, 1.0], atol=1e-12)
+    out = reflect_batch(Rescaled(stretch=1.9, axis=(1.0, 0.7)), disk, q, v)
+    assert np.allclose(out[0], [0.0, 1.0], atol=1e-12)
 
 
 def test_rescaled_with_identity_metric_matches_elastic(disk):
@@ -139,75 +124,68 @@ def test_rescaled_involution_on_curved_tables(hyp_disk, cap):
 # -- billiard map and orbits -----------------------------------------------------
 
 
-def test_disk_billiard_rotation_number(disk):
+def test_disk_billiard_rotation_number(disk, entry_at):
     # integrable disk: each bounce advances the boundary angle by pi - 2 theta
     # (clockwise here: the canonical tangent frame is the clockwise one)
     theta = 0.7
-    z = entry_at(disk, 0.3, theta)
-    z2, ell = billiard_map(disk, Elastic(), z)
-    assert abs(ell - 2 * np.cos(theta)) < 1e-12
-    ang2 = np.arctan2(z2.q[1], z2.q[0])
+    chord, nxt = billiard_batch(disk, Elastic(), *entry_at(disk, 0.3, theta))
+    assert abs(chord.length[0] - 2 * np.cos(theta)) < 1e-12
+    ang2 = np.arctan2(nxt.q[0, 1], nxt.q[0, 0])
     expected = np.mod(0.3 - (np.pi - 2 * theta), 2 * np.pi)
     assert abs(np.mod(ang2, 2 * np.pi) - expected) < 1e-9
 
 
 def test_disk_diameter_period_two(disk):
-    z = PhasePoint([1.0, 0.0], [-1.0, 0.0])
-    z1, ell1 = billiard_map(disk, Elastic(), z)
-    z2, ell2 = billiard_map(disk, Elastic(), z1)
-    assert abs(ell1 - 2.0) < 1e-12 and abs(ell2 - 2.0) < 1e-12
-    assert np.allclose(z2.q, z.q, atol=1e-9)
-    assert np.allclose(z2.v, z.v, atol=1e-9)
+    q, v = np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]])
+    chord1, z1 = billiard_batch(disk, Elastic(), q, v)
+    chord2, z2 = billiard_batch(disk, Elastic(), z1.q, z1.v, z1.piece, z1.normal)
+    assert abs(chord1.length[0] - 2.0) < 1e-12 and abs(chord2.length[0] - 2.0) < 1e-12
+    assert np.allclose(z2.q, q, atol=1e-9)
+    assert np.allclose(z2.v, v, atol=1e-9)
 
 
-def test_disk_octagon_orbit(disk):
-    orbit = iterate_orbit(disk, Elastic(), entry_at(disk, 0.0, np.pi / 4), 8)
-    assert orbit.termination.kind == "completed"
-    assert orbit.termination.bounces == 8
-    lengths = np.array([c.length for c in orbit.chords])
-    assert np.max(np.abs(lengths - np.sqrt(2.0))) < 1e-12
+def test_disk_octagon_orbit(disk, entry_at):
+    kinds, (chords,) = orbit_batches(disk, Elastic(), *entry_at(disk, 0.0, np.pi / 4), 8)
+    assert kinds == ["completed"]
+    assert len(chords) == 8
+    assert np.max(np.abs(chords.length - np.sqrt(2.0))) < 1e-12
 
 
-def test_disk_incidence_invariant_1000_bounces(disk):
+def test_disk_incidence_invariant_1000_bounces(disk, entry_at):
     theta = 1.0
-    orbit = iterate_orbit(disk, Elastic(), entry_at(disk, 0.0, theta), 1000)
-    assert orbit.termination.kind == "completed"
-    lengths = np.array([c.length for c in orbit.chords])
-    assert np.max(np.abs(lengths - 2 * np.cos(theta))) < 1e-9
-    cosines = np.array([c.entry_stratum.cos_in for c in orbit.chords])
-    assert np.max(np.abs(cosines - np.cos(theta))) < 1e-9
+    kinds, (chords,) = orbit_batches(disk, Elastic(), *entry_at(disk, 0.0, theta), 1000)
+    assert kinds == ["completed"]
+    assert np.max(np.abs(chords.length - 2 * np.cos(theta))) < 1e-9
+    assert np.max(np.abs(chords.entry_cos - np.cos(theta))) < 1e-9
 
 
 def test_degenerate_start_single_chord(disk):
-    orbit = iterate_orbit(disk, Elastic(), PhasePoint([1.0, 0.0], [0.0, 1.0]), 1)
-    assert orbit.termination.kind == "completed"
-    assert orbit.termination.bounces == 1
-    assert orbit.chords[0].degenerate
+    kinds, (chords,) = orbit_batches(disk, Elastic(), [1.0, 0.0], [0.0, 1.0], 1)
+    assert kinds == ["completed"]
+    assert len(chords) == 1
+    assert chords.degenerate[0]
 
 
 def test_sinai_one_bounce_closed_form(one_ball):
     # ray from the east point of the obstacle along +x hits the periodic
     # image at (1.5, 0.5): s = 1 - 2r analytically
-    z = PhasePoint([0.75, 0.5], [1.0, 0.0])
-    rec = causality_map(one_ball, z)
-    assert abs(rec.length - 0.5) < 1e-12
-    assert np.allclose(rec.exit.q, [0.25, 0.5], atol=1e-12)
-    z2, _ = billiard_map(one_ball, Elastic(), rec.entry)
-    assert np.allclose(z2.v, [-1.0, 0.0], atol=1e-12)
+    chord, nxt = billiard_batch(one_ball, Elastic(), [0.75, 0.5], [1.0, 0.0])
+    assert abs(chord.length[0] - 0.5) < 1e-12
+    assert np.allclose(chord.exit_q[0], [0.25, 0.5], atol=1e-12)
+    assert np.allclose(nxt.v[0], [-1.0, 0.0], atol=1e-12)
 
 
 def test_two_obstacle_orbit_invariants(two_balls):
     s = sample_mu_theta(two_balls, 1, seed=35)
-    orbit = iterate_orbit(two_balls, Elastic(), PhasePoint(s.q[0], s.v[0]), 2000)
-    assert orbit.termination.kind == "completed"
+    kinds, (chords,) = orbit_batches(two_balls, Elastic(), s.q, s.v, 2000)
+    assert kinds == ["completed"]
     space = two_balls.space
-    for a, b in zip(orbit.chords[:-1], orbit.chords[1:]):
-        # consecutive chords: entry = reflection of the previous exit
-        assert np.allclose(b.entry.q, a.exit.q, atol=1e-9)
-        ref = reflect(Elastic(), two_balls, a.exit)
-        assert np.allclose(b.entry.v, ref.v, atol=1e-9)
-        q2, _ = space.flow(b.entry.q[None], b.entry.v[None], np.array([b.length]))
-        assert space.chart_distance(q2[0], b.exit.q) < 1e-9
+    # consecutive chords: entry = reflection of the previous exit
+    assert np.allclose(chords.entry_q[1:], chords.exit_q[:-1], atol=1e-9)
+    ref = reflect_batch(Elastic(), two_balls, chords.exit_q[:-1], chords.exit_v[:-1])
+    assert np.allclose(chords.entry_v[1:], ref, atol=1e-9)
+    q2, _ = space.flow(chords.entry_q[1:], chords.entry_v[1:], chords.length[1:])
+    assert np.max(space.chart_distance(q2, chords.exit_q[1:])) < 1e-9
 
 
 # -- trapping probe ---------------------------------------------------------------

@@ -4,20 +4,11 @@ import pytest
 from billiardlab.dynamics import Elastic
 from billiardlab.ergodic import (ChordLength, DeltaF, hear_volume, inequality_report,
                                  mean_free_path, mean_free_path_prediction,
-                                 recurrence_test, space_average, time_average,
-                                 time_average_many, trapping_probe)
+                                 recurrence_test, space_average, time_average_many,
+                                 trapping_probe)
 from billiardlab.errors import EmptySequence, TooManyTrapped
 from billiardlab.measure import PhaseBox, sample_mu_theta
 from billiardlab.presets import torus_one_ball
-from billiardlab.spaces import PhasePoint
-
-
-def entry_at(table, boundary_angle, theta):
-    piece = table.pieces[0]
-    q = piece.point_at_param(table.space, np.array([boundary_angle]))[0]
-    n = piece.inward_normal(table.space, q[None])[0]
-    t = table.space.tangent_frame(q[None], n[None])[0, 0]
-    return PhasePoint(q, np.cos(theta) * n + np.sin(theta) * t)
 
 
 # -- space averages -------------------------------------------------------------
@@ -67,23 +58,27 @@ def test_too_many_trapped_raises(one_ball):
 
 
 def test_disk_diameter_time_average(disk):
-    rep = time_average(disk, Elastic(), ChordLength(), PhasePoint([1.0, 0.0], [-1.0, 0.0]), 64)
-    assert rep.termination == "completed"
-    assert all(abs(v - 2.0) < 1e-12 for v in rep.time_avg)
+    _, running, _, ends = time_average_many(disk, Elastic(), ChordLength(),
+                                            [1.0, 0.0], [-1.0, 0.0], 64)
+    assert ends.tolist() == ["completed"]
+    assert np.all(np.abs(running[0] - 2.0) < 1e-12)
 
 
-def test_disk_irrational_rotation_time_average(disk):
+def test_disk_irrational_rotation_time_average(disk, entry_at):
     # incidence 1 rad is invariant: every chord has length 2 cos(1)
-    rep = time_average(disk, Elastic(), ChordLength(), entry_at(disk, 0.0, 1.0), 4_000)
-    assert rep.termination == "completed"
-    assert abs(rep.final - 2 * np.cos(1.0)) < 1e-9
-    assert rep.checkpoints[-1] == 4_000
-    assert rep.checkpoints[0] == 1
+    checkpoints, running, _, ends = time_average_many(disk, Elastic(), ChordLength(),
+                                                      *entry_at(disk, 0.0, 1.0), 4_000)
+    assert ends.tolist() == ["completed"]
+    assert abs(running[0, -1] - 2 * np.cos(1.0)) < 1e-9
+    assert checkpoints[-1] == 4_000
+    assert checkpoints[0] == 1
 
 
-def test_time_average_checkpoints_powers_of_two(disk):
-    rep = time_average(disk, Elastic(), ChordLength(), entry_at(disk, 0.2, 0.5), 100)
-    assert rep.checkpoints == (1, 2, 4, 8, 16, 32, 64, 100)
+def test_time_average_checkpoints_powers_of_two(disk, entry_at):
+    checkpoints, running, _, _ = time_average_many(disk, Elastic(), ChordLength(),
+                                                   *entry_at(disk, 0.2, 0.5), 100)
+    assert checkpoints == [1, 2, 4, 8, 16, 32, 64, 100]
+    assert running.shape == (1, 8)
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +130,10 @@ def test_hear_volume_empty_raises():
 
 
 def test_recurrence_zero_bounces(disk):
+    # no orbit to follow: rejected, not reported as a return fraction of 0
     box = PhaseBox(piece=0, boundary=(0.0, 0.1), incidence=(0.4, 0.6))
-    res = recurrence_test(disk, Elastic(), box, 32, 0, seed=10)
-    assert res.returned_fraction == 0.0
-    assert res.mean_return_count == 0.0
+    with pytest.raises(ValueError, match="bounces must be at least 1"):
+        recurrence_test(disk, Elastic(), box, 32, 0, seed=10)
 
 
 def test_recurrence_monotone_in_bounces(disk):

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from billiardlab.dynamics import causality_batch, causality_map
+from billiardlab.dynamics import causality_batch
 from billiardlab.errors import BodyTooSmall
-from billiardlab.lyapunov import (EnclosingBody, build_well_balanced_F, delta_F,
-                                  delta_F_batch, slice_area_curve,
+from billiardlab.lyapunov import (EnclosingBody, build_well_balanced_F, delta_F_batch,
+                                  slice_area_curve,
                                   var_F_boundary, default_enclosing_body)
 from billiardlab.measure import sample_mu_theta, trajectory_space_volume
 from billiardlab.presets import disk as make_disk
-from billiardlab.spaces import PhasePoint
 from billiardlab.tables import Ball, Table
 
 
@@ -24,8 +23,7 @@ def test_default_bodies(disk, hyp_disk, cap):
 def test_f_value_ray_circle_oracle(disk_F):
     # backward ray from (1,0) along direction (1,0) meets |q| = 2 at (2,0):
     # the travelled arclength to the evaluation point is 1
-    z = PhasePoint([1.0, 0.0], [-1.0, 0.0])
-    assert abs(disk_F.value(z) - 1.0) < 1e-12
+    assert abs(disk_F.value_batch([1.0, 0.0], [-1.0, 0.0])[0] - 1.0) < 1e-12
     # generic entry: backward distance from the chord's enclosing-circle
     # crossing, impact parameter sin(theta)
     theta = 0.6
@@ -33,7 +31,7 @@ def test_f_value_ray_circle_oracle(disk_F):
     t = np.array([0.0, 1.0])
     v = np.cos(theta) * n + np.sin(theta) * t
     expected = np.sqrt(4.0 - np.sin(theta) ** 2) - np.cos(theta)
-    assert abs(disk_F.value(PhasePoint([1.0, 0.0], v)) - expected) < 1e-12
+    assert abs(disk_F.value_batch([1.0, 0.0], v)[0] - expected) < 1e-12
 
 
 def test_f_additivity_along_flow(disk, disk_F):
@@ -41,12 +39,12 @@ def test_f_additivity_along_flow(disk, disk_F):
     s = sample_mu_theta(disk, 64, seed=2)
     batch = causality_batch(disk, s.q, s.v)
     for i in range(16):
-        z = PhasePoint(s.q[i], s.v[i])
-        f0 = disk_F.value(z)
+        q, v = s.q[i:i + 1], s.v[i:i + 1]
+        f0 = disk_F.value_batch(q, v)[0]
         for frac in rng.uniform(0.05, 0.95, 4):
             step = frac * batch.length[i]
-            q2, v2 = disk.space.flow(z.q[None], z.v[None], np.array([step]))
-            assert abs(disk_F.value(PhasePoint(q2[0], v2[0])) - f0 - step) < 1e-9
+            q2, v2 = disk.space.flow(q, v, np.array([step]))
+            assert abs(disk_F.value_batch(q2, v2)[0] - f0 - step) < 1e-9
 
 
 def test_f_wellbalanced_random_pairs(disk, disk_F):
@@ -67,7 +65,7 @@ def test_hyperbolic_f_against_chart_integration(hyp_disk):
     qb = np.array([np.tanh(0.5), 0.0])
     v = hyp_disk.space.unit(qb[None], -qb[None])[0]
     # radial entry: backward crossing of the radius-2 ball at chart tanh(1)
-    value = f.value(PhasePoint(qb, v))
+    value = f.value_batch(qb, v)[0]
     assert abs(value - 1.0) < 1e-10
     # oracle: integrate the conformal line element along the chart segment
     r = np.linspace(np.tanh(0.5), np.tanh(1.0), 200_001)
@@ -76,8 +74,11 @@ def test_hyperbolic_f_against_chart_integration(hyp_disk):
 
 
 def test_delta_f_examples(disk, disk_F):
-    assert abs(delta_F(disk, disk_F, PhasePoint([1.0, 0.0], [-1.0, 0.0])) - 2.0) < 1e-12
-    assert delta_F(disk, disk_F, PhasePoint([1.0, 0.0], [0.0, 1.0])) == 0.0
+    # a diameter, and a tangent start (a degenerate chord)
+    chords = causality_batch(disk, [[1.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 1.0]])
+    df = delta_F_batch(disk_F, chords)
+    assert abs(df[0] - 2.0) < 1e-12
+    assert df[1] == 0.0
     rng = np.random.default_rng(5)
     s = sample_mu_theta(disk, 512, seed=7)
     batch = causality_batch(disk, s.q, s.v)
@@ -97,9 +98,9 @@ def test_tight_body_still_valid(disk):
     # any strictly containing ball crosses every extended chord
     # transversally, so a tight body is legitimate
     f = build_well_balanced_F(disk, EnclosingBody(center=(0.0, 0.0), radius=1.05))
-    rec = causality_map(disk, PhasePoint([1.0, 0.0], [-1.0, 0.0]))
-    df = f.value(rec.exit) - f.value(rec.entry)
-    assert abs(df - 2.0) < 1e-10
+    chord = causality_batch(disk, [1.0, 0.0], [-1.0, 0.0])
+    df = f.value_batch(chord.exit_q, chord.exit_v) - f.value_batch(chord.entry_q, chord.entry_v)
+    assert abs(df[0] - 2.0) < 1e-10
 
 
 def test_var_f_disk_grid_oracle(disk, disk_F):

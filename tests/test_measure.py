@@ -4,11 +4,9 @@ import pytest
 from billiardlab.dynamics import Elastic, Rescaled, lockstep_orbits
 from billiardlab.errors import DegenerateSet, NotOnBoundary
 from billiardlab.measure import (Estimate, PhaseBox, domain_volumes,
-                                 measure_preservation_test, mu_theta_density,
-                                 random_phase_boxes, boundary_rng, sample_mu_theta,
-                                 trajectory_space_volume, unit_ball_volume,
-                                 unit_sphere_volume)
-from billiardlab.spaces import PhasePoint
+                                 measure_preservation_test, random_phase_boxes,
+                                 boundary_rng, sample_mu_theta, trajectory_space_volume,
+                                 unit_ball_volume, unit_sphere_volume)
 
 
 def ks_statistic(samples, cdf):
@@ -24,15 +22,16 @@ def ks_statistic(samples, cdf):
 
 
 def test_density_trivials(disk):
-    assert abs(mu_theta_density(disk, PhasePoint([1.0, 0.0], [-1.0, 0.0])) - 1.0) < 1e-12
-    assert abs(mu_theta_density(disk, PhasePoint([1.0, 0.0], [0.0, 1.0]))) < 1e-12
-    v = np.array([-0.5, np.sqrt(3) / 2])
-    assert abs(mu_theta_density(disk, PhasePoint([1.0, 0.0], v)) - 0.5) < 1e-12
+    # the density of mu_Theta is the incidence cosine that classify returns
+    q = np.array([[1.0, 0.0]] * 3)
+    v = np.array([[-1.0, 0.0], [0.0, 1.0], [-0.5, np.sqrt(3) / 2]])
+    cos_in = disk.classify(q, v)[1]
+    assert np.all(np.abs(cos_in - [1.0, 0.0, 0.5]) < 1e-12)
 
 
 def test_density_off_boundary_raises(disk):
     with pytest.raises(NotOnBoundary):
-        mu_theta_density(disk, PhasePoint([0.5, 0.0], [1.0, 0.0]))
+        disk.classify(np.array([[0.5, 0.0]]), np.array([[1.0, 0.0]]))
 
 
 def test_density_sign_matches_strata(disk, one_ball):

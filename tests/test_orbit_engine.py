@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from billiardlab.dynamics import (Elastic, Rescaled, causality_batch, iterate_orbit,
-                                  iterate_orbits, lockstep_orbits, reflect_batch)
+from billiardlab.dynamics import (Elastic, Rescaled, causality_batch, lockstep_orbits,
+                                  orbit_batches, reflect_batch)
+from billiardlab.ergodic import ChordLength, time_average_many
 from billiardlab.errors import DegenerateStart, NotOnBoundary
 from billiardlab.measure import PhaseBox, sample_mu_theta
 from billiardlab.presets import PRESETS, preset_table
-from billiardlab.spaces import PhasePoint
 from billiardlab.tables import StratumLabel
 
 _OUT = int(StratumLabel.TRANSVERSAL_OUT)
@@ -97,10 +97,10 @@ def reference_lockstep(tab, law, q, v, bounces):
     return steps
 
 
-def reference_iterate_orbit(tab, law, z0, k_max):
+def reference_iterate_orbit(tab, law, q0, v0, k_max):
     """(chord fields, termination kind) of the one-point-at-a-time loop."""
     chords = []
-    q, v = z0.q[None, :], z0.v[None, :]
+    q, v = q0[None, :], v0[None, :]
     for _ in range(k_max):
         rec = reference_causality_batch(tab, q, v)
         if rec["trapped"][0]:
@@ -148,21 +148,15 @@ def check_engine(name, rescaled, count, seed, bounces):
             carried = state.take(go)
             assert_same(carried.piece, tab.active_piece(carried.q))
             assert_same(carried.normal, tab.inward_normal_at(carried.q, carried.piece))
-    # one orbit: iterate_orbit against the scalar loop
-    z0 = PhasePoint(q[-1], v[-1])
-    orbit = iterate_orbit(tab, law, z0, bounces)
-    ref_chords, kind = reference_iterate_orbit(tab, law, z0, bounces)
-    assert orbit.termination.kind == kind
-    assert orbit.termination.bounces == len(ref_chords) == len(orbit.chords)
-    for ch, ref in zip(orbit.chords, ref_chords):
-        for got_val, key in ((ch.entry.q, "entry_q"), (ch.entry.v, "entry_v"),
-                             (ch.exit.q, "exit_q"), (ch.exit.v, "exit_v"),
-                             (ch.length, "length"), (ch.entry_stratum.cos_in, "entry_cos"),
-                             (ch.exit_stratum.cos_in, "exit_cos")):
-            assert_same(np.asarray(got_val), ref[key][0])
-        assert int(ch.entry_stratum.label) == int(ref["entry_label"][0])
-        assert int(ch.exit_stratum.label) == int(ref["exit_label"][0])
-        assert ch.degenerate == bool(ref["degenerate"][0])
+    # one orbit: orbit_batches on a single (d,) start against the one-point loop
+    kinds, (chords,) = orbit_batches(tab, law, q[-1], v[-1], bounces)
+    ref_chords, kind = reference_iterate_orbit(tab, law, q[-1], v[-1], bounces)
+    assert kinds == [kind]
+    assert len(chords) == len(ref_chords)
+    for j, ref in enumerate(ref_chords):
+        for key in FIELDS:
+            assert_same(getattr(chords, key)[j], ref[key][0])
+        assert_same(chords.grazing[j], ref["grazing"][0])
 
 
 @settings(max_examples=30)
@@ -178,16 +172,15 @@ def test_engine_every_preset(name, rescaled):
     check_engine(name, rescaled, 4, 7, 60)
 
 
-def test_iterate_orbits_equals_one_orbit_at_a_time(two_balls):
+def test_orbit_batches_equals_one_orbit_at_a_time(two_balls):
     s = sample_mu_theta(two_balls, 4, seed=9)
-    together = iterate_orbits(two_balls, Elastic(), s.q, s.v, 50)
-    for i, orbit in enumerate(together):
-        alone = iterate_orbit(two_balls, Elastic(), PhasePoint(s.q[i], s.v[i]), 50)
-        assert orbit.termination == alone.termination
-        for a, b in zip(orbit.chords, alone.chords):
-            assert_same(a.exit.q, b.exit.q)
-            assert_same(a.exit.v, b.exit.v)
-            assert_same(np.asarray(a.length), np.asarray(b.length))
+    kinds, together = orbit_batches(two_balls, Elastic(), s.q, s.v, 50)
+    for i, chords in enumerate(together):
+        kind, (alone,) = orbit_batches(two_balls, Elastic(), s.q[i], s.v[i], 50)
+        assert kind == [kinds[i]]
+        assert len(chords) == len(alone)
+        for key in FIELDS:
+            assert_same(getattr(chords, key), getattr(alone, key))
 
 
 def test_engine_drops_trapped_orbits(one_ball):
@@ -202,10 +195,21 @@ def test_engine_drops_trapped_orbits(one_ball):
     ref = reference_causality_batch(work, q, v)
     for key in FIELDS:   # the trapped row exits where it entered, with length 0
         assert_same(getattr(steps[0][2], key), ref[key])
-    orbits = iterate_orbits(work, Elastic(), q, v, 4)
-    assert [(o.termination.kind, o.termination.bounces) for o in orbits] == [
-        ("completed", 4), ("trapped", 0)]
-    assert all(abs(c.length - 0.5) < 1e-12 for c in orbits[0].chords)
+    kinds, orbits = orbit_batches(work, Elastic(), q, v, 4)
+    assert [(k, len(o)) for k, o in zip(kinds, orbits)] == [("completed", 4), ("trapped", 0)]
+    assert np.all(np.abs(orbits[0].length - 0.5) < 1e-12)
+
+
+@pytest.mark.parametrize("bounces", [0, -3])
+def test_every_orbit_loop_rejects_bounce_counts_below_one(disk, bounces):
+    # recurrence_test: see test_recurrence_zero_bounces
+    q, v = np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]])
+    loops = [lambda: next(lockstep_orbits(disk, Elastic(), q, v, bounces)),
+             lambda: orbit_batches(disk, Elastic(), q, v, bounces),
+             lambda: time_average_many(disk, Elastic(), ChordLength(), q, v, bounces)]
+    for loop in loops:
+        with pytest.raises(ValueError, match="bounces must be at least 1"):
+            loop()
 
 
 def test_carried_point_off_its_piece_raises(disk):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from billiardlab.dynamics import Elastic, causality_map, reflect_batch
-from billiardlab.errors import ConfigError, DegenerateStart, NotOnBoundary, Trapped
+from billiardlab.dynamics import Elastic, causality_batch, reflect_batch
+from billiardlab.errors import ConfigError, DegenerateStart, NotOnBoundary
 from billiardlab.measure import sample_mu_theta
-from billiardlab.spaces import Euclidean, FlatTorus, PhasePoint
+from billiardlab.spaces import Euclidean, FlatTorus
 from billiardlab.tables import Ball, HalfSpaceOrCap, RadialFourierCurve, StratumLabel, Table
 
 
@@ -89,7 +89,7 @@ def test_torus_piece_values_match_each_ball_bit_for_bit(two_balls, three):
 
 def test_degenerate_start_raises(disk):
     with pytest.raises(DegenerateStart):
-        causality_map(disk, PhasePoint([1.0, 0.0], [1.0, 0.0]))
+        causality_batch(disk, [1.0, 0.0], [1.0, 0.0])
 
 
 def brute_force_first_crossing(table, q, v, s_max, samples=400_000):
@@ -213,8 +213,9 @@ def test_hit_minimality_gauge_sign(disk, one_ball, hyp_disk):
 
 def test_trapped_when_cap_too_small(one_ball):
     short = one_ball.with_l_max(0.05)
-    with pytest.raises(Trapped):
-        causality_map(short, PhasePoint([0.75, 0.5], [1.0, 0.0]))
+    chord = causality_batch(short, [0.75, 0.5], [1.0, 0.0])
+    assert chord.trapped.tolist() == [True]
+    assert not chord.grazing[0] and not chord.ok[0]
 
 
 # -- Fourier walls ----------------------------------------------------------
