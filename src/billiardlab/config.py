@@ -17,7 +17,7 @@ Schema (all keys lowercase):
       "tolerances": {"hit_tol": 1e-10, "grazing_tol": 1e-7, "l_max": null}
     }
 
-Unknown keys raise ConfigError so typos fail loudly.
+Unknown keys and mistyped numbers raise ConfigError, naming the key.
 """
 
 from __future__ import annotations
@@ -34,14 +34,24 @@ _TOP_KEYS = {"name", "space", "dimension", "periods", "pieces", "tolerances"}
 _PIECE_KEYS = {"shape", "side", "center", "radius", "pole", "angle", "base_radius",
                "cos_coefficients", "sin_coefficients"}
 _TOL_KEYS = {"hit_tol", "grazing_tol", "l_max"}
+_NUMBER_KEYS = {"radius", "angle", "base_radius"}  # `Tolerances` checks its own
+_VECTOR_KEYS = {"periods", "center", "pole", "cos_coefficients", "sin_coefficients"}
+_NOT_NUMBER = (str, bool, list, dict, type(None))  # the JSON values that are not numbers
 
 
-def _reject_unknown(mapping, allowed, where):
+def _check_keys(mapping, allowed, where):
+    """Reject unknown keys, and numeric values of the wrong JSON type by their key."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    for key, value in mapping.items():
+        if key in _NUMBER_KEYS and isinstance(value, _NOT_NUMBER):
+            raise ConfigError(f"{where} key {key!r} must be a number, got {value!r}")
+        if key in _VECTOR_KEYS and (isinstance(value, (str, dict, int, float)) or value is None
+                                    or any(isinstance(v, _NOT_NUMBER) for v in value)):
+            raise ConfigError(f"{where} key {key!r} must be a list of numbers, got {value!r}")
 
 
 def _build_space(conf):
@@ -61,7 +71,7 @@ def _build_space(conf):
 
 
 def _build_piece(conf, space):
-    _reject_unknown(conf, _PIECE_KEYS, "piece")
+    _check_keys(conf, _PIECE_KEYS, "piece")
     shape = conf.get("shape")
     side = conf.get("side", "outer")
     if shape == "ball":
@@ -80,11 +90,11 @@ def _build_piece(conf, space):
 
 
 def table_from_dict(conf):
-    _reject_unknown(conf, _TOP_KEYS, "table config")
+    _check_keys(conf, _TOP_KEYS, "table config")
     if not isinstance(conf.get("pieces"), list) or not conf["pieces"]:
         raise ConfigError("table config needs a nonempty 'pieces' list of objects")
     tol_conf = conf.get("tolerances", {})
-    _reject_unknown(tol_conf, _TOL_KEYS, "tolerances")
+    _check_keys(tol_conf, _TOL_KEYS, "tolerances")
     # the space, piece and table constructors raise plain errors on bad values
     try:
         space = _build_space(conf)

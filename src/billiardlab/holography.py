@@ -24,7 +24,7 @@ __all__ = [
     "torus_translation_map", "identity_map", "domain_reference_sample",
 ]
 
-# rows per formatted string in the writers, and chords per block of the cloud:
+# rows per formatted block in the writers, and chords per block of the cloud:
 # large enough to amortize the Python calls, small enough to bound temporaries
 _WRITE_ROWS = 8192
 _CLOUD_CHORDS = 256
@@ -36,6 +36,64 @@ def _write_blocks(fh, values, row_fmt):
     for lo in range(0, values.shape[0], _WRITE_ROWS):
         block = values[lo:lo + _WRITE_ROWS]
         fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+_POW10 = []  # 10^k as double-double rows (hi, lo), k = -240..279, built on first use
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)  # "00".."99"
+
+
+def _scaled(ax, e):
+    """round(ax * 10^(18 - e)) as uint64, and whether that product's fraction lies
+    within 1e-6 of 1/2 (a tie or too near one to certify; error is about 1e-12)."""
+    if not _POW10:
+        from fractions import Fraction
+        exact = [Fraction(10) ** k for k in range(-240, 280)]
+        hi = [float(f) for f in exact]
+        _POW10.append(np.array([hi, [float(f - Fraction(h)) for f, h in zip(exact, hi)]]))
+    hi, lo = _POW10[0][:, 258 - e]
+    p = ax * hi
+    s, t = ax * 134217729.0, hi * 134217729.0  # Veltkamp's split at 2^27 + 1
+    a1, b1 = s - (s - ax), t - (t - hi)
+    a2, b2 = ax - a1, hi - b1
+    c = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + ax * lo  # Dekker: ax * hi - p exactly
+    frac = c - np.floor(c)
+    n = np.minimum(p, 1.8e19).astype(np.uint64) + (c - frac).astype(np.int64).view(np.uint64)
+    return n + (frac > 0.5), np.abs(frac - 0.5) < 1e-6
+
+
+def _format_e18(block):
+    """A nonempty 2-D float block as `'%.18e'` rows, as bytes: the 19 digits are
+    round(|x| 10^(18 - e)) for e = floor(log10|x|), and Python's `%` formats only what
+    that cannot certify (non-finite values, |x| outside (1e-250, 1e250), near-ties)."""
+    x = np.asarray(block, dtype=float).ravel()
+    ax = np.abs(x)
+    fast = (ax > 1e-250) & (ax < 1e250)
+    ax = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    n, tie = _scaled(ax, e)
+    # retry at e -/+ 1 where log10 missed e or n hit 10^18 or 10^19 (a 10^19 retry falls to `%`)
+    off = (n >= 10**19).astype(np.int64) - (n <= 10**18)
+    redo = np.flatnonzero(off)
+    e[redo] += off[redo]
+    n[redo], tie[redo] = _scaled(ax[redo], e[redo])
+    # 28 bytes, 0 if unused: separator, sign, d0, '.', 18 digits, 'e', sign, 0, 3 digits
+    field = np.zeros((*block.shape, 28), np.uint8)
+    field[:, 1:, 0], field[1:, 0, 0] = ord(","), ord("\n")
+    field = field.reshape(-1, 28)
+    slots = field.view(np.uint16)
+    field[:, 1] = np.where(x < 0, ord("-"), 0)
+    for slot in range(10, 1, -1):
+        n, pair = np.divmod(n, 100)
+        slots[:, slot] = _PAIRS[pair]
+    field[:, 2] = n + ord("0")
+    field[:, 3], field[:, 22] = ord("."), ord("e")
+    field[:, 23] = np.where(e < 0, ord("-"), ord("+"))
+    hundreds, tens = np.divmod(np.abs(e), 100)
+    field[:, 25], slots[:, 13] = np.where(hundreds, hundreds + ord("0"), 0), _PAIRS[tens]
+    slow = np.flatnonzero(~fast | tie | (n < 1) | (n > 9))  # n is now the leading digit
+    text = b"".join((b"%.18e" % v).ljust(27, b"\0") for v in x[slow].tolist())
+    field[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, 27)
+    return field[field != 0].tobytes() + b"\n"
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +311,13 @@ class Reconstruction:
     resolution: float
 
     def to_csv(self, path):
-        """The cloud as `np.savetxt(path, points, delimiter=",", header=...)` writes it."""
+        """The cloud as `np.savetxt(path, points, delimiter=",", header=...)` writes it,
+        byte for byte, formatted in numpy by `_format_e18`."""
         ncol = self.points.shape[1]
-        with open(path, "w") as fh:
-            fh.write("# " + ",".join(f"x{i}" for i in range(ncol)) + "\n")
-            _write_blocks(fh, self.points, ",".join(["%.18e"] * ncol) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(("# " + ",".join(f"x{i}" for i in range(ncol)) + "\n").encode())
+            for lo in range(0, self.points.shape[0], _WRITE_ROWS):
+                fh.write(_format_e18(self.points[lo:lo + _WRITE_ROWS]))
 
 
 def _nearest_distances(space, reference, cloud):

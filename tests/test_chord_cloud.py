@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
 from billiardlab.errors import AmbiguousGeodesic
@@ -158,6 +159,37 @@ def test_cloud_csv_matches_savetxt(shape, tmp_path):
     np.savetxt(tmp_path / "old.csv", points, delimiter=",",
                header=",".join(f"x{i}" for i in range(shape[1])))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _assert_csv_is_savetxt(points, folder):
+    Reconstruction(points, None, np.empty(0), 0, 0.01).to_csv(folder / "new.csv")
+    np.savetxt(folder / "old.csv", points, delimiter=",",
+               header=",".join(f"x{i}" for i in range(points.shape[1])))
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+
+@settings(max_examples=300)
+@given(points=hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 3)),
+                         elements=st.floats(width=64)))
+def test_cloud_csv_matches_savetxt_on_any_floats(points, tmp_path_factory):
+    """nan, +-inf, +-0.0 and subnormals included."""
+    _assert_csv_is_savetxt(points, tmp_path_factory.mktemp("csv"))
+
+
+def _pow10_and_neighbours(exponents):
+    p = np.array([float(f"1e{k}") for k in exponents])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+@pytest.mark.parametrize("points", [
+    # every odd m / 2^20: the 19-digit decimal of each is an exact tie, rounded half to even
+    np.arange(1, 2**20, 2).reshape(-1, 2) / 2.0**20,
+    _pow10_and_neighbours(range(-300, 301)).reshape(-1, 3),
+    -_pow10_and_neighbours([-250, 250]).reshape(-1, 1),
+    *(_special_values((rows, 2), rows) for rows in (8191, 8192, 8193)),
+], ids=["ties", "powers-of-ten", "fast-path-bounds", "rows-8191", "rows-8192", "rows-8193"])
+def test_cloud_csv_matches_savetxt_on_hard_cases(points, tmp_path):
+    _assert_csv_is_savetxt(points, tmp_path)
 
 
 def _old_jsonl_lines(data):

@@ -140,16 +140,32 @@ def test_cli_mfp_report(tmp_path, capsys):
     assert (tmp_path / "mfp.json").exists()
 
 
-def test_python_m_runs_the_cli_from_a_checkout(tmp_path):
+def _checkout_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_python_m_runs_the_cli_from_a_checkout(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "billiardlab", "mfp", "--preset", "disk",
                            "--samples", "2000", "--seed", "3", "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+                          capture_output=True, text=True, env=_checkout_env(), cwd=tmp_path,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     rep = json.loads((tmp_path / "mfp.json").read_text())
     assert rep["command"] == "mfp" and rep["results"]["count"] == 2000
+
+
+def test_importing_the_cli_leaves_the_heavy_modules_unloaded():
+    """scipy.spatial (the KD-tree) and fractions (the CSV writer's powers of ten) load
+    on first use, so every subcommand starts without them."""
+    code = ("import sys, billiardlab.cli; "
+            "print([m for m in ('scipy.spatial', 'fractions', 'decimal') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_checkout_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _strip_volatile(report):
@@ -268,7 +284,13 @@ BAD_CONFIGS = {
         {"shape": "radial-fourier", "base_radius": 1.0, "cos_coefficients": "x"}]},
     "piece-not-an-object": {**DISK_CONF, "pieces": [3]},
     "pieces-not-a-list": {**DISK_CONF, "pieces": _DISK_PIECE},
+    "radius-bool": {**DISK_CONF, "pieces": [{**_DISK_PIECE, "radius": True}]},
+    "l-max-list": {**DISK_CONF, "tolerances": {"l_max": [1.0]}},
 }
+# the key each type error must name
+BAD_CONFIG_KEYS = {"periods-string": "periods", "radius-string": "radius",
+                   "center-string": "center", "cos-coefficients-string": "cos_coefficients",
+                   "radius-bool": "radius", "l-max-list": "l_max"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -311,10 +333,12 @@ def test_cli_rejects_out_of_domain_values(argv, tmp_path, capsys):
     for name, conf in BAD_CONFIGS.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(conf))
+    keys = [BAD_CONFIG_KEYS[a[1:-1]] for a in argv if a[1:-1] in BAD_CONFIG_KEYS]
     argv = [a.format(**files) for a in argv]
     code, payload = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
     assert code == 1
     assert payload["error"]["type"] == "validation"
+    assert all(key in payload["error"]["message"] for key in keys)
     assert not (tmp_path / "out").exists()
 
 
