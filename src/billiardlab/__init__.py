@@ -17,8 +17,8 @@ from .errors import (AmbiguousGeodesic, BilliardError, BodyTooSmall, ConfigError
                      TooManyTrapped)
 from .holography import (ScatteringDataset, conjugacy_residual,
                          generate_scattering_dataset, reconstruct_chords)
-from .lyapunov import (EnclosingBody, LyapunovF, build_well_balanced_F, delta_F_batch,
-                       slice_identity, var_F_boundary)
+from .lyapunov import (LyapunovF, build_well_balanced_F, delta_F_batch, slice_identity,
+                       var_F_boundary)
 from .measure import (Estimate, PhaseBox, WeightedSampleSet, domain_volumes,
                       measure_preservation_test, sample_mu_theta, trajectory_space_volume)
 from .presets import PRESETS, preset_table

@@ -95,8 +95,8 @@ _LENGTHS = ("lmax", "resolution", "boundary")
 def _check_flags(args):
     for name in _COUNTS:
         value = getattr(args, name, None)
-        if value is not None and int(value) < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1")
+        if value is not None and not 1 <= value < np.inf:
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite and at least 1")
     for name in _LENGTHS:
         value = getattr(args, name, None)
         if value is not None and not 0.0 < value < np.inf:

@@ -17,7 +17,8 @@ Schema (all keys lowercase):
       "tolerances": {"hit_tol": 1e-10, "grazing_tol": 1e-7, "l_max": null}
     }
 
-Unknown keys and mistyped numbers raise ConfigError, naming the key.
+Unknown keys, mistyped numbers and NaN or infinite numbers raise
+ConfigError, naming the key.
 """
 
 from __future__ import annotations
@@ -39,19 +40,25 @@ _VECTOR_KEYS = {"periods", "center", "pole", "cos_coefficients", "sin_coefficien
 _NOT_NUMBER = (str, bool, list, dict, type(None))  # the JSON values that are not numbers
 
 
+def _bad_number(value):
+    """True for JSON values that are not numbers, and for NaN and +-Infinity."""
+    return isinstance(value, _NOT_NUMBER) or not abs(value) < float("inf")
+
+
 def _check_keys(mapping, allowed, where):
-    """Reject unknown keys, and numeric values of the wrong JSON type by their key."""
+    """Reject unknown keys, and non-numbers and non-finite numbers by their key."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     for key, value in mapping.items():
-        if key in _NUMBER_KEYS and isinstance(value, _NOT_NUMBER):
-            raise ConfigError(f"{where} key {key!r} must be a number, got {value!r}")
+        if key in _NUMBER_KEYS and _bad_number(value):
+            raise ConfigError(f"{where} key {key!r} must be a finite number, got {value!r}")
         if key in _VECTOR_KEYS and (isinstance(value, (str, dict, int, float)) or value is None
-                                    or any(isinstance(v, _NOT_NUMBER) for v in value)):
-            raise ConfigError(f"{where} key {key!r} must be a list of numbers, got {value!r}")
+                                    or any(_bad_number(v) for v in value)):
+            raise ConfigError(f"{where} key {key!r} must be a list of finite numbers, "
+                              f"got {value!r}")
 
 
 def _build_space(conf):
@@ -105,7 +112,7 @@ def table_from_dict(conf):
         return Table(space, pieces, tol, name=conf.get("name", "config-table"))
     except KeyError as exc:
         raise ConfigError(f"piece is missing key {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

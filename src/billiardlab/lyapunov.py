@@ -22,29 +22,22 @@ from .spaces import FlatTorus, Sphere
 from .tables import Ball
 
 __all__ = [
-    "EnclosingBody", "LyapunovF", "build_well_balanced_F", "delta_F_batch",
-    "var_F_boundary", "slice_area_curve", "slice_identity", "default_enclosing_body",
+    "LyapunovF", "build_well_balanced_F", "delta_F_batch", "var_F_boundary",
+    "slice_area_curve", "slice_identity", "default_enclosing_body",
 ]
 
 
-@dataclass(frozen=True)
-class EnclosingBody:
-    """Geodesic ball L (center, radius) with the table in its interior."""
-
-    center: tuple
-    radius: float
-
-
 class LyapunovF:
-    """F(q, v): first root of L's wall, radius r, along (q, -v) in (hit_tol, 16 max(r, 1) + 16]."""
+    """F(q, v): first root of the wall of L, an outer `Ball` of radius r with
+    the table in its interior, along (q, -v) in (hit_tol, 16 max(r, 1) + 16]."""
 
-    def __init__(self, table, body):
+    def __init__(self, table, wall):
         if isinstance(table.space, FlatTorus):
             raise BodyTooSmall("torus tables admit no enclosing convex ball")
-        self.body = body
+        wall.check(table.space)
         self.table = table
-        self.wall = Ball(np.asarray(body.center, dtype=float), body.radius, side="outer")
-        self.l_max = 16.0 * max(body.radius, 1.0) + 16.0
+        self.wall = wall
+        self.l_max = 16.0 * max(wall.radius, 1.0) + 16.0
 
     def value_batch(self, q, v):
         """F at phase points: backward arclength to the enclosing sphere."""
@@ -62,24 +55,18 @@ class LyapunovF:
 
 
 def default_enclosing_body(table):
-    """Default ball: twice the table radius, or midway to the equator on spheres."""
+    """Default ball about the outer wall's bounding ball (center, r): radius 2 r,
+    or on spheres midway from r to the equator."""
     space = table.space
     if isinstance(space, FlatTorus):
         raise BodyTooSmall("torus tables admit no enclosing convex ball")
-    outer = next(p for p in table.pieces if p.side == "outer")
-    if not isinstance(outer, Ball):
-        # Fourier walls: bound by a circumscribed ball about the origin
-        center = np.zeros(space.chart_dim)
-        radius = outer.extent(space)
-        return EnclosingBody(center=tuple(center), radius=radius)
-    if isinstance(space, Sphere):
-        rho = 0.5 * (outer.radius + np.pi / 2.0)
-        return EnclosingBody(center=tuple(outer.center), radius=rho)
-    return EnclosingBody(center=tuple(outer.center), radius=2.0 * outer.radius)
+    center, r = next(p for p in table.pieces if p.side == "outer").bounds(space)
+    return Ball(center, 0.5 * (r + np.pi / 2.0) if isinstance(space, Sphere) else 2.0 * r)
 
 
 def build_well_balanced_F(table, body=None, pilot_count=512, seed=1234):
-    """Build F and verify the double transversal crossing on a pilot sample."""
+    """Build F from `body`, an outer `Ball` (default: default_enclosing_body),
+    and verify the double transversal crossing on a pilot sample."""
     if body is None:
         body = default_enclosing_body(table)
     f = LyapunovF(table, body)

@@ -17,6 +17,22 @@ window) passes; a call holds at most that budget of (row, window, ball)
 triples, so a block of many rows is split into row chunks.  Since 2r <
 every period, each window's 2^d nearest images hold every image its segment
 can hit, and the hits are those of a one-window loop, bit for bit.
+
+Every piece kind (`Ball`, its alias `HalfSpaceOrCap`, `RadialFourierCurve`)
+has a `side`, OUTER or OBSTACLE, and the methods below.  `Table` calls
+`check` once per piece when it is built; the others assume a piece that
+passed it.
+
+    check(space)                        ConfigError unless the piece fits the space
+    bounds(space)                       (center, radius) of a geodesic ball holding it
+    gauge(space, q)                     signed gauge, negative inside the domain
+    inward_normal(space, q)             g-unit normal pointing into the domain
+    ray_hit(space, q, v, s_lo, s_hi)    first crossing arclength in (s_lo, s_hi], or inf
+    boundary_volume(space)              g-volume of the piece's wall
+    domain_volume(space)                g-volume of the region the piece encloses
+    sample_boundary(space, rng, count)  wall points, uniform in boundary volume
+    boundary_param(space, q)            angle-like wall parameter (n = 2 only)
+    point_at_param(space, alpha)        wall point at that parameter (n = 2 only)
 """
 
 from __future__ import annotations
@@ -70,50 +86,13 @@ class Tolerances:
 # ---------------------------------------------------------------------------
 
 
-class BoundaryPiece:
-    side = OUTER
-
-    def gauge(self, space, q):
-        """Signed gauge, negative inside the domain."""
-        raise NotImplementedError
-
-    def inward_normal(self, space, q):
-        """g-unit normal pointing into the domain."""
-        raise NotImplementedError
-
-    def ray_hit(self, space, q, v, s_lo, s_hi):
-        """Smallest gauge-crossing arclength in (s_lo, s_hi], inf if none."""
-        raise NotImplementedError
-
-    def boundary_volume(self, space):
-        raise NotImplementedError
-
-    def domain_volume(self, space):
-        """g-volume of the region the piece encloses (its inside when outer)."""
-        raise NotImplementedError
-
-    def sample_boundary(self, space, rng, count):
-        raise NotImplementedError
-
-    def boundary_param(self, space, q):
-        """Angle-like boundary parameter (2d pieces only)."""
-        raise NotImplementedError
-
-    def point_at_param(self, space, alpha):
-        raise NotImplementedError
-
-    def extent(self, space):
-        """Rough diameter of the piece, for length caps."""
-        raise NotImplementedError
-
-
 def _check_planar(space):
     """Boundary angles, and points at an angle, exist for n = 2 tables only."""
     if space.dim != 2:
         raise ConfigError(f"boundary angles need an n = 2 table, not n = {space.dim}")
 
 
-class Ball(BoundaryPiece):
+class Ball:
     """Geodesic ball piece (outer wall or obstacle); its space computes its sphere."""
 
     def __init__(self, center, radius, side=OUTER):
@@ -128,6 +107,23 @@ class Ball(BoundaryPiece):
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius}, side={self.side!r})"
+
+    def check(self, space):
+        """The centre is a point of the space, with chart_dim coordinates, and
+        the radius is below the space's diameter, past which the wall is empty."""
+        c = self.center
+        try:
+            if c.shape != (space.chart_dim,):
+                raise ValueError(f"needs {space.chart_dim} coordinates")
+            space.validate_point(c)
+        except ValueError as exc:
+            raise ConfigError(f"ball centre {c.tolist()}: {exc}") from exc
+        if not self.radius < space.diameter:
+            raise ConfigError(f"ball radius {self.radius} must be below the {space.kind} "
+                              f"diameter {space.diameter}")
+
+    def bounds(self, space):
+        return self.center, self.radius
 
     def gauge(self, space, q):
         return self._sign * (space.distance(q, self.center) - self.radius)
@@ -158,9 +154,6 @@ class Ball(BoundaryPiece):
         _check_planar(space)
         return space._sphere_point(self.center, self.radius, np.asarray(alpha, dtype=float))
 
-    def extent(self, space):
-        return min(2.0 * self.radius, space.diameter)
-
 
 class HalfSpaceOrCap(Ball):
     """Sphere cap: the geodesic ball of radius `angle` about `pole`.
@@ -173,7 +166,7 @@ class HalfSpaceOrCap(Ball):
         super().__init__(pole, angle, side=side)
 
 
-class RadialFourierCurve(BoundaryPiece):
+class RadialFourierCurve:
     """Planar wall r(theta) = a0 + sum a_k cos(k theta) + b_k sin(k theta).
 
     Euclidean n = 2 only.  Construction computes provable bounds r_min <= r <=
@@ -246,17 +239,18 @@ class RadialFourierCurve(BoundaryPiece):
             out = out + np.sum(self.sin_coeffs * ks * np.cos(np.multiply.outer(theta, ks)), axis=-1)
         return out
 
-    def _check_space(self, space):
+    def check(self, space):
         if not (type(space) is Euclidean and space.dim == 2):
             raise ConfigError("radial Fourier walls require Euclidean n = 2")
 
+    def bounds(self, space):
+        return np.zeros(2), self._r_max
+
     def gauge(self, space, q):
-        self._check_space(space)
         theta = np.arctan2(q[..., 1], q[..., 0])
         return self._sign * (np.linalg.norm(q, axis=-1) - self.r_of(theta))
 
     def inward_normal(self, space, q):
-        self._check_space(space)
         rho = np.linalg.norm(q, axis=-1)
         theta = np.arctan2(q[..., 1], q[..., 0])
         dr = self.dr_of(theta)
@@ -269,7 +263,6 @@ class RadialFourierCurve(BoundaryPiece):
 
     def ray_hit(self, space, q, v, s_lo, s_hi):
         """Certified sphere tracing along unit-speed lines; see the class docstring."""
-        self._check_space(space)
         n = q.shape[0]
         s_hi = np.broadcast_to(np.asarray(s_hi, dtype=float), (n,))
         s_hit = np.full(n, np.inf)
@@ -327,7 +320,6 @@ class RadialFourierCurve(BoundaryPiece):
         return self._perimeter
 
     def sample_boundary(self, space, rng, count):
-        self._check_space(space)
         out = np.empty((count, 2))
         filled = 0
         while filled < count:
@@ -351,9 +343,6 @@ class RadialFourierCurve(BoundaryPiece):
     def domain_volume(self, space):
         grid = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
         return float(np.mean(0.5 * self.r_of(grid) ** 2) * 2.0 * np.pi)
-
-    def extent(self, space):
-        return 2.0 * self._r_max
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +432,8 @@ class Table:
         else:
             if sum(p.side == OUTER for p in self.pieces) != 1:
                 raise ConfigError("non-torus tables need exactly one outer wall")
-        self._check_centres()
+        for p in self.pieces:
+            p.check(space)
         self._diameter = self._estimate_diameter()
         if not np.isfinite(self._diameter):
             raise ConfigError("table domain is unbounded")
@@ -457,10 +447,6 @@ class Table:
             # past s_lo + 2r, with room for roundoff, no exit root can win
             self._exit_reach = (2.0 * max(p.radius for p in self.pieces)
                                 + 1e-9 * float(np.max(space.periods)))
-        # Fourier obstacles last: they stop at the best hit found so far
-        self._trace_order = sorted(
-            enumerate(self.pieces),
-            key=lambda kp: isinstance(kp[1], RadialFourierCurve) and kp[1].side == OBSTACLE)
         if check:
             self._check_geometry()
 
@@ -469,17 +455,8 @@ class Table:
     def _estimate_diameter(self):
         if isinstance(self.space, FlatTorus):
             return float(np.linalg.norm(self.space.periods))
-        return float(max(p.extent(self.space) for p in self.pieces if p.side == OUTER))
-
-    def _check_centres(self):
-        """Every ball centre is a point of the space, with chart_dim coordinates."""
-        for c in (p.center for p in self.pieces if isinstance(p, Ball)):
-            try:
-                if c.shape != (self.space.chart_dim,):
-                    raise ValueError(f"needs {self.space.chart_dim} coordinates")
-                self.space.validate_point(c)
-            except ValueError as exc:
-                raise ConfigError(f"ball centre {c.tolist()}: {exc}") from exc
+        _, r = next(p for p in self.pieces if p.side == OUTER).bounds(self.space)
+        return float(min(2.0 * r, self.space.diameter))
 
     def _check_geometry(self):
         self._check_disjoint()
@@ -488,13 +465,12 @@ class Table:
 
     def _check_disjoint(self):
         space = self.space
-        balls = [p for p in self.pieces if isinstance(p, Ball)]
         if isinstance(space, FlatTorus):
-            for b in balls:
+            for b in self.pieces:
                 if 2.0 * b.radius >= np.min(space.periods):
                     raise ConfigError("obstacle overlaps its own periodic images")
-            for i, a in enumerate(balls):
-                for b in balls[i + 1:]:
+            for i, a in enumerate(self.pieces):
+                for b in self.pieces[i + 1:]:
                     d = np.linalg.norm(space.delta(a.center, b.center))
                     if d <= a.radius + b.radius:
                         raise ConfigError("obstacles overlap (including periodic images)")
@@ -524,17 +500,12 @@ class Table:
     def _chart_box(self):
         """Chart bounding box [lo, hi] covering the domain (non-sphere/torus)."""
         space = self.space
-        outer = next(p for p in self.pieces if p.side == OUTER)
+        c, r = next(p for p in self.pieces if p.side == OUTER).bounds(space)
         if isinstance(space, HyperbolicBall):
-            d0 = float(space.distance(outer.center, np.zeros(space.dim)))
-            rad = np.tanh(min(d0 + outer.radius, 36.0) / 2.0)
+            d0 = float(space.distance(c, np.zeros(space.dim)))
+            rad = np.tanh(min(d0 + r, 36.0) / 2.0)
             return -rad * np.ones(space.dim), rad * np.ones(space.dim)
-        if isinstance(outer, Ball):
-            return outer.center - outer.radius, outer.center + outer.radius
-        if isinstance(outer, RadialFourierCurve):
-            r = outer._r_max
-            return -r * np.ones(2), r * np.ones(2)
-        raise ConfigError("cannot bound the domain of this outer wall")
+        return c - r, c + r
 
     def _interior_samples(self, rng, count):
         space = self.space
@@ -697,15 +668,10 @@ class Table:
         if isinstance(self.space, FlatTorus):
             best_s, best_piece = self._first_hit_torus(q, v, s_lo, s_hi)
         else:
-            best_s = None
-            for k, piece in self._trace_order:
-                if isinstance(piece, RadialFourierCurve) and piece.side == OBSTACLE:
-                    cap = np.where(np.isfinite(best_s), best_s, s_hi)
-                    s_k = piece.ray_hit(self.space, q, v, s_lo, cap)
-                else:
-                    s_k = piece.ray_hit(self.space, q, v, s_lo, s_hi)
-                # roots are finite or inf, never NaN
-                if best_s is None:
+            for k, piece in enumerate(self.pieces):
+                s_k = piece.ray_hit(self.space, q, v, s_lo, s_hi)
+                # roots are finite or inf, never NaN; ties go to the lower index
+                if k == 0:
                     best_s, best_piece = s_k, np.where(s_k < np.inf, k, -1)
                     continue
                 better = s_k < best_s

@@ -286,11 +286,30 @@ BAD_CONFIGS = {
     "pieces-not-a-list": {**DISK_CONF, "pieces": _DISK_PIECE},
     "radius-bool": {**DISK_CONF, "pieces": [{**_DISK_PIECE, "radius": True}]},
     "l-max-list": {**DISK_CONF, "tolerances": {"l_max": [1.0]}},
+    # json.load reads the NaN, Infinity and -Infinity tokens json.dumps writes
+    "radius-nan": {**DISK_CONF, "pieces": [{**_DISK_PIECE, "radius": float("nan")}]},
+    "radius-inf": {**DISK_CONF, "pieces": [{**_DISK_PIECE, "radius": float("inf")}]},
+    "center-nan": {**DISK_CONF, "pieces": [{**_DISK_PIECE, "center": [float("nan"), 0.0]}]},
+    "angle-inf": {"space": "sphere", "pieces": [
+        {"shape": "half-space", "pole": [0.0, 0.0, 1.0], "angle": float("inf")}]},
+    "cos-coefficients-inf": {**DISK_CONF, "pieces": [
+        {"shape": "radial-fourier", "base_radius": 1.0, "cos_coefficients": [0.0, -float("inf")]}]},
+    "periods-inf": {**_TORUS_CONF, "periods": [float("inf"), 1.0]},
+    # no sphere point lies farther than pi from the centre: the wall would be empty
+    "sphere-ball-radius-above-pi": {"space": "sphere", "pieces": [
+        {"shape": "ball", "center": [0.0, 0.0, 1.0], "radius": 3.5}]},
+    "sphere-cap-angle-above-pi": {"space": "sphere", "pieces": [
+        {"shape": "half-space", "pole": [0.0, 0.0, 1.0], "angle": 3.2}]},
+    # a JSON integer too large for a float
+    "radius-huge-int": {**DISK_CONF, "pieces": [{**_DISK_PIECE, "radius": 10 ** 400}]},
 }
-# the key each type error must name
+# the key each type or value error must name
 BAD_CONFIG_KEYS = {"periods-string": "periods", "radius-string": "radius",
                    "center-string": "center", "cos-coefficients-string": "cos_coefficients",
-                   "radius-bool": "radius", "l-max-list": "l_max"}
+                   "radius-bool": "radius", "l-max-list": "l_max", "radius-nan": "radius",
+                   "radius-inf": "radius", "center-nan": "center", "angle-inf": "angle",
+                   "cos-coefficients-inf": "cos_coefficients", "periods-inf": "periods",
+                   "sphere-ball-radius-above-pi": "radius", "sphere-cap-angle-above-pi": "radius"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -318,13 +337,18 @@ BAD_CONFIG_KEYS = {"periods-string": "periods", "radius-string": "radius",
      "--bounces", "10"],
     ["recurrence", "--preset", "disk", "--box-incidence", "0.4", "inf", "--starters", "4",
      "--bounces", "10"],
+    ["mfp", "--preset", "disk", "--samples", "nan"],
+    ["mfp", "--preset", "disk", "--samples", "inf"],
+    ["simulate", "--preset", "disk", "--orbits", "2", "--bounces", "nan"],
+    ["simulate", "--preset", "disk", "--orbits", "2", "--bounces", "inf"],
     *(["mfp", "--config", f"{{{name}}}", "--samples", "100"] for name in BAD_CONFIGS),
 ], ids=["resolution-0", "resolution-negative", "lmax-0", "lmax-negative", "lmax-nan",
         "boundary-0", "boundary-inf", "dim-0", "lengths-missing", "lengths-bad-row",
         "box-piece-5", "box-piece-negative", "seed-negative-mfp", "seed-negative-simulate",
         "seed-negative-reconstruct", "rotation-not-a-number", "rotation-nan",
         "translation-three-components", "translation-one-component", "box-angle-nan",
-        "box-incidence-inf", *(f"config-{name}" for name in BAD_CONFIGS)])
+        "box-incidence-inf", "samples-nan", "samples-inf", "bounces-nan", "bounces-inf",
+        *(f"config-{name}" for name in BAD_CONFIGS)])
 def test_cli_rejects_out_of_domain_values(argv, tmp_path, capsys):
     files = {"good": tmp_path / "good.csv", "bad_row": tmp_path / "bad_row.csv",
              "missing": tmp_path / "missing.csv"}

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from billiardlab.dynamics import causality_batch
-from billiardlab.errors import BodyTooSmall
-from billiardlab.lyapunov import (EnclosingBody, build_well_balanced_F, delta_F_batch,
+from billiardlab.errors import BodyTooSmall, ConfigError
+from billiardlab.lyapunov import (build_well_balanced_F, delta_F_batch,
                                   slice_area_curve,
                                   var_F_boundary, default_enclosing_body)
 from billiardlab.measure import sample_mu_theta, trajectory_space_volume
@@ -89,15 +89,20 @@ def test_delta_f_examples(disk, disk_F):
 def test_body_too_small_rejected(disk):
     # the table boundary must lie strictly inside the body
     with pytest.raises(BodyTooSmall):
-        build_well_balanced_F(disk, EnclosingBody(center=(0.0, 0.0), radius=1.0))
+        build_well_balanced_F(disk, Ball((0.0, 0.0), 1.0))
     with pytest.raises(BodyTooSmall):
-        build_well_balanced_F(disk, EnclosingBody(center=(0.5, 0.0), radius=1.2))
+        build_well_balanced_F(disk, Ball((0.5, 0.0), 1.2))
+
+
+def test_enclosing_ball_must_fit_the_space(disk):
+    with pytest.raises(ConfigError, match="needs 2 coordinates"):
+        build_well_balanced_F(disk, Ball((0.0, 0.0, 0.0), 2.0))
 
 
 def test_tight_body_still_valid(disk):
     # any strictly containing ball crosses every extended chord
     # transversally, so a tight body is legitimate
-    f = build_well_balanced_F(disk, EnclosingBody(center=(0.0, 0.0), radius=1.05))
+    f = build_well_balanced_F(disk, Ball((0.0, 0.0), 1.05))
     chord = causality_batch(disk, [1.0, 0.0], [-1.0, 0.0])
     df = f.value_batch(chord.exit_q, chord.exit_v) - f.value_batch(chord.entry_q, chord.entry_v)
     assert abs(df[0] - 2.0) < 1e-10
@@ -184,8 +189,8 @@ def _one_piece_first_hit(table, f, q, v):
     from billiardlab.tables import Tolerances
 
     tol = Tolerances(hit_tol=table.tol.hit_tol, grazing_tol=table.tol.grazing_tol,
-                     l_max=16.0 * max(f.body.radius, 1.0) + 16.0)
-    wall = Ball(np.asarray(f.body.center, dtype=float), f.body.radius, side="outer")
+                     l_max=16.0 * max(f.wall.radius, 1.0) + 16.0)
+    wall = Ball(np.asarray(f.wall.center, dtype=float), f.wall.radius, side="outer")
     return Table(table.space, [wall], tol, name="enclosing-ball", check=False).first_hit(q, v)
 
 

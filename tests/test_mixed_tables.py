@@ -27,8 +27,7 @@ def ellipse_with_ball():
 
 @pytest.fixture(scope="module")
 def disk_with_fourier_blob():
-    # non-circular obstacle: exercises the marching branch whose horizon is
-    # capped per sample by the best closed-form hit
+    # non-circular obstacle: exercises the marching branch on an obstacle
     blob = RadialFourierCurve(0.3, cos_coeffs=(0.0, 0.05), sin_coeffs=(0.04,),
                               side="obstacle")
     return Table(Euclidean(2), [Ball((0.0, 0.0), 1.0, side="outer"), blob],
@@ -136,7 +135,10 @@ def _march_ray_hit(piece, space, q, v, s_lo, s_hi):
     n = q.shape[0]
     step = piece._r_min / 256.0
     s_hi = np.broadcast_to(np.asarray(s_hi, dtype=float), (n,))
-    cap = np.minimum(s_hi, 2.0 * piece._r_max + 4.0 * step + s_lo) if piece.side == "outer" else s_hi
+    # every root lies in |x| <= r_max: within 2 r_max of a start on the outer
+    # wall, and within |q| + r_max of any start
+    reach = 2.0 * piece._r_max if piece.side == "outer" else np.linalg.norm(q, axis=1) + piece._r_max
+    cap = np.minimum(s_hi, reach + 4.0 * step + s_lo)
     s_hit = np.full(n, np.inf)
     for i in range(n):
         def g(s):

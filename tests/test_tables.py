@@ -1,10 +1,14 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
+from billiardlab import tables
 from billiardlab.dynamics import Elastic, causality_batch, reflect_batch
 from billiardlab.errors import ConfigError, DegenerateStart, NotOnBoundary
 from billiardlab.measure import sample_mu_theta
-from billiardlab.spaces import Euclidean, FlatTorus
+from billiardlab.spaces import Euclidean, FlatTorus, Sphere
 from billiardlab.tables import Ball, HalfSpaceOrCap, RadialFourierCurve, StratumLabel, Table
 
 
@@ -288,6 +292,31 @@ def test_sphere_cap_piece_matches_ball(cap):
 
 
 # -- construction checks -------------------------------------------------------
+
+
+def test_every_piece_kind_has_the_piece_contract():
+    # the methods the tables module docstring lists, with the listed arguments
+    listed = re.findall(r"^    (\w+)\((space[^)]*)\)", tables.__doc__, re.M)
+    assert [name for name, _ in listed][:2] == ["check", "bounds"] and len(listed) == 10
+    for cls in (Ball, HalfSpaceOrCap, RadialFourierCurve):
+        for name, args in listed:
+            params = list(inspect.signature(getattr(cls, name)).parameters)
+            assert params == ["self", *args.split(", ")], (cls.__name__, name)
+    # each kind's bounding ball holds its wall
+    rng = np.random.default_rng(3)
+    for space, piece in [(Euclidean(2), Ball((0.3, -0.2), 0.7)),
+                         (Sphere(2), HalfSpaceOrCap((0.0, 0.0, 1.0), 2.0)),
+                         (Euclidean(2), RadialFourierCurve(1.0, cos_coeffs=(0.0, 0.15),
+                                                           sin_coeffs=(0.05,)))]:
+        piece.check(space)
+        center, radius = piece.bounds(space)
+        pts = piece.sample_boundary(space, rng, 512)
+        assert np.all(space.distance(pts, center) <= radius + 1e-12)
+    with pytest.raises(ConfigError, match="Euclidean n = 2"):
+        RadialFourierCurve(1.0).check(Sphere(2))
+    for radius in (np.pi, 3.5, np.nan):
+        with pytest.raises(ConfigError, match="ball radius"):
+            Ball((0.0, 0.0, 1.0), radius).check(Sphere(2))
 
 
 def test_overlapping_obstacles_rejected():
