@@ -32,7 +32,7 @@ from .dynamics import Elastic, orbit_batches
 from .errors import BilliardError, ConfigError
 from .ergodic import (_checkpoint_list, hear_volume, mean_free_path, recurrence_test,
                       trapping_probe)
-from .holography import (boundary_param_map, conjugacy_residual,
+from .holography import (_write_blocks, boundary_param_map, conjugacy_residual,
                          domain_reference_sample, generate_scattering_dataset,
                          identity_map, reconstruct_chords, reflection_map,
                          rotation_map, torus_translation_map)
@@ -183,16 +183,18 @@ def _cmd_probe(args, table):
 
 
 def _orbit_writer(chords):
-    """A side-file writer of one orbit: the JSON line of each chord."""
+    """A side-file writer of one orbit: per chord, the line `json.dumps` writes."""
+    vec = "[" + ", ".join(["%r"] * chords.entry_q.shape[-1]) + "]"
+    row_fmt = ('{"entry_q": %s, "entry_v": %s, "exit_q": %s, "exit_v": %s, "length": %%r, '
+               '"degenerate": %%s, "grazing": %%s}\n') % ((vec,) * 4)
+
     def write(path):
+        flag = np.array(["false", "true"], dtype=object)
+        values = np.column_stack([chords.entry_q, chords.entry_v, chords.exit_q, chords.exit_v,
+                                  chords.length, flag[chords.degenerate.astype(int)],
+                                  flag[chords.grazing.astype(int)]])
         with open(path, "w") as fh:
-            for eq, ev, xq, xv, length, degenerate, grazing in zip(
-                    chords.entry_q.tolist(), chords.entry_v.tolist(), chords.exit_q.tolist(),
-                    chords.exit_v.tolist(), chords.length.tolist(),
-                    chords.degenerate.tolist(), chords.grazing.tolist()):
-                fh.write(json.dumps({"entry_q": eq, "entry_v": ev, "exit_q": xq, "exit_v": xv,
-                                     "length": length, "degenerate": degenerate,
-                                     "grazing": grazing}) + "\n")
+            _write_blocks(fh, values, row_fmt)
     return write
 
 

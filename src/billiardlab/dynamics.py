@@ -10,10 +10,12 @@ The exit point of one chord is where the reflection acts and where the next
 chord starts, so the piece and inward normal found when classifying a hit
 are all that both need.  A `BoundaryState` carries them: `billiard_batch`
 returns one and takes its piece and normal back on the next step, checking
-only that the point is still within `hit_tol` of its piece.  Every orbit
-loop (`orbit_batches`, Birkhoff and recurrence averages, the preservation
-test) runs on the one lockstep engine `lockstep_orbits`; `orbit_batches`
-alone decides where an orbit ends and which chords it keeps.
+only that the point is still within `hit_tol` of its piece; a Monte Carlo
+block hands the sampler's pieces and normals to its first chord the same
+way.  Orbit loops (`orbit_batches`, Birkhoff and recurrence averages) run on
+the one lockstep engine `lockstep_orbits`, the preservation test on one
+`billiard_batch` step; `orbit_batches` alone decides where an orbit ends
+and which chords it keeps.
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ class SpaceAverage:
 
 
 def _average_block(table, samples, observable):
-    batch = causality_batch(table, samples.q, samples.v)
+    batch = causality_batch(table, samples.q, samples.v, samples.piece, samples.normal)
     return (Estimate.from_samples(observable.values(batch)[batch.ok]),
             int(np.sum(batch.trapped)), int(np.sum(batch.grazing)))
 
@@ -212,7 +212,7 @@ def recurrence_test(table, law, box, starters, bounces, seed):
             break
         chunk = sample_mu_theta(table, max(4 * starters, 4096), seed, stream)
         stream += 1
-        mask = box.contains(table, chunk.q, chunk.v, chunk.piece)
+        mask = box.contains(table, chunk.q, chunk.v, chunk.piece, chunk.normal)
         if np.any(mask):
             found_q.append(chunk.q[mask])
             found_v.append(chunk.v[mask])
@@ -254,7 +254,7 @@ class TrappingProbe:
 
 
 def _probe_block(table, samples):
-    batch = causality_batch(table, samples.q, samples.v)
+    batch = causality_batch(table, samples.q, samples.v, samples.piece, samples.normal)
     return batch.length, batch.trapped, batch.grazing
 
 

@@ -263,7 +263,7 @@ class ConjugacyResult:
 
 def _conjugacy_block(table1, samples, table2, phi):
     """Residuals of the usable rows of one block."""
-    b1 = causality_batch(table1, samples.q, samples.v)
+    b1 = causality_batch(table1, samples.q, samples.v, samples.piece, samples.normal)
     phi_q, phi_v = phi(samples.q, samples.v)
     piece2 = table2.active_piece(phi_q)
     on2 = piece2 >= 0

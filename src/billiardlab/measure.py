@@ -5,7 +5,10 @@ the product of boundary area and direction measure, restricted to inward
 hemispheres.  Its total mass is the volume of the trajectory space,
 vol(B^{n-1}) * vol(boundary).  Sampling is exact: boundary points come from
 per-piece area samplers and directions from lifting a uniform point of the
-equatorial unit ball to the hemisphere.
+equatorial unit ball to the hemisphere.  Each sample keeps its piece and
+inward normal, and its first chord takes them as carried boundary state.
+The preservation test derives phase-box coordinates twice per block, for
+the entries and their images, and every box tests those.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import lockstep_orbits
+from .dynamics import billiard_batch
 from .errors import ConfigError, DegenerateSet
 from .parallel import block_counts, run_blocks
 from .spaces import FlatTorus
 
 __all__ = [
-    "Estimate", "WeightedSampleSet", "PhaseBox",
+    "Estimate", "WeightedSampleSet", "PhaseBox", "phase_coordinates",
     "sample_mu_theta", "trajectory_space_volume", "domain_volumes",
     "measure_preservation_test", "unit_ball_volume", "unit_sphere_volume",
     "random_phase_boxes", "boundary_rng", "boundary_points", "sample_blocks", "merge_blocks",
@@ -115,6 +118,7 @@ class WeightedSampleSet:
     seed: int
     stream: int
     resampled_fraction: float
+    normal: np.ndarray       # g-unit inward normal of each row's piece at q
 
     def __len__(self):
         return self.q.shape[0]
@@ -122,14 +126,11 @@ class WeightedSampleSet:
 
 def _lift_directions(space, q, normals, rng, gtol):
     """Cosine-distributed inward unit directions at boundary points."""
-    n_pts = q.shape[0]
     dim = space.dim
     frame = space.tangent_frame(q, normals)         # (N, dim-1, cd)
-    out = np.empty_like(normals)
-    todo = np.arange(n_pts)
-    resampled = 0
-    while todo.size:
-        m = todo.size
+    out, todo, resampled = None, slice(None), 0     # the first draw takes every row, ungathered
+    while out is None or todo.size:
+        m = q.shape[0] if out is None else todo.size
         if dim == 2:
             u = rng.uniform(-1.0, 1.0, (m, 1))
         else:
@@ -142,9 +143,12 @@ def _lift_directions(space, q, normals, rng, gtol):
         for j in range(dim - 1):
             vec = vec + u[:, j:j + 1] * frame[todo, j]
         ok = cos > gtol
-        out[todo[ok]] = vec[ok]
+        if out is None:
+            out, todo = vec, np.flatnonzero(~ok)
+        else:
+            out[todo[ok]] = vec[ok]
+            todo = todo[~ok]
         resampled += int(np.sum(~ok))
-        todo = todo[~ok]
     return out, resampled
 
 
@@ -175,7 +179,7 @@ def sample_mu_theta(table, count, seed, stream=0):
     return WeightedSampleSet(
         q=q, v=v, piece=piece_idx.astype(np.int64), cos_in=cos_in,
         normalization=trajectory_space_volume(table), seed=seed, stream=stream,
-        resampled_fraction=resampled / count,
+        resampled_fraction=resampled / count, normal=normals,
     )
 
 
@@ -240,11 +244,33 @@ def domain_volumes(table):
 # ---------------------------------------------------------------------------
 
 
+def phase_coordinates(table, q, v, piece, normal=None):
+    """What `PhaseBox.test` reads, computed once for any number of boxes: per row,
+    the piece (-1 off the boundary), the boundary angle and signed incidence angle
+    (None unless n = 2) and the incidence cosine, with NaN angles and cosines off
+    the boundary.  `normal` carries the inward normals the hit at q found; unset,
+    they are derived from q and `piece`."""
+    space = table.space
+    q, v, piece = np.atleast_2d(q), np.atleast_2d(v), np.atleast_1d(piece)
+    off = piece < 0
+    if normal is None:
+        normal = table._per_piece("inward_normal", piece, q, np.full_like(q, np.nan))
+    elif off.any():
+        normal = np.where(off[:, None], np.nan, normal)
+    cos = space.metric_dot(q, v, normal)
+    if space.dim != 2:
+        return piece, None, None, cos
+    angle = table._per_piece("boundary_param", piece, q, np.full(q.shape[0], np.nan))
+    sin = space.metric_dot(q, v, space.tangent_frame(q, normal)[:, 0])
+    return piece, angle, np.arctan2(sin, cos), cos
+
+
 @dataclass(frozen=True)
 class PhaseBox:
     """Product box in (boundary parameter) x (direction parameter) coordinates.
 
-    boundary: angle interval on the piece, taken modulo 2 pi (lo > hi wraps).
+    boundary: angle interval on the piece.  One of length 2 pi or more covers
+    the whole piece; a shorter one is taken modulo 2 pi (lo > hi wraps).
     incidence: signed-angle interval, n = 2 only.  cos_range: interval of
     the incidence cosine, any dimension.  Unset constraints are ignored.
     """
@@ -256,43 +282,32 @@ class PhaseBox:
 
     @cached_property
     def _arc(self):
-        return np.mod(self.boundary, 2.0 * np.pi)
+        lo, hi = self.boundary
+        return None if hi - lo >= 2.0 * np.pi else np.mod(self.boundary, 2.0 * np.pi)
+
+    def test(self, coords):
+        """Rows of `phase_coordinates` inside the box; rows off the boundary never are."""
+        piece, angle, incidence, cos = coords
+        keep = piece >= 0 if self.piece is None else piece == self.piece
+        if self.boundary is not None:
+            if angle is None:
+                raise ConfigError("boundary angles need an n = 2 table")
+            if self._arc is not None:
+                lo, hi = self._arc
+                keep &= (angle >= lo) & (angle < hi) if lo <= hi else (angle >= lo) | (angle < hi)
+        if self.cos_range is not None:
+            keep &= _within(cos, self.cos_range)
+        if self.incidence is not None:
+            if incidence is None:
+                raise ValueError("signed incidence boxes need n = 2")
+            keep &= _within(incidence, self.incidence)
+        return keep
 
     def contains(self, table, q, v, piece_idx=None, normal=None):
-        """Rows inside the box; points off the boundary (piece -1) never are.
-
-        `piece_idx` and `normal` carry what the hit at q found; unset, they
-        are derived from q.  The piece and boundary tests run first, and the
-        normals, frames and angles only on the rows that pass them.
-        """
-        space = table.space
-        q = np.atleast_2d(q)
-        v = np.atleast_2d(v)
-        piece_idx = table.active_piece(q) if piece_idx is None else np.atleast_1d(piece_idx)
-        mask = piece_idx >= 0
-        if self.piece is not None:
-            mask &= piece_idx == self.piece
-        rows = mask.nonzero()[0]
-        if rows.size and self.boundary is not None:
-            ang = table._per_piece("boundary_param", piece_idx[rows], q[rows], np.empty(rows.size))
-            lo, hi = self._arc
-            rows = rows[(ang >= lo) & (ang < hi) if lo <= hi else (ang >= lo) | (ang < hi)]
-        if self.incidence is not None and space.dim != 2:
-            raise ValueError("signed incidence boxes need n = 2")
-        if rows.size and (self.incidence is not None or self.cos_range is not None):
-            qr, vr = q[rows], v[rows]
-            nr = table._own_normal(qr, piece_idx[rows]) if normal is None else normal[rows]
-            cos_in = space.metric_dot(qr, vr, nr)
-            keep = True
-            if self.cos_range is not None:
-                keep = _within(cos_in, self.cos_range)
-            if self.incidence is not None:
-                sin_in = space.metric_dot(qr, vr, space.tangent_frame(qr, nr)[:, 0])
-                keep = keep & _within(np.arctan2(sin_in, cos_in), self.incidence)
-            rows = rows[keep]
-        mask = np.zeros(q.shape[0], dtype=bool)
-        mask[rows] = True
-        return mask
+        """`test` of the `phase_coordinates` of rows (q, v); `piece_idx` and `normal`
+        carry what the hit at q found, and unset they are derived from q."""
+        piece_idx = table.active_piece(q) if piece_idx is None else piece_idx
+        return self.test(phase_coordinates(table, q, v, piece_idx, normal))
 
 
 def _within(x, interval):
@@ -327,15 +342,15 @@ class PreservationResult:
 
 def _preservation_block(table, samples, law, boxes):
     """Per box, estimates of 1_K(z) - 1_K(Bz), 1_K(z) and 1_K(Bz) over valid rows."""
-    _, _, batch, state = next(lockstep_orbits(table, law, samples.q, samples.v, 1))
+    batch, state = billiard_batch(table, law, samples.q, samples.v, samples.piece, samples.normal)
     valid = ~batch.stops
-    q1, v1, p1, n1 = (a[valid] for a in (batch.entry_q, batch.entry_v, batch.entry_piece,
-                                         batch.entry_normal))
+    now = phase_coordinates(table, *(a[valid] for a in (batch.entry_q, batch.entry_v,
+                                                        batch.entry_piece, batch.entry_normal)))
     after = state.take(valid)
+    nxt = phase_coordinates(table, after.q, after.v, after.piece, after.normal)
     parts = []
     for box in boxes:
-        in_now = box.contains(table, q1, v1, p1, n1).astype(float)
-        in_next = box.contains(table, after.q, after.v, after.piece, after.normal).astype(float)
+        in_now, in_next = box.test(now).astype(float), box.test(nxt).astype(float)
         parts.append([Estimate.from_samples(x) for x in (in_now - in_next, in_now, in_next)])
     return parts
 

@@ -521,6 +521,15 @@ def test_cli_recurrence(tmp_path, capsys):
     assert rep["results"]["returned_fraction"] > 0.9
 
 
+def test_cli_recurrence_full_circle_box_angle(tmp_path, capsys):
+    # an angle interval of length 2 pi is the whole wall, not an empty arc
+    code, rep = run_cli(["recurrence", "--preset", "disk", "--box-angle", "0",
+                         "6.283185307179586", "--bounces", "20", "--starters", "16",
+                         "--seed", "5", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert rep["results"]["starters"] == 16
+
+
 def test_cli_slices(tmp_path, capsys):
     code, rep = run_cli(["slices", "--preset", "disk", "--samples", "30000",
                          "--grid-points", "40", "--seed", "6", "--out", str(tmp_path)], capsys)

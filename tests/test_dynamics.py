@@ -1,10 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from billiardlab.dynamics import (Elastic, Rescaled, billiard_batch, causality_batch,
-                                  orbit_batches, reflect_batch)
+from billiardlab.dynamics import (ChordBatch, Elastic, Rescaled, billiard_batch,
+                                  causality_batch, orbit_batches, reflect_batch)
 from billiardlab.ergodic import trapping_probe
 from billiardlab.measure import sample_mu_theta
+from billiardlab.presets import preset_table
 
 
 # -- causality map ------------------------------------------------------------
@@ -57,6 +60,27 @@ def test_chord_replay(disk, hyp_disk, cap, one_ball):
         q2, v2 = table.space.flow(batch.entry_q[ok], batch.entry_v[ok], batch.length[ok])
         assert np.max(table.space.chart_distance(q2, batch.exit_q[ok])) < 1e-9
         assert np.max(np.abs(v2 - batch.exit_v[ok])) < 1e-9
+
+
+def _bits(x):
+    """Values as int64 bit patterns: floats bit for bit, integers and flags widened."""
+    x = np.asarray(x)
+    return x.view(np.int64) if x.dtype == np.float64 else x.astype(np.int64)
+
+
+@pytest.mark.parametrize("name", ["disk", "ball3", "ellipse", "cap-pi4", "hyperbolic-disk-1",
+                                  "torus-one-ball", "torus-two-balls"])
+def test_sampler_state_feeds_the_first_chord(name):
+    # the sampler's piece and normal are what the chord would derive from q, bit for bit
+    table = preset_table(name)
+    s = sample_mu_theta(table, 2048, 4)
+    assert np.array_equal(_bits(s.normal), _bits(table.inward_normal_at(s.q, s.piece)))
+    carried, derived = (causality_batch(table, s.q, s.v, s.piece, s.normal),
+                        causality_batch(table, s.q, s.v))
+    for f in fields(ChordBatch):
+        got, want = getattr(carried, f.name), getattr(derived, f.name)
+        assert got.dtype == want.dtype, f.name
+        assert np.array_equal(_bits(got), _bits(want)), f.name
 
 
 # -- reflection ----------------------------------------------------------------

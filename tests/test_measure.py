@@ -4,7 +4,7 @@ import pytest
 from billiardlab.dynamics import Elastic, Rescaled, lockstep_orbits
 from billiardlab.errors import DegenerateSet, NotOnBoundary
 from billiardlab.measure import (Estimate, PhaseBox, domain_volumes,
-                                 measure_preservation_test, random_phase_boxes,
+                                 measure_preservation_test, phase_coordinates, random_phase_boxes,
                                  boundary_rng, sample_mu_theta, trajectory_space_volume,
                                  unit_ball_volume, unit_sphere_volume)
 
@@ -272,8 +272,9 @@ def reference_contains(box, table, q, v, piece_idx, normal=None):
         for k, piece in enumerate(table.pieces):
             rows = safe == k
             ang[rows] = piece.boundary_param(space, q[rows])
-        lo, hi = np.mod(box.boundary, 2.0 * np.pi)
-        mask &= (ang >= lo) & (ang < hi) if lo <= hi else (ang >= lo) | (ang < hi)
+        if box.boundary[1] - box.boundary[0] < 2.0 * np.pi:  # else the whole piece
+            lo, hi = np.mod(box.boundary, 2.0 * np.pi)
+            mask &= (ang >= lo) & (ang < hi) if lo <= hi else (ang >= lo) | (ang < hi)
     if box.cos_range is not None:
         mask &= (cos_in >= box.cos_range[0]) & (cos_in < box.cos_range[1])
     if box.incidence is not None:
@@ -291,24 +292,76 @@ def _box_rows(table, seed):
     return (s.q, s.v, piece), (state.q, state.v, state.piece, state.normal)
 
 
+FULL_CIRCLES = [(0.0, 2.0 * np.pi), (-np.pi, np.pi), (1.0, 1.0 + 2.0 * np.pi), (0.0, 7.0)]
+
+
 @pytest.mark.parametrize("name", ["disk", "two_balls", "ball3"])
 def test_filtered_box_matches_unfiltered_reference(name, request):
     table = request.getfixturevalue(name)
     if table.space.dim == 2:
         boxes = random_phase_boxes(table, 12, boundary_rng(3, 0))
         boxes += [PhaseBox(boundary=(5.5, 0.7), cos_range=(0.2, 0.9)), PhaseBox()]
+        boxes += [PhaseBox(piece=0, boundary=b, incidence=(-0.5, 0.9)) for b in FULL_CIRCLES]
     else:
         boxes = [PhaseBox(cos_range=(0.3, 0.8)), PhaseBox(piece=0, cos_range=(0.0, 0.5))]
     (q, v, piece), after = _box_rows(table, 11)
+    rows = [(q, v, piece), after, after[:3]]   # with and without the carried normals
+    coords = [phase_coordinates(table, *r) for r in rows]
     hits = 0
     for box in boxes:
-        got = box.contains(table, q, v, piece)
-        assert np.array_equal(got, reference_contains(box, table, q, v, piece))
-        for carried in (after, after[:3]):   # with and without the carried normals
-            got_after = box.contains(table, *carried)
-            assert np.array_equal(got_after, reference_contains(box, table, *carried))
-        hits += int(got.sum())
+        for r, c in zip(rows, coords):
+            want = reference_contains(box, table, *r)
+            assert np.array_equal(box.contains(table, *r), want)
+            assert np.array_equal(box.test(c), want)
+        hits += int(box.test(coords[0]).sum())
     assert hits > 0
+
+
+def test_phase_coordinates_are_nan_off_the_boundary(disk, ball3):
+    for table in (disk, ball3):
+        (q, v, piece), (qa, va, pa, na) = _box_rows(table, 12)
+        pa, na = pa.copy(), na.copy()
+        pa[::5], na[::5] = -1, 7.0   # carried normals that rows off the boundary must not read
+        for rows in ((q, v, piece), (qa, va, pa, na)):
+            got, angle, incidence, cos = phase_coordinates(table, *rows)
+            off = rows[2] < 0
+            assert np.array_equal(got, rows[2])
+            assert (angle is None) == (incidence is None) == (table.space.dim != 2)
+            for x in (angle, incidence, cos):
+                if x is not None:
+                    assert np.isnan(x[off]).all() and np.isfinite(x[~off]).all()
+
+
+@pytest.mark.parametrize("boundary", FULL_CIRCLES)
+def test_full_circle_boundary_box_covers_the_piece(disk, boundary):
+    s = sample_mu_theta(disk, 4096, 0)
+    assert PhaseBox(boundary=boundary).contains(disk, s.q, s.v, s.piece, s.normal).all()
+    # a short interval still wraps modulo 2 pi
+    short = PhaseBox(boundary=(boundary[0], boundary[0] + 1.0))
+    ang = np.mod(np.arctan2(s.q[:, 1], s.q[:, 0]), 2.0 * np.pi)
+    lo, hi = np.mod([boundary[0], boundary[0] + 1.0], 2.0 * np.pi)
+    want = (ang >= lo) & (ang < hi) if lo <= hi else (ang >= lo) | (ang < hi)
+    assert np.array_equal(short.contains(disk, s.q, s.v, s.piece), want)
+
+
+def test_preservation_test_derives_box_coordinates_twice_per_block(two_balls, monkeypatch):
+    from billiardlab import parallel, tables
+
+    calls = []
+    boundary_param = tables.Ball.boundary_param
+
+    def counted(self, space, q):
+        calls.append(q.shape[0])
+        return boundary_param(self, space, q)
+
+    monkeypatch.setattr(tables.Ball, "boundary_param", counted)
+    boxes = random_phase_boxes(two_balls, 20, boundary_rng(5, 0))
+    count = parallel.BLOCK_SIZE + 4096
+    results = measure_preservation_test(two_balls, Elastic(), boxes, count, seed=3)
+    assert len(results) == 20
+    blocks = len(parallel.block_counts(count))
+    assert blocks == 2
+    assert 0 < len(calls) <= 2 * len(two_balls.pieces) * blocks
 
 
 def test_incidence_box_needs_a_planar_table(ball3):
