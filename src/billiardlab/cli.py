@@ -88,7 +88,7 @@ def _table_command(sub, name, func, help, samples=True):
 
 # count and length flags of every subcommand; checked once, before any output
 _COUNTS = ("samples", "orbits", "bounces", "boxes", "starters", "grid_points", "grid",
-           "reference_points", "dim")
+           "reference_points", "dim", "workers")
 _LENGTHS = ("lmax", "resolution", "boundary")
 
 

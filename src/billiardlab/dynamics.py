@@ -144,9 +144,8 @@ def reflect_batch(law, table, q, v, piece=None, normal=None):
     space = table.space
     q = np.atleast_2d(q)
     v = np.atleast_2d(v)
-    if piece is None:
-        piece = table.active_piece(q)
-    n = table.inward_normal_at(q, piece) if normal is None else normal
+    n = normal if normal is not None else table.inward_normal_at(
+        q, table.active_piece(q) if piece is None else piece)
     if isinstance(law, Elastic):
         out = v - 2.0 * space.metric_dot(q, v, n)[:, None] * n
         return space.unit(q, out)
@@ -191,12 +190,11 @@ def causality_batch(table, q, v, piece=None, normal=None):
     v = np.atleast_2d(v)
     n = q.shape[0]
     carried = piece is not None
-    piece = table._on_boundary(piece if carried else table.active_piece(q))
+    piece, normal, entry_label, entry_cos = table._boundary_geometry(q, v, piece, normal)
+    if (entry_label < 0).any():
+        raise NotOnBoundary("point is not on the table boundary")
     if carried and (np.abs(table._own_gauge(q, piece)) > table.tol.hit_tol).any():
         raise NotOnBoundary("carried phase point is off its boundary piece")
-    if normal is None:
-        normal = table._own_normal(q, piece)
-    entry_label, entry_cos = table._strata(q, v, piece, normal)
     if (entry_label == _OUT).any():
         raise DegenerateStart("causality map applied to an outward phase point")
     degenerate = entry_label == _CONVEX

@@ -78,13 +78,12 @@ def _average_block(table, samples, observable):
             int(np.sum(batch.trapped)), int(np.sum(batch.grazing)))
 
 
-def space_average(table, observable, count, seed, stream=0, workers=None):
+def space_average(table, observable, count, seed, workers=None):
     """E_mu[f] over one free chord; trapped, grazing and degenerate samples are excluded.
 
     Raises TooManyTrapped when the excluded fraction exceeds _MAX_EXCLUDED.
     """
-    parts = sample_blocks(_average_block, table, count, seed, observable, stream=stream,
-                          workers=workers)
+    parts = sample_blocks(_average_block, table, count, seed, observable, workers=workers)
     estimate = Estimate.merge_all(p[0] for p in parts)
     excluded = 1.0 - estimate.count / count
     if excluded > _MAX_EXCLUDED:

@@ -265,17 +265,12 @@ def _conjugacy_block(table1, samples, table2, phi):
     """Residuals of the usable rows of one block."""
     b1 = causality_batch(table1, samples.q, samples.v, samples.piece, samples.normal)
     phi_q, phi_v = phi(samples.q, samples.v)
-    piece2 = table2.active_piece(phi_q)
-    on2 = piece2 >= 0
-    inward = np.zeros(len(samples), dtype=bool)
-    if np.any(on2):
-        n2 = table2.inward_normal_at(phi_q[on2], piece2[on2])
-        cos2 = table2.space.metric_dot(phi_q[on2], phi_v[on2], n2)
-        inward[np.flatnonzero(on2)] = cos2 > table2.tol.grazing_tol
-    usable = b1.ok & inward
+    # rows off the second table's boundary have a NaN cosine and are never usable
+    piece2, n2, _, cos2 = table2._boundary_geometry(phi_q, phi_v)
+    usable = b1.ok & (cos2 > table2.tol.grazing_tol)
     if not np.any(usable):
         return np.empty(0)
-    b2 = causality_batch(table2, phi_q[usable], phi_v[usable])
+    b2 = causality_batch(table2, phi_q[usable], phi_v[usable], piece2[usable], n2[usable])
     img_q, img_v = phi(b1.exit_q[usable], b1.exit_v[usable])
     sub = b2.ok
     dq = table2.space.chart_distance(img_q[sub], b2.exit_q[sub])

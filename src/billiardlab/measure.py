@@ -7,8 +7,10 @@ vol(B^{n-1}) * vol(boundary).  Sampling is exact: boundary points come from
 per-piece area samplers and directions from lifting a uniform point of the
 equatorial unit ball to the hemisphere.  Each sample keeps its piece and
 inward normal, and its first chord takes them as carried boundary state.
-The preservation test derives phase-box coordinates twice per block, for
-the entries and their images, and every box tests those.
+Phase-box coordinates come from the table's boundary-geometry step, so a
+row off the boundary has NaN coordinates and lies in no box.  The
+preservation test derives them twice per block, for the entries and their
+images, and every box tests those.
 """
 
 from __future__ import annotations
@@ -188,17 +190,16 @@ def _sample_block(task):
     return block(table, sample_mu_theta(table, count, seed, stream), *args)
 
 
-def sample_blocks(block, table, count, seed, *args, stream=0, workers=None):
+def sample_blocks(block, table, count, seed, *args, workers=None):
     """Apply `block(table, samples, *args)` to fixed blocks of measure samples.
 
-    Block b of `parallel.block_counts(count)` draws the stream (seed, stream + b)
-    and the partial results come back in block order, so they do not depend on
-    the worker count.  A single block draws exactly `sample_mu_theta`'s stream.
+    Block b of `parallel.block_counts(count)` draws the stream (seed, b) and
+    the partial results come back in block order, so they do not depend on the
+    worker count.  A single block draws exactly `sample_mu_theta`'s stream.
     """
     if count < 1:
         raise ConfigError("sample count must be at least 1")
-    tasks = [(block, table, c, seed, stream + b, args)
-             for b, c in enumerate(block_counts(count))]
+    tasks = [(block, table, c, seed, b, args) for b, c in enumerate(block_counts(count))]
     return run_blocks(_sample_block, tasks, workers)
 
 
@@ -244,20 +245,15 @@ def domain_volumes(table):
 # ---------------------------------------------------------------------------
 
 
-def phase_coordinates(table, q, v, piece, normal=None):
+def phase_coordinates(table, q, v, piece=None, normal=None):
     """What `PhaseBox.test` reads, computed once for any number of boxes: per row,
     the piece (-1 off the boundary), the boundary angle and signed incidence angle
     (None unless n = 2) and the incidence cosine, with NaN angles and cosines off
-    the boundary.  `normal` carries the inward normals the hit at q found; unset,
-    they are derived from q and `piece`."""
+    the boundary.  `piece` and `normal` carry what the hit at q found; unset, they
+    are derived from q."""
     space = table.space
-    q, v, piece = np.atleast_2d(q), np.atleast_2d(v), np.atleast_1d(piece)
-    off = piece < 0
-    if normal is None:
-        normal = table._per_piece("inward_normal", piece, q, np.full_like(q, np.nan))
-    elif off.any():
-        normal = np.where(off[:, None], np.nan, normal)
-    cos = space.metric_dot(q, v, normal)
+    q, v = np.atleast_2d(q), np.atleast_2d(v)
+    piece, normal, _, cos = table._boundary_geometry(q, v, piece, normal)
     if space.dim != 2:
         return piece, None, None, cos
     angle = table._per_piece("boundary_param", piece, q, np.full(q.shape[0], np.nan))
@@ -306,7 +302,6 @@ class PhaseBox:
     def contains(self, table, q, v, piece_idx=None, normal=None):
         """`test` of the `phase_coordinates` of rows (q, v); `piece_idx` and `normal`
         carry what the hit at q found, and unset they are derived from q."""
-        piece_idx = table.active_piece(q) if piece_idx is None else piece_idx
         return self.test(phase_coordinates(table, q, v, piece_idx, normal))
 
 

@@ -1,8 +1,8 @@
 """Deterministic fork-join Monte Carlo over fixed sample blocks.
 
 The total sample budget is cut into fixed-size blocks; block b always uses
-the generator stream (seed, stream + b).  Workers only decide who computes
-which block, and partial results are reduced in block order, so reports are
+the generator stream (seed, b).  Workers only decide who computes which
+block, and partial results are reduced in block order, so reports are
 identical for any worker count.
 """
 

@@ -10,12 +10,25 @@ Hyperbolic geodesics are computed in the hyperboloid (Minkowski) model and
 mapped back to the ball chart, which gives exact flows without integrating
 the geodesic equation.
 
-Each space also computes its own geodesic spheres S(c, r), the boundaries of
-ball pieces: the normal, the first hit of a geodesic, the sphere's area and
-the ball's volume, random unit tangents at c, and for n = 2 the angle about
-c.  These kernels are private methods, so a tracer that wraps public methods
-books their time to the `tables.Ball` method that calls them (for example to
-`Ball.ray_hit` per space kind), not to the space.
+Every space kind (`Euclidean`, `FlatTorus`, `HyperbolicBall`, `Sphere`)
+defines or inherits the methods below; `ModelSpace` holds only what they
+share (the metric, `wrap`, `delta`, `chart_distance`, `validate_point`).
+
+    flow(q, v, s)                        advance unit-speed geodesics by arclength s: (q', v')
+    distance(p, q)                       geodesic distance between chart points
+    tangent_frame(q, n)                  (..., dim - 1, chart_dim) g-orthonormal tangents to n
+    geodesic_between(qa, qb, t)          points at fractions t of paired segments qa -> qb
+    _sphere_normal(q, c)                 g-unit tangent at q pointing away from c
+    _sphere_hit(q, v, c, r, s_lo, s_hi)  first arclength in (s_lo, s_hi] on S(c, r), or inf
+    _sphere_area(r)                      volume of the sphere S(c, r)
+    _sphere_angle(q, c)                  angle of q about c (n = 2 only)
+    _sphere_point(c, r, alpha)           point of S(c, r) at angle alpha (n = 2 only)
+    _ball_volume(r)                      volume of the ball of radius r
+    _unit_tangents(c, rng, count)        random g-unit tangents at c
+
+The private seven compute geodesic spheres S(c, r), the walls of ball pieces,
+so a tracer that wraps public methods books their time to the `tables.Ball`
+method that calls them (`Ball.ray_hit` per space kind, say), not the space.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ def _smallest_root(roots, valid, s_lo, s_hi):
 
 
 class ModelSpace:
-    """Common interface of the four model spaces."""
+    """What the four model spaces share; the module docstring lists the rest."""
 
     kind = "abstract"
     dim = None        # dimension n of the base manifold M
@@ -65,7 +78,7 @@ class ModelSpace:
         self.dim = dim
         self.chart_dim = dim + self.ambient
 
-    # -- metric ----------------------------------------------------------
+    # -- metric and chart differences -------------------------------------
 
     def metric_dot(self, q, u, w):
         return _dot(u, w)
@@ -76,20 +89,8 @@ class ModelSpace:
     def unit(self, q, u):
         return u / self.norm(q, u)[..., None]
 
-    # -- flow ------------------------------------------------------------
-
-    def flow(self, q, v, s):
-        """Advance unit-speed geodesics by arclength s: returns (q', v')."""
-        raise NotImplementedError
-
     def wrap(self, q):
         return q
-
-    # -- distances ---------------------------------------------------------
-
-    def distance(self, p, q):
-        """Geodesic distance between chart points."""
-        raise NotImplementedError
 
     def delta(self, p, q):
         """Chart difference p - q (the minimal periodic image on a torus)."""
@@ -98,21 +99,6 @@ class ModelSpace:
     def chart_distance(self, p, q):
         d = self.delta(p, q)
         return np.sqrt(_dot(d, d))
-
-    # -- frames and segments ----------------------------------------------
-
-    def tangent_frame(self, q, n):
-        """g-orthonormal tangent vectors completing the g-unit vector n.
-
-        Returns an array of shape (..., dim-1, chart_dim) spanning the
-        g-orthogonal complement of n inside the tangent space at q.
-        """
-        raise NotImplementedError
-
-    def geodesic_between(self, qa, qb, t):
-        """Points at fractions t, shape (P,), of the geodesic segments qa -> qb, whose
-        rows (shape (P, chart_dim), or (1, chart_dim) for one segment) pair up."""
-        raise NotImplementedError
 
     def validate_point(self, q):
         pass

@@ -18,6 +18,13 @@ triples, so a block of many rows is split into row chunks.  Since 2r <
 every period, each window's 2^d nearest images hold every image its segment
 can hit, and the hits are those of a one-window loop, bit for bit.
 
+A table derives the boundary geometry of phase points (piece, inward
+normal, stratum label, incidence cosine) in one step, `_boundary_geometry`,
+which uses a carried piece or normal as given and derives a missing one.  A
+row off the boundary (piece -1, a trapped hit among them) gets a NaN normal,
+a NaN cosine and label -1; `classify` and `inward_normal_at` raise
+NotOnBoundary on such rows.
+
 Every piece kind (`Ball`, its alias `HalfSpaceOrCap`, `RadialFourierCurve`)
 has a `side`, OUTER or OBSTACLE, and the methods below.  `Table` calls
 `check` once per piece when it is built; the others assume a piece that
@@ -191,6 +198,9 @@ class RadialFourierCurve:
         self.base_radius = float(base_radius)
         self.cos_coeffs = np.asarray(cos_coeffs, dtype=float)
         self.sin_coeffs = np.asarray(sin_coeffs, dtype=float)
+        # r'(theta) as a series of its own: k b_k with cos, -k a_k with sin
+        self._dr_cos = self.sin_coeffs * np.arange(1, self.sin_coeffs.size + 1)
+        self._dr_sin = -(self.cos_coeffs * np.arange(1, self.cos_coeffs.size + 1))
         # amplitude of harmonic k = 1..m; |d^j r / d theta^j| <= sum k^j amp_k
         amp = np.zeros(max(self.cos_coeffs.size, self.sin_coeffs.size))
         amp[:self.cos_coeffs.size] += np.abs(self.cos_coeffs)
@@ -214,30 +224,22 @@ class RadialFourierCurve:
         speed2_curv = 2.0 * (r1 * r1 + self._r_max * r2 + r2 * r2 + r1 * r3)
         self._speed_max = float(np.sqrt(np.max(speed) ** 2 + speed2_curv * gap))
 
-    def _harmonics(self):
-        kc = np.arange(1, self.cos_coeffs.size + 1)
-        ks = np.arange(1, self.sin_coeffs.size + 1)
-        return kc, ks
+    @staticmethod
+    def _series(theta, base, a, b):
+        """base + sum_k a_k cos(k theta) + b_k sin(k theta), k = 1, 2, ..."""
+        theta = np.asarray(theta, dtype=float)
+        out = np.full(theta.shape, base)
+        for coeffs, wave in ((a, np.cos), (b, np.sin)):
+            if coeffs.size:
+                k = np.arange(1, coeffs.size + 1)
+                out = out + np.sum(coeffs * wave(np.multiply.outer(theta, k)), axis=-1)
+        return out
 
     def r_of(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        kc, ks = self._harmonics()
-        out = np.full(theta.shape, self.base_radius)
-        if kc.size:
-            out = out + np.sum(self.cos_coeffs * np.cos(np.multiply.outer(theta, kc)), axis=-1)
-        if ks.size:
-            out = out + np.sum(self.sin_coeffs * np.sin(np.multiply.outer(theta, ks)), axis=-1)
-        return out
+        return self._series(theta, self.base_radius, self.cos_coeffs, self.sin_coeffs)
 
     def dr_of(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        kc, ks = self._harmonics()
-        out = np.zeros(theta.shape)
-        if kc.size:
-            out = out - np.sum(self.cos_coeffs * kc * np.sin(np.multiply.outer(theta, kc)), axis=-1)
-        if ks.size:
-            out = out + np.sum(self.sin_coeffs * ks * np.cos(np.multiply.outer(theta, ks)), axis=-1)
-        return out
+        return self._series(theta, 0.0, self._dr_cos, self._dr_sin)
 
     def check(self, space):
         if not (type(space) is Euclidean and space.dim == 2):
@@ -405,7 +407,8 @@ def window_hit(q, v, s0, s1, s_lo, space, centers, radii_sq, exit_reach):
 
 @dataclass
 class HitBatch:
-    """Vectorized first-hit result; trapped rows carry s = inf and normal 0."""
+    """Vectorized first-hit result.  Trapped rows carry s = inf, piece -1, label
+    -1, a NaN normal and a NaN cosine, and q, v where the ray started."""
     s: np.ndarray
     q: np.ndarray
     v: np.ndarray
@@ -535,7 +538,8 @@ class Table:
             filled += take.shape[0]
         return out
 
-    def _check_connected(self, count=120, neighbors=6, probes=24):
+    def _check_connected(self):
+        count, neighbors, probes = 120, 6, 24  # points, edges per point, probes per edge
         rng = np.random.default_rng(2)
         pts = self._interior_samples(rng, count)
         deltas = self.space.delta(pts[None, :, :], pts[:, None, :])
@@ -611,16 +615,13 @@ class Table:
         """Gauge of each row's own piece at (N, chart_dim) rows q; every index >= 0."""
         return self._per_piece("gauge", piece_idx, q, np.empty(q.shape[0]))
 
-    def _own_normal(self, q, piece_idx):
-        """Inward normal of each row's own piece at (N, chart_dim) rows q; every index >= 0."""
-        return self._per_piece("inward_normal", piece_idx, q, np.empty_like(q))
-
     def piece_gauge(self, q, piece_idx):
         """Gauge of each row's own piece at q."""
         return self._own_gauge(np.atleast_2d(q), self._on_boundary(piece_idx))
 
     def inward_normal_at(self, q, piece_idx):
-        return self._own_normal(np.atleast_2d(q), self._on_boundary(piece_idx))
+        q = np.atleast_2d(q)
+        return self._per_piece("inward_normal", self._on_boundary(piece_idx), q, np.empty_like(q))
 
     # -- strata ---------------------------------------------------------------
 
@@ -633,29 +634,39 @@ class Table:
         return (gp - 2.0 * g0 + gm) / (h * h)
 
     def classify(self, q, v, piece_idx=None, normal=None):
-        """StratumLabel codes and incidence cosines for boundary phase points.
+        """StratumLabel codes and incidence cosines for boundary phase points;
+        `piece_idx` and `normal`, when known, save deriving them again."""
+        piece, _, label, cos_in = self._boundary_geometry(np.atleast_2d(q), np.atleast_2d(v),
+                                                          piece_idx, normal)
+        self._on_boundary(piece)
+        return label, cos_in
 
-        `normal`, the inward normals of the pieces at q when already known,
-        saves deriving them again; the cosine is one metric_dot either way.
-        """
-        q = np.atleast_2d(q)
-        v = np.atleast_2d(v)
-        piece_idx = self._on_boundary(self.active_piece(q) if piece_idx is None else piece_idx)
+    def _boundary_geometry(self, q, v, piece=None, normal=None):
+        """(piece, inward normal, StratumLabel code, incidence cosine) at (N, chart_dim)
+        rows (q, v).  A piece or normal the caller carries is used as given; a
+        missing one is derived.  A row off the boundary (piece -1) gets a NaN
+        normal, a NaN cosine and label -1."""
+        piece = self.active_piece(q) if piece is None else np.atleast_1d(piece)
+        off = piece < 0
+        some_off = off.any()
         if normal is None:
-            normal = self._own_normal(q, piece_idx)
-        return self._strata(q, v, piece_idx, normal)
-
-    def _strata(self, q, v, piece_idx, normal):
-        """`classify` on (N, chart_dim) rows whose pieces (all >= 0) and normals are known."""
+            fill = np.full_like(q, np.nan) if some_off else np.empty_like(q)
+            normal = self._per_piece("inward_normal", piece, q, fill)
+        elif some_off:
+            normal = np.where(off[:, None], np.nan, normal)
         cos_in = self.space.metric_dot(q, v, normal)
-        # TRANSVERSAL_IN is 0 and TRANSVERSAL_OUT is 1; a NaN cosine is tangent
-        label = (cos_in < -self.tol.grazing_tol).astype(np.int8)
-        tangent = ~(np.abs(cos_in) > self.tol.grazing_tol)
-        if tangent.any():
-            dds = self._gauge_dds(q[tangent], v[tangent], piece_idx[tangent])
+        # TRANSVERSAL_IN 0 and TRANSVERSAL_OUT 1 are the bools as int8; a NaN cosine is tangent
+        label = (cos_in < -self.tol.grazing_tol).view(np.int8)
+        transversal = np.abs(cos_in) > self.tol.grazing_tol
+        if some_off:
+            label[off] = -1
+            transversal |= off
+        if not transversal.all():
+            tangent = ~transversal
+            dds = self._gauge_dds(q[tangent], v[tangent], piece[tangent])
             label[tangent] = np.where(dds >= 0.0, int(StratumLabel.TANGENT_CONVEX),
                                       int(StratumLabel.TANGENT_CONCAVE))
-        return label, cos_in
+        return piece, normal, label, cos_in
 
     # -- ray tracing -----------------------------------------------------------
 
@@ -663,7 +674,6 @@ class Table:
         """Vectorized first boundary crossing along unit-speed geodesics."""
         q = np.atleast_2d(q)
         v = np.atleast_2d(v)
-        n = q.shape[0]
         s_lo, s_hi = self.tol.hit_tol, self.l_max
         if isinstance(self.space, FlatTorus):
             best_s, best_piece = self._first_hit_torus(q, v, s_lo, s_hi)
@@ -677,22 +687,9 @@ class Table:
                 better = s_k < best_s
                 best_s = np.where(better, s_k, best_s)
                 best_piece = np.where(better, k, best_piece)
-        trapped = ~np.isfinite(best_s)
-        if not trapped.any():
-            # the common case keeps the arrays _strata reads, uncopied
-            q_hit, v_hit = self.space.flow(q, v, best_s)
-            normal = self._own_normal(q_hit, best_piece)
-            label, cos_in = self._strata(q_hit, v_hit, best_piece, normal)
-        else:
-            q_hit, v_hit = self.space.flow(q, v, np.where(trapped, 0.0, best_s))
-            ok = ~trapped
-            normal = np.zeros_like(q_hit)
-            cos_in = np.zeros(n)
-            label = np.full(n, -1, dtype=np.int8)
-            if ok.any():
-                qo, po = q_hit[ok], best_piece[ok]
-                normal[ok] = no = self._own_normal(qo, po)
-                label[ok], cos_in[ok] = self._strata(qo, v_hit[ok], po, no)
+        trapped = best_piece < 0
+        q_hit, v_hit = self.space.flow(q, v, np.where(trapped, 0.0, best_s))
+        _, normal, label, cos_in = self._boundary_geometry(q_hit, v_hit, best_piece)
         return HitBatch(s=best_s, q=q_hit, v=v_hit, piece=best_piece, normal=normal,
                         cos_in=cos_in, label=label, trapped=trapped)
 

@@ -341,6 +341,8 @@ BAD_CONFIG_KEYS = {"periods-string": "periods", "radius-string": "radius",
     ["mfp", "--preset", "disk", "--samples", "inf"],
     ["simulate", "--preset", "disk", "--orbits", "2", "--bounces", "nan"],
     ["simulate", "--preset", "disk", "--orbits", "2", "--bounces", "inf"],
+    ["mfp", "--preset", "disk", "--samples", "100", "--workers", "0"],
+    ["mfp", "--preset", "disk", "--samples", "100", "--workers", "-3"],
     *(["mfp", "--config", f"{{{name}}}", "--samples", "100"] for name in BAD_CONFIGS),
 ], ids=["resolution-0", "resolution-negative", "lmax-0", "lmax-negative", "lmax-nan",
         "boundary-0", "boundary-inf", "dim-0", "lengths-missing", "lengths-bad-row",
@@ -348,7 +350,7 @@ BAD_CONFIG_KEYS = {"periods-string": "periods", "radius-string": "radius",
         "seed-negative-reconstruct", "rotation-not-a-number", "rotation-nan",
         "translation-three-components", "translation-one-component", "box-angle-nan",
         "box-incidence-inf", "samples-nan", "samples-inf", "bounces-nan", "bounces-inf",
-        *(f"config-{name}" for name in BAD_CONFIGS)])
+        "workers-zero", "workers-negative", *(f"config-{name}" for name in BAD_CONFIGS)])
 def test_cli_rejects_out_of_domain_values(argv, tmp_path, capsys):
     files = {"good": tmp_path / "good.csv", "bad_row": tmp_path / "bad_row.csv",
              "missing": tmp_path / "missing.csv"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from billiardlab.dynamics import Elastic
+from billiardlab.dynamics import Elastic, orbit_batches
 from billiardlab.ergodic import (ChordLength, DeltaF, hear_volume, inequality_report,
                                  mean_free_path, mean_free_path_prediction,
                                  recurrence_test, space_average, time_average_many,
@@ -79,6 +79,25 @@ def test_time_average_checkpoints_powers_of_two(disk, entry_at):
                                                    *entry_at(disk, 0.2, 0.5), 100)
     assert checkpoints == [1, 2, 4, 8, 16, 32, 64, 100]
     assert running.shape == (1, 8)
+
+
+def test_stopped_orbits_keep_the_mean_of_their_chords():
+    # at l_max 5 some torus orbits run free past the cap (trapped), others complete
+    table = torus_one_ball().with_l_max(5.0)
+    starts = sample_mu_theta(table, 64, seed=21)
+    checkpoints, running, done, ends = time_average_many(table, Elastic(), ChordLength(),
+                                                         starts.q, starts.v, 40)
+    kinds, batches = orbit_batches(table, Elastic(), starts.q, starts.v, 40)
+    assert ends.tolist() == kinds
+    stopped = np.flatnonzero(ends != "completed")
+    assert 0 < stopped.size < 64 and np.all(done[stopped] < 40)
+    for i in stopped:
+        lengths = batches[i].length[~batches[i].stops]
+        assert done[i] == lengths.size
+        final = np.mean(lengths) if lengths.size else 0.0
+        # every checkpoint past the stop holds the final partial mean
+        assert np.all(running[i, np.array(checkpoints) > done[i]] == running[i, -1])
+        assert abs(running[i, -1] - final) <= 1e-12 * max(final, 1.0)
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
 import numpy as np
 
+from billiardlab import tables
 from billiardlab.holography import (ScatteringDataset, boundary_param_map,
                                     conjugacy_residual, domain_reference_sample,
                                     generate_scattering_dataset, identity_map,
                                     reconstruct_chords, reflection_map,
                                     rotation_map, torus_translation_map)
 from billiardlab.lyapunov import build_well_balanced_F
+from billiardlab.spaces import Euclidean
 
 
 def test_conjugacy_rotation_isometry(disk):
@@ -34,6 +36,34 @@ def test_conjugacy_disk_vs_ellipse_fails(disk, ellipse):
     assert res.max_residual > 0.05
     same = conjugacy_residual(disk, disk, boundary_param_map(disk, disk), 2_000, seed=4)
     assert same.max_residual < 1e-9
+
+
+def test_conjugacy_skips_every_row_when_no_image_is_usable(disk):
+    # images off the second boundary (radius-2 disk), and images on it but outward
+    big = tables.Table(Euclidean(2), [tables.Ball((0.0, 0.0), 2.0)], name="disk-r2")
+    for table2, phi in ((big, identity_map()), (disk, lambda q, v: (q, -v))):
+        res = conjugacy_residual(disk, table2, phi, 1_000, seed=4)
+        assert (res.used, res.skipped) == (0, 1_000)
+        assert np.isnan(res.max_residual) and np.isnan(res.mean_residual)
+
+
+def test_conjugacy_derives_the_second_boundary_state_once(disk, monkeypatch):
+    # one active_piece call per block (the second table's rows; the first
+    # table's chords carry the sampler's state) and four normal derivations:
+    # the sampler, the two exits and the second table's entries
+    calls = {"active_piece": [], "inward_normal": []}
+    for owner, name in ((tables.Table, "active_piece"), (tables.Ball, "inward_normal")):
+        original = getattr(owner, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name].append(args[-1].shape[0])
+            return _original(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+    res = conjugacy_residual(disk, disk, rotation_map(1.0), 10_000, seed=3, workers=1)
+    assert res.used > 9_000 and res.max_residual < 1e-9
+    assert calls["active_piece"] == [10_000]
+    assert len(calls["inward_normal"]) == 4
 
 
 def test_dataset_generation_and_roundtrip(disk, disk_F, tmp_path):

@@ -7,6 +7,8 @@ from billiardlab.measure import (Estimate, PhaseBox, domain_volumes,
                                  measure_preservation_test, phase_coordinates, random_phase_boxes,
                                  boundary_rng, sample_mu_theta, trajectory_space_volume,
                                  unit_ball_volume, unit_sphere_volume)
+from billiardlab.presets import ellipse
+from billiardlab.tables import Table, Tolerances
 
 
 def ks_statistic(samples, cdf):
@@ -97,6 +99,23 @@ def test_sampler_cos_positive_and_resampling(disk):
     assert s.resampled_fraction < 1e-3
 
 
+@pytest.mark.parametrize("name, p, mean_cos", [
+    ("disk", 1.0 - np.sqrt(0.75), 0.85459), ("ball3", 0.25, 0.77778)])
+def test_sampler_redraws_directions_at_or_below_the_grazing_cosine(name, p, mean_cos, request):
+    # at grazing_tol 0.5 a fraction p of the lifted directions is redrawn, each
+    # sample p / (1 - p) times on average, and the cosines are the cosine law
+    # conditioned on cos > 0.5
+    table = request.getfixturevalue(name)
+    table = Table(table.space, table.pieces, Tolerances(grazing_tol=0.5), check=False)
+    n = 200_000
+    s = sample_mu_theta(table, n, seed=9)
+    assert np.all(s.cos_in > 0.5)
+    redraws = p / (1.0 - p)
+    assert abs(s.resampled_fraction - redraws) < 4.0 * np.sqrt(p / (1.0 - p) ** 2 / n)
+    cos = Estimate.from_samples(s.cos_in)
+    assert abs(cos.mean - mean_cos) < 4.0 * cos.stderr
+
+
 # -- volumes --------------------------------------------------------------------
 
 
@@ -157,6 +176,9 @@ def test_domain_volumes(disk, ball3, hyp_disk, cap, one_ball):
     v = domain_volumes(one_ball)
     assert abs(v.vol_m - (1 - np.pi * 0.25 ** 2)) < 1e-12
     assert abs(v.vol_dm - 2 * np.pi * 0.25) < 1e-12
+    # r = 1 + 0.15 cos(2 theta) encloses (1 / 2) int r^2 = pi (1 + 0.15^2 / 2)
+    want = np.pi * (1.0 + 0.15 ** 2 / 2.0)
+    assert abs(domain_volumes(ellipse()).vol_m - want) <= 1e-14 * want
 
 
 def test_hyperbolic_area_chart_quadrature(hyp_disk):
@@ -330,6 +352,18 @@ def test_phase_coordinates_are_nan_off_the_boundary(disk, ball3):
             for x in (angle, incidence, cos):
                 if x is not None:
                     assert np.isnan(x[off]).all() and np.isfinite(x[~off]).all()
+
+
+def test_phase_coordinates_derive_the_piece_when_unset(disk, two_balls):
+    for table in (disk, two_balls):
+        s = sample_mu_theta(table, 256, 13)
+        q = s.q.copy()
+        q[::9] = table.space.wrap(q[::9] + 0.05 * s.v[::9])   # rows moved into the interior
+        piece = table.active_piece(q)
+        assert (piece[::9] == -1).all() and (piece >= 0).sum() == 256 - 29
+        derived, given = phase_coordinates(table, q, s.v), phase_coordinates(table, q, s.v, piece)
+        for a, b in zip(derived, given):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 @pytest.mark.parametrize("boundary", FULL_CIRCLES)

@@ -1,8 +1,12 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
+from billiardlab import spaces
 from billiardlab.errors import AmbiguousGeodesic
-from billiardlab.spaces import Euclidean, FlatTorus, HyperbolicBall, Sphere
+from billiardlab.spaces import Euclidean, FlatTorus, HyperbolicBall, ModelSpace, Sphere
 
 ALL_SPACES = [Euclidean(2), Euclidean(3), FlatTorus((1.0, 1.0)),
               FlatTorus((1.0, 2.0, 0.5)), HyperbolicBall(2), HyperbolicBall(3),
@@ -169,3 +173,19 @@ def test_torus_between_ambiguous():
 def test_hyperbolic_validate_rejects_outside():
     with pytest.raises(ValueError):
         HyperbolicBall(2).validate_point(np.array([1.2, 0.0]))
+
+
+def test_every_space_has_the_space_contract():
+    # the methods the spaces module docstring lists, with the listed arguments
+    listed = dict(re.findall(r"^    (\w+)\(([^)]*)\)", spaces.__doc__, re.M))
+    assert list(listed)[:4] == ["flow", "distance", "tangent_frame", "geodesic_between"]
+    kernels = {name for name in vars(Euclidean) if name.startswith("_sphere_")}
+    assert kernels and kernels <= set(listed) and len(listed) == 11
+    for name, args in listed.items():
+        # listed once: the shared base defines none of them
+        assert name not in vars(ModelSpace), name
+        for cls in (Euclidean, FlatTorus, HyperbolicBall, Sphere):
+            method = getattr(cls, name, None)
+            assert inspect.isfunction(method), (cls.__name__, name)
+            params = list(inspect.signature(method).parameters)
+            assert params == ["self", *args.split(", ")], (cls.__name__, name)

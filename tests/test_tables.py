@@ -215,6 +215,34 @@ def test_hit_minimality_gauge_sign(disk, one_ball, hyp_disk):
             assert np.all(table.max_gauge(pts) <= table.tol.hit_tol)
 
 
+def test_rows_off_the_boundary_get_nan_geometry_and_label_minus_one(disk, one_ball):
+    # trapped hits: piece -1, label -1, NaN normal and cosine, and the start point
+    short = one_ball.with_l_max(0.3)
+    q = np.array([[0.75, 0.5], [0.1, 0.5], [0.2, 0.1]])
+    v = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    hit = short.first_hit(q, v)
+    assert hit.trapped.tolist() == [True, False, True]
+    assert hit.piece.tolist() == [-1, 0, -1] and hit.label.tolist() == [-1, 1, -1]
+    assert np.isnan(hit.normal[hit.trapped]).all() and np.isnan(hit.cos_in[hit.trapped]).all()
+    assert np.isfinite(hit.normal[1]).all() and hit.cos_in[1] < -0.99
+    assert np.array_equal(hit.q[hit.trapped], q[hit.trapped])
+    # the same rule for derived and carried state, with no tangent test off the boundary
+    qb = np.array([[1.0, 0.0], [0.2, 0.1], [0.0, -1.0]])
+    vb = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    carried_normal = np.array([[-1.0, 0.0], [7.0, 7.0], [0.0, 1.0]])
+    for carried in ((), (np.array([0, -1, 0]), carried_normal)):
+        piece, normal, label, cos = disk._boundary_geometry(qb, vb, *carried)
+        assert piece.tolist() == [0, -1, 0] and label.tolist() == [0, -1, 0]
+        assert np.isnan(normal[1]).all() and np.isnan(cos[1])
+    with pytest.raises(NotOnBoundary):
+        disk.classify(qb, vb)
+    for piece in (None, np.array([0, -1, 0])):
+        with pytest.raises(NotOnBoundary, match="not on the table boundary"):
+            causality_batch(disk, qb, vb, piece)
+    with pytest.raises(NotOnBoundary, match="off its boundary piece"):
+        causality_batch(disk, qb * 0.5, vb, np.zeros(3, dtype=int))
+
+
 def test_trapped_when_cap_too_small(one_ball):
     short = one_ball.with_l_max(0.05)
     chord = causality_batch(short, [0.75, 0.5], [1.0, 0.0])
@@ -274,6 +302,35 @@ def test_fourier_bounds_enclose_the_curve():
         assert w._speed_max >= np.max(refine(speed, np.argmax))
 
 
+def _reference_r_and_dr(w, theta):
+    """r and r' as the two separate sums they were first written as."""
+    kc, ks = np.arange(1, w.cos_coeffs.size + 1), np.arange(1, w.sin_coeffs.size + 1)
+    r, dr = np.full(theta.shape, w.base_radius), np.zeros(theta.shape)
+    if kc.size:
+        r = r + np.sum(w.cos_coeffs * np.cos(np.multiply.outer(theta, kc)), axis=-1)
+        dr = dr - np.sum(w.cos_coeffs * kc * np.sin(np.multiply.outer(theta, kc)), axis=-1)
+    if ks.size:
+        r = r + np.sum(w.sin_coeffs * np.sin(np.multiply.outer(theta, ks)), axis=-1)
+        dr = dr + np.sum(w.sin_coeffs * ks * np.cos(np.multiply.outer(theta, ks)), axis=-1)
+    return r, dr
+
+
+def test_fourier_series_matches_the_two_sum_formulas_bit_for_bit():
+    rng = np.random.default_rng(17)
+    # random angles over three turns, negative ones among them, and multiples of pi / 2048
+    theta = np.concatenate([rng.uniform(-2.0 * np.pi, 4.0 * np.pi, 200_000),
+                            np.arange(4096) * (np.pi / 2048.0)])
+    walls = [RadialFourierCurve(1.0),
+             RadialFourierCurve(1.0, cos_coeffs=(0.0, 0.15)),
+             RadialFourierCurve(1.2, sin_coeffs=(0.05, 0.0, -0.03)),
+             RadialFourierCurve(1.0, cos_coeffs=rng.uniform(-0.02, 0.02, 7),
+                                sin_coeffs=rng.uniform(-0.02, 0.02, 4))]
+    for w in walls:
+        r, dr = _reference_r_and_dr(w, theta)
+        assert _same_bits(w.r_of(theta), r)
+        assert _same_bits(w.dr_of(theta), dr)
+
+
 def test_fourier_perimeter_positive_radius():
     with pytest.raises(ConfigError):
         RadialFourierCurve(0.1, cos_coeffs=(0.5,))
@@ -324,6 +381,13 @@ def test_overlapping_obstacles_rejected():
         Table(FlatTorus((1.0, 1.0)),
               [Ball((0.3, 0.3), 0.2, side="obstacle"),
                Ball((0.5, 0.5), 0.2, side="obstacle")])
+
+
+def test_overlapping_obstacles_in_a_disk_rejected():
+    with pytest.raises(ConfigError, match="obstacles overlap"):
+        Table(Euclidean(2), [Ball((0.0, 0.0), 1.0),
+                             Ball((-0.2, 0.0), 0.3, side="obstacle"),
+                             Ball((0.2, 0.0), 0.3, side="obstacle")])
 
 
 def test_obstacle_overlapping_own_images_rejected():
