@@ -190,7 +190,8 @@ def causality_batch(table, q, v, piece=None, normal=None):
     v = np.atleast_2d(v)
     n = q.shape[0]
     carried = piece is not None
-    piece, normal, entry_label, entry_cos = table._boundary_geometry(q, v, piece, normal)
+    piece, normal, entry_cos = table._boundary_geometry(q, v, piece, normal)
+    entry_label = table._strata(q, v, piece, entry_cos)
     if (entry_label < 0).any():
         raise NotOnBoundary("point is not on the table boundary")
     if carried and (np.abs(table._own_gauge(q, piece)) > table.tol.hit_tol).any():

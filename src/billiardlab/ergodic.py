@@ -112,7 +112,8 @@ def time_average_many(table, law, observable, z0_q, z0_v, bounces):
 
     Returns (checkpoints, running-means array of shape (starters, checkpoints),
     bounces completed, termination kinds).  Orbits that trap or graze stop
-    contributing; their partial averages stay at the last completed bounce.
+    contributing; their partial averages stay at the last completed bounce.  An
+    orbit that stops on its first chord has no mean: NaN at every checkpoint.
     """
     n = np.atleast_2d(z0_q).shape[0]
     checkpoints = _checkpoint_list(bounces)
@@ -134,7 +135,7 @@ def time_average_many(table, law, observable, z0_q, z0_v, bounces):
             live = done_bounces >= step
             running[live, j] = sums[live] / step
     # fill checkpoints beyond early termination with the final partial mean
-    partial = sums / np.maximum(done_bounces, 1)
+    partial = np.where(done_bounces > 0, sums / np.maximum(done_bounces, 1), np.nan)
     running = np.where(np.isnan(running), partial[:, None], running)
     return checkpoints, running, done_bounces, termination
 

@@ -4,10 +4,14 @@ Numerical versions of the holography statements: a boundary map that
 intertwines two scattering maps has vanishing residual (isometries of a
 table realize this exactly up to roundoff); the chord cloud of a dataset
 reconstructs the flow-foliated domain.
+
+The cloud is written byte for byte as `np.savetxt` would, from digit tables
+(`_format_e18`); coverage is an exact KD-tree search, corrected per space.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -38,23 +42,34 @@ def _write_blocks(fh, values, row_fmt):
         fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-_POW10 = []  # 10^k as double-double rows (hi, lo), k = -240..279, built on first use
-_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)  # "00".."99"
+@functools.cache
+def _tables():
+    """`_format_e18`'s lookup tables, built on first use: rows (hi, lo, b1, b2) of 10^k,
+    k = -240..279, hi + lo its double-double value and b1 + b2 = hi Veltkamp's split;
+    "00".."99" as uint16, "0000".."9999" as uint32, and at e + 256 (e = -256..255) the
+    exponent's sign, hundreds (or 0), tens and units as one uint32."""
+    from fractions import Fraction
+    exact = [Fraction(10) ** k for k in range(-240, 280)]
+    hi = np.array([float(f) for f in exact])
+    lo = [float(f - Fraction(h)) for f, h in zip(exact, hi)]
+    b1 = hi * 134217729.0
+    b1 -= b1 - hi
+    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    e = np.arange(-256, 256)
+    exps = np.column_stack([np.where(e < 0, ord("-"), ord("+")), digits[abs(e), 1:]])
+    exps[:, 1] *= abs(e) >= 100
+    return (np.column_stack([hi, lo, b1, hi - b1]), digits[:100, 2:].copy().view(np.uint16),
+            digits.view(np.uint32), exps.astype(np.uint8).view(np.uint32))
 
 
 def _scaled(ax, e):
     """round(ax * 10^(18 - e)) as uint64, and whether that product's fraction lies
     within 1e-6 of 1/2 (a tie or too near one to certify; error is about 1e-12)."""
-    if not _POW10:
-        from fractions import Fraction
-        exact = [Fraction(10) ** k for k in range(-240, 280)]
-        hi = [float(f) for f in exact]
-        _POW10.append(np.array([hi, [float(f - Fraction(h)) for f, h in zip(exact, hi)]]))
-    hi, lo = _POW10[0][:, 258 - e]
+    hi, lo, b1, b2 = _tables()[0].take(258 - e, axis=0).T
     p = ax * hi
-    s, t = ax * 134217729.0, hi * 134217729.0  # Veltkamp's split at 2^27 + 1
-    a1, b1 = s - (s - ax), t - (t - hi)
-    a2, b2 = ax - a1, hi - b1
+    s = ax * 134217729.0  # Veltkamp's split at 2^27 + 1
+    a1 = s - (s - ax)
+    a2 = ax - a1
     c = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + ax * lo  # Dekker: ax * hi - p exactly
     frac = c - np.floor(c)
     n = np.minimum(p, 1.8e19).astype(np.uint64) + (c - frac).astype(np.int64).view(np.uint64)
@@ -62,9 +77,10 @@ def _scaled(ax, e):
 
 
 def _format_e18(block):
-    """A nonempty 2-D float block as `'%.18e'` rows, as bytes: the 19 digits are
-    round(|x| 10^(18 - e)) for e = floor(log10|x|), and Python's `%` formats only what
-    that cannot certify (non-finite values, |x| outside (1e-250, 1e250), near-ties)."""
+    """A nonempty 2-D float block as `'%.18e'` rows, each led by a newline, as bytes.
+    Each value's 28-byte field gets n = round(|x| 10^(18 - e)), e = floor(log10|x|), from
+    digit tables, and its unused bytes, 0, are dropped.  Python's `%` formats what that
+    cannot certify (non-finite values, |x| outside (1e-250, 1e250), near-ties)."""
     x = np.asarray(block, dtype=float).ravel()
     ax = np.abs(x)
     fast = (ax > 1e-250) & (ax < 1e250)
@@ -76,24 +92,26 @@ def _format_e18(block):
     redo = np.flatnonzero(off)
     e[redo] += off[redo]
     n[redo], tie[redo] = _scaled(ax[redo], e[redo])
-    # 28 bytes, 0 if unused: separator, sign, d0, '.', 18 digits, 'e', sign, 0, 3 digits
-    field = np.zeros((*block.shape, 28), np.uint8)
-    field[:, 1:, 0], field[1:, 0, 0] = ord(","), ord("\n")
-    field = field.reshape(-1, 28)
-    slots = field.view(np.uint16)
-    field[:, 1] = np.where(x < 0, ord("-"), 0)
-    for slot in range(10, 1, -1):
-        n, pair = np.divmod(n, 100)
-        slots[:, slot] = _PAIRS[pair]
-    field[:, 2] = n + ord("0")
-    field[:, 3], field[:, 22] = ord("."), ord("e")
-    field[:, 23] = np.where(e < 0, ord("-"), ord("+"))
-    hundreds, tens = np.divmod(np.abs(e), 100)
-    field[:, 25], slots[:, 13] = np.where(hundreds, hundreds + ord("0"), 0), _PAIRS[tens]
-    slow = np.flatnonzero(~fast | tie | (n < 1) | (n > 9))  # n is now the leading digit
+    _, pairs, quads, exps = _tables()
+    # bytes: separator, sign, d0, '.', 16 digits, 2 digits, 0, 'e', exponent sign and digits
+    row = np.zeros((block.shape[1], 28), np.uint8)
+    row[:, 0], row[:, 3], row[:, 23] = ord(","), ord("."), ord("e")
+    row[0, 0] = ord("\n")
+    field = np.tile(row.ravel(), block.shape[0]).reshape(-1, 28)
+    field[:, 1] = (x < 0) * np.uint8(ord("-"))
+    top = n // np.uint64(100)
+    field.view(np.uint16)[:, 10] = pairs.take(n - top * np.uint64(100))
+    words = field.view(np.uint32)
+    for slot in range(4, 0, -1):
+        n = top // np.uint64(10**4)
+        words[:, slot] = quads.take(top - n * np.uint64(10**4))
+        top = n
+    field[:, 2] = n + ord("0")  # n is now the leading digit
+    words[:, 6] = exps.take(e + 256)
+    slow = np.flatnonzero(~fast | tie | (n < 1) | (n > 9))
     text = b"".join((b"%.18e" % v).ljust(27, b"\0") for v in x[slow].tolist())
     field[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, 27)
-    return field[field != 0].tobytes() + b"\n"
+    return bytearray(field).translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +284,7 @@ def _conjugacy_block(table1, samples, table2, phi):
     b1 = causality_batch(table1, samples.q, samples.v, samples.piece, samples.normal)
     phi_q, phi_v = phi(samples.q, samples.v)
     # rows off the second table's boundary have a NaN cosine and are never usable
-    piece2, n2, _, cos2 = table2._boundary_geometry(phi_q, phi_v)
+    piece2, n2, cos2 = table2._boundary_geometry(phi_q, phi_v)
     usable = b1.ok & (cos2 > table2.tol.grazing_tol)
     if not np.any(usable):
         return np.empty(0)
@@ -310,9 +328,10 @@ class Reconstruction:
         byte for byte, formatted in numpy by `_format_e18`."""
         ncol = self.points.shape[1]
         with open(path, "wb") as fh:
-            fh.write(("# " + ",".join(f"x{i}" for i in range(ncol)) + "\n").encode())
+            fh.write(("# " + ",".join(f"x{i}" for i in range(ncol))).encode())
             for lo in range(0, self.points.shape[0], _WRITE_ROWS):
                 fh.write(_format_e18(self.points[lo:lo + _WRITE_ROWS]))
+            fh.write(b"\n")
 
 
 def _nearest_distances(space, reference, cloud):
@@ -321,7 +340,7 @@ def _nearest_distances(space, reference, cloud):
 
     def nearest(points):
         # an unbalanced tree builds in half the time and finds the same nearest points
-        tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+        tree = cKDTree(points, leafsize=64, balanced_tree=False, compact_nodes=False)
         return (tree, *tree.query(reference, k=1))
 
     tree, d, near = nearest(cloud)

@@ -253,7 +253,7 @@ def phase_coordinates(table, q, v, piece=None, normal=None):
     are derived from q."""
     space = table.space
     q, v = np.atleast_2d(q), np.atleast_2d(v)
-    piece, normal, _, cos = table._boundary_geometry(q, v, piece, normal)
+    piece, normal, cos = table._boundary_geometry(q, v, piece, normal)
     if space.dim != 2:
         return piece, None, None, cos
     angle = table._per_piece("boundary_param", piece, q, np.full(q.shape[0], np.nan))

@@ -19,11 +19,12 @@ every period, each window's 2^d nearest images hold every image its segment
 can hit, and the hits are those of a one-window loop, bit for bit.
 
 A table derives the boundary geometry of phase points (piece, inward
-normal, stratum label, incidence cosine) in one step, `_boundary_geometry`,
-which uses a carried piece or normal as given and derives a missing one.  A
-row off the boundary (piece -1, a trapped hit among them) gets a NaN normal,
-a NaN cosine and label -1; `classify` and `inward_normal_at` raise
-NotOnBoundary on such rows.
+normal, incidence cosine) in one step, `_boundary_geometry`, which uses a
+carried piece or normal as given and derives a missing one; `_strata` adds
+the stratum labels for the callers that read them (`classify`, `first_hit`,
+`causality_batch`).  A row off the boundary (piece -1, a trapped hit among
+them) gets a NaN normal, a NaN cosine and label -1; `classify` and
+`inward_normal_at` raise NotOnBoundary on such rows.
 
 Every piece kind (`Ball`, its alias `HalfSpaceOrCap`, `RadialFourierCurve`)
 has a `side`, OUTER or OBSTACLE, and the methods below.  `Table` calls
@@ -636,16 +637,15 @@ class Table:
     def classify(self, q, v, piece_idx=None, normal=None):
         """StratumLabel codes and incidence cosines for boundary phase points;
         `piece_idx` and `normal`, when known, save deriving them again."""
-        piece, _, label, cos_in = self._boundary_geometry(np.atleast_2d(q), np.atleast_2d(v),
-                                                          piece_idx, normal)
+        q, v = np.atleast_2d(q), np.atleast_2d(v)
+        piece, _, cos_in = self._boundary_geometry(q, v, piece_idx, normal)
         self._on_boundary(piece)
-        return label, cos_in
+        return self._strata(q, v, piece, cos_in), cos_in
 
     def _boundary_geometry(self, q, v, piece=None, normal=None):
-        """(piece, inward normal, StratumLabel code, incidence cosine) at (N, chart_dim)
-        rows (q, v).  A piece or normal the caller carries is used as given; a
-        missing one is derived.  A row off the boundary (piece -1) gets a NaN
-        normal, a NaN cosine and label -1."""
+        """(piece, inward normal, incidence cosine) at (N, chart_dim) rows (q, v).  A
+        piece or normal the caller carries is used as given; a missing one is derived.
+        A row off the boundary (piece -1) gets a NaN normal and a NaN cosine."""
         piece = self.active_piece(q) if piece is None else np.atleast_1d(piece)
         off = piece < 0
         some_off = off.any()
@@ -654,19 +654,23 @@ class Table:
             normal = self._per_piece("inward_normal", piece, q, fill)
         elif some_off:
             normal = np.where(off[:, None], np.nan, normal)
-        cos_in = self.space.metric_dot(q, v, normal)
+        return piece, normal, self.space.metric_dot(q, v, normal)
+
+    def _strata(self, q, v, piece, cos_in):
+        """StratumLabel codes of rows with the piece and cosine `_boundary_geometry`
+        gave: -1 off the boundary, where that cosine is NaN and never transversal."""
         # TRANSVERSAL_IN 0 and TRANSVERSAL_OUT 1 are the bools as int8; a NaN cosine is tangent
         label = (cos_in < -self.tol.grazing_tol).view(np.int8)
         transversal = np.abs(cos_in) > self.tol.grazing_tol
-        if some_off:
-            label[off] = -1
-            transversal |= off
         if not transversal.all():
-            tangent = ~transversal
-            dds = self._gauge_dds(q[tangent], v[tangent], piece[tangent])
-            label[tangent] = np.where(dds >= 0.0, int(StratumLabel.TANGENT_CONVEX),
-                                      int(StratumLabel.TANGENT_CONCAVE))
-        return piece, normal, label, cos_in
+            off = piece < 0
+            label[off] = -1
+            tangent = ~(transversal | off)
+            if tangent.any():
+                dds = self._gauge_dds(q[tangent], v[tangent], piece[tangent])
+                label[tangent] = np.where(dds >= 0.0, int(StratumLabel.TANGENT_CONVEX),
+                                          int(StratumLabel.TANGENT_CONCAVE))
+        return label
 
     # -- ray tracing -----------------------------------------------------------
 
@@ -689,7 +693,8 @@ class Table:
                 best_piece = np.where(better, k, best_piece)
         trapped = best_piece < 0
         q_hit, v_hit = self.space.flow(q, v, np.where(trapped, 0.0, best_s))
-        _, normal, label, cos_in = self._boundary_geometry(q_hit, v_hit, best_piece)
+        _, normal, cos_in = self._boundary_geometry(q_hit, v_hit, best_piece)
+        label = self._strata(q_hit, v_hit, best_piece, cos_in)
         return HitBatch(s=best_s, q=q_hit, v=v_hit, piece=best_piece, normal=normal,
                         cos_in=cos_in, label=label, trapped=trapped)
 

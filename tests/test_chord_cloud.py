@@ -181,13 +181,29 @@ def _pow10_and_neighbours(exponents):
     return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
 
 
+def _exponents_and_digit_runs():
+    """Both signs of a value at every decimal exponent from -250 to 249, and of
+    mantissas whose runs of 0s and 9s meet at every digit, each 4-digit group's
+    edge among them, with their neighbouring floats."""
+    runs = [f"{a}.{b * j}{c * (18 - j)}e{k}" for j in range(19) for k in ("-05", "+00", "+17")
+            for a, b, c in (("1", "0", "9"), ("9", "9", "0"), ("1", "9", "0"), ("9", "0", "9"))]
+    runs += ["1.000000000000000000e-05", "1.000099990000999900e+00", "9.999999999999998e-01"]
+    mantissas = np.array([float(r) for r in runs])
+    values = np.concatenate([[float(f"1.2345678901234567e{k}") for k in range(-250, 250)],
+                             mantissas, np.nextafter(mantissas, 0.0),
+                             np.nextafter(mantissas, np.inf)])
+    return np.concatenate([values, -values]).reshape(-1, 2)
+
+
 @pytest.mark.parametrize("points", [
     # every odd m / 2^20: the 19-digit decimal of each is an exact tie, rounded half to even
     np.arange(1, 2**20, 2).reshape(-1, 2) / 2.0**20,
     _pow10_and_neighbours(range(-300, 301)).reshape(-1, 3),
     -_pow10_and_neighbours([-250, 250]).reshape(-1, 1),
+    _exponents_and_digit_runs(),
     *(_special_values((rows, 2), rows) for rows in (8191, 8192, 8193)),
-], ids=["ties", "powers-of-ten", "fast-path-bounds", "rows-8191", "rows-8192", "rows-8193"])
+], ids=["ties", "powers-of-ten", "fast-path-bounds", "exponents-and-digit-runs", "rows-8191",
+        "rows-8192", "rows-8193"])
 def test_cloud_csv_matches_savetxt_on_hard_cases(points, tmp_path):
     _assert_csv_is_savetxt(points, tmp_path)
 
@@ -244,6 +260,19 @@ def test_hyperbolic_coverage_equals_the_brute_force_minimum(dim):
                             cloud[:50] + 1e-12])
     reference = np.concatenate([_random_points(space, rng, 300), cloud[:20]])
     brute = np.min(space.distance(reference[:, None, :], cloud[None, :, :]), axis=1)
+    assert _same_bits(_nearest_distances(space, reference, cloud), brute)
+
+
+@pytest.mark.parametrize("name", ["euclidean-2", "euclidean-3", "sphere-2", "sphere-3"])
+def test_flat_and_sphere_coverage_equals_the_brute_force_minimum(name):
+    space = SPACES[name]
+    rng = np.random.default_rng(len(name))
+    # repeated and nearly repeated points, where the tree's leaves decide among near-equals
+    cloud = _random_points(space, rng, 3000)
+    cloud = np.concatenate([cloud, cloud[:50], cloud[50:100] + 1e-12])
+    reference = np.concatenate([_random_points(space, rng, 400), cloud[:20], cloud[60:70]])
+    chord = np.sqrt(np.min(np.sum((reference[:, None, :] - cloud[None, :, :]) ** 2, -1), 1))
+    brute = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)) if isinstance(space, Sphere) else chord
     assert _same_bits(_nearest_distances(space, reference, cloud), brute)
 
 

@@ -94,10 +94,21 @@ def test_stopped_orbits_keep_the_mean_of_their_chords():
     for i in stopped:
         lengths = batches[i].length[~batches[i].stops]
         assert done[i] == lengths.size
-        final = np.mean(lengths) if lengths.size else 0.0
+        if not lengths.size:  # no chord, no mean
+            assert np.isnan(running[i]).all()
+            continue
+        final = np.mean(lengths)
         # every checkpoint past the stop holds the final partial mean
         assert np.all(running[i, np.array(checkpoints) > done[i]] == running[i, -1])
         assert abs(running[i, -1] - final) <= 1e-12 * max(final, 1.0)
+
+
+def test_an_orbit_with_no_chord_has_no_mean():
+    table = torus_one_ball().with_l_max(0.3)
+    checkpoints, running, done, ends = time_average_many(table, Elastic(), ChordLength(),
+                                                         [[0.75, 0.5]], [[1.0, 0.0]], 8)
+    assert done.tolist() == [0] and ends.tolist() == ["trapped"]
+    assert running.shape == (1, len(checkpoints)) and np.isnan(running).all()
 
 
 @pytest.fixture(scope="module")

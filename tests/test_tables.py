@@ -231,7 +231,8 @@ def test_rows_off_the_boundary_get_nan_geometry_and_label_minus_one(disk, one_ba
     vb = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     carried_normal = np.array([[-1.0, 0.0], [7.0, 7.0], [0.0, 1.0]])
     for carried in ((), (np.array([0, -1, 0]), carried_normal)):
-        piece, normal, label, cos = disk._boundary_geometry(qb, vb, *carried)
+        piece, normal, cos = disk._boundary_geometry(qb, vb, *carried)
+        label = disk._strata(qb, vb, piece, cos)
         assert piece.tolist() == [0, -1, 0] and label.tolist() == [0, -1, 0]
         assert np.isnan(normal[1]).all() and np.isnan(cos[1])
     with pytest.raises(NotOnBoundary):
