@@ -9,8 +9,10 @@ block reduction, so reports equal the API's for any worker count.
 Exit codes: 0 success, 1 validation error (bad configuration, a count flag
 below 1, a negative seed, a length flag that is not positive and finite, a
 non-finite box bound or map parameter, a translation without one component per
-torus axis, an unreadable input file, boundary angles on an n = 3 table), 2
-runtime error (trapping budget exceeded, degenerate test sets).
+torus axis, an unreadable or empty input file, boundary angles on an n = 3
+table, a Lyapunov function asked of a table that no convex ball encloses), 2
+runtime error (trapping budget exceeded, degenerate test sets, an enclosing
+ball that fails its checks).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +35,12 @@ from .dynamics import Elastic, orbit_batches
 from .errors import BilliardError, ConfigError
 from .ergodic import (_checkpoint_list, hear_volume, mean_free_path, recurrence_test,
                       trapping_probe)
-from .holography import (_write_blocks, boundary_param_map, conjugacy_residual,
-                         domain_reference_sample, generate_scattering_dataset,
-                         identity_map, reconstruct_chords, reflection_map,
-                         rotation_map, torus_translation_map)
+from .holography import (boundary_param_map, conjugacy_residual, domain_reference_sample,
+                         generate_scattering_dataset, identity_map, reconstruct_chords,
+                         reflection_map, rotation_map, torus_translation_map)
 from .lyapunov import build_well_balanced_F, slice_identity
-from .measure import (PhaseBox, boundary_rng, domain_volumes, measure_preservation_test,
-                      random_phase_boxes, sample_mu_theta, trajectory_space_volume)
+from .measure import (PhaseBox, boundary_rng, measure_preservation_test, random_phase_boxes,
+                      sample_mu_theta, trajectory_space_volume)
 from .parallel import BLOCK_SIZE
 from .presets import PRESETS, preset_table
 from .spaces import FlatTorus
@@ -154,8 +156,7 @@ def _run(args):
 def _cmd_mfp(args, table):
     total = int(args.samples)
     report = mean_free_path(table, total, args.seed, workers=args.workers)
-    vols = domain_volumes(table)
-    space = report.space
+    space, vols = report.space, report.volumes
     results = {"prediction": report.prediction, "space_mean": space.mean,
                "stderr": space.stderr, "count": space.count,
                "relative_gap": report.relative_gap, "trapped_fraction": space.trapped_fraction,
@@ -170,32 +171,8 @@ def _cmd_probe(args, table):
     if not probe.gd_stabilized:
         warning = ("longest observed chord is still growing with the sample: the geodesic "
                    "diameter appears unbounded (trapping signature)")
-    results = {
-        "escape_fraction": probe.escape_fraction,
-        "max_chord": probe.max_chord,
-        "grazing_fraction": probe.grazing_fraction,
-        "max_chord_progression": list(probe.max_chord_progression),
-        "gd_stabilized": probe.gd_stabilized,
-        "l_max": probe.l_max,
-        "warning": warning,
-    }
+    results = {**asdict(probe), "warning": warning}
     return {"samples": int(args.samples), "lmax": table.l_max}, results, {}
-
-
-def _orbit_writer(chords):
-    """A side-file writer of one orbit: per chord, the line `json.dumps` writes."""
-    vec = "[" + ", ".join(["%r"] * chords.entry_q.shape[-1]) + "]"
-    row_fmt = ('{"entry_q": %s, "entry_v": %s, "exit_q": %s, "exit_v": %s, "length": %%r, '
-               '"degenerate": %%s, "grazing": %%s}\n') % ((vec,) * 4)
-
-    def write(path):
-        flag = np.array(["false", "true"], dtype=object)
-        values = np.column_stack([chords.entry_q, chords.entry_v, chords.exit_q, chords.exit_v,
-                                  chords.length, flag[chords.degenerate.astype(int)],
-                                  flag[chords.grazing.astype(int)]])
-        with open(path, "w") as fh:
-            _write_blocks(fh, values, row_fmt)
-    return write
 
 
 def _cmd_simulate(args, table):
@@ -203,7 +180,7 @@ def _cmd_simulate(args, table):
     kinds, orbits = orbit_batches(table, Elastic(), starts.q, starts.v, int(args.bounces))
     side, summary = {}, []
     for i, (kind, chords) in enumerate(zip(kinds, orbits)):
-        side[f"orbit_{i:03d}.jsonl"] = _orbit_writer(chords)
+        side[f"orbit_{i:03d}.jsonl"] = chords.to_jsonl
         lengths = chords.length.tolist()
         summary.append([i, kind, len(lengths), sum(lengths),
                         np.mean(lengths) if lengths else 0.0])
@@ -241,13 +218,10 @@ def _cmd_recurrence(args, table):
     box = PhaseBox(piece=args.box_piece, boundary=tuple(args.box_angle),
                    incidence=tuple(args.box_incidence))
     res = recurrence_test(table, Elastic(), box, args.starters, int(args.bounces), args.seed)
-    results = {"returned_fraction": res.returned_fraction,
-               "mean_return_count": res.mean_return_count,
-               "starters": res.starters, "bounces": res.bounces}
     params = {"starters": args.starters, "bounces": int(args.bounces),
               "box_piece": args.box_piece, "box_angle": list(args.box_angle),
               "box_incidence": list(args.box_incidence)}
-    return params, results, {}
+    return params, asdict(res), {}
 
 
 def _cmd_slices(args, table):
@@ -266,9 +240,7 @@ def _cmd_slices(args, table):
 
 
 def _cmd_reconstruct(args, table):
-    f = None
-    if not isinstance(table.space, FlatTorus):
-        f = build_well_balanced_F(table, seed=args.seed)
+    f = None if table.outer is None else build_well_balanced_F(table, seed=args.seed)
     data = generate_scattering_dataset(table, f, grid=(args.grid, args.grid))
     reference = domain_reference_sample(table, args.reference_points, args.seed)
     recon = reconstruct_chords(data, table.space, h=args.resolution,
@@ -322,9 +294,7 @@ def _cmd_conjugacy(args, table):
     phi = _parse_boundary_map(args.map, table, other)
     res = conjugacy_residual(table, other, phi, int(args.samples), args.seed,
                              workers=args.workers)
-    results = {"max_residual": res.max_residual, "mean_residual": res.mean_residual,
-               "used": res.used, "skipped": res.skipped}
-    return {"other": args.other, "map": args.map, "samples": int(args.samples)}, results, {}
+    return {"other": args.other, "map": args.map, "samples": int(args.samples)}, asdict(res), {}
 
 
 def _cmd_hear(args, table):
@@ -336,6 +306,8 @@ def _cmd_hear(args, table):
         raise ConfigError(f"cannot read --lengths: {exc}") from exc
     with contextlib.suppress(IndexError, ValueError):  # no rows, or a header row
         lengths.insert(0, float(cells[0]))
+    if not lengths:
+        raise ConfigError(f"--lengths {args.lengths} holds no bounce length")
     running = hear_volume(np.asarray(lengths), args.boundary, args.dim)
     curve = _csv_writer(["bounces", "vol_estimate"],
                         [[k, running[k - 1]] for k in _checkpoint_list(len(running))])

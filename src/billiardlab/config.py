@@ -106,10 +106,7 @@ def table_from_dict(conf):
     try:
         space = _build_space(conf)
         pieces = [_build_piece(p, space) for p in conf["pieces"]]
-        tol = Tolerances(hit_tol=tol_conf.get("hit_tol", 1e-10),
-                         grazing_tol=tol_conf.get("grazing_tol", 1e-7),
-                         l_max=tol_conf.get("l_max"))
-        return Table(space, pieces, tol, name=conf.get("name", "config-table"))
+        return Table(space, pieces, Tolerances(**tol_conf), name=conf.get("name", "config-table"))
     except KeyError as exc:
         raise ConfigError(f"piece is missing key {exc}") from exc
     except (ValueError, TypeError, OverflowError) as exc:

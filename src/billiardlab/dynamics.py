@@ -36,11 +36,37 @@ __all__ = [
 _OUT = int(StratumLabel.TRANSVERSAL_OUT)
 _CONVEX = int(StratumLabel.TANGENT_CONVEX)
 _CONCAVE = int(StratumLabel.TANGENT_CONCAVE)
+# rows per formatted block in the writers: large enough to amortize the Python
+# calls, small enough to bound temporaries
+_WRITE_ROWS = 8192
 
 
 # ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
+
+
+def _write_jsonl(fh, record, keys):
+    """Per row of `record`, the line `json.dumps` writes for the dict of its fields
+    `keys`: a 2-D float field as a list of `%r`s, a 1-D one as one `%r`, a bool as
+    true or false.  Non-finite floats, which JSON cannot spell, raise ValueError."""
+    flag = np.array(["false", "true"], dtype=object)
+    columns, slots = [], []
+    for key in keys:
+        x = getattr(record, key)
+        if x.dtype == bool:
+            columns.append(flag[x.astype(int)])
+            slots.append("%s")
+            continue
+        if not np.isfinite(x).all():
+            raise ValueError(f"JSON lines need finite numbers; {key} has others")
+        columns.append(x)
+        slots.append("[" + ", ".join(["%r"] * x.shape[1]) + "]" if x.ndim == 2 else "%r")
+    row_fmt = "{" + ", ".join(f'"{key}": {slot}' for key, slot in zip(keys, slots)) + "}\n"
+    values = np.column_stack(columns)
+    for lo in range(0, values.shape[0], _WRITE_ROWS):
+        block = values[lo:lo + _WRITE_ROWS]
+        fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 @dataclass
@@ -80,6 +106,13 @@ class ChordBatch:
 
     def __len__(self):
         return self.length.shape[0]
+
+    def to_jsonl(self, path):
+        """One JSON line per chord: its ends, its length and its degenerate and
+        grazing flags."""
+        with open(path, "w") as fh:
+            _write_jsonl(fh, self, ("entry_q", "entry_v", "exit_q", "exit_v", "length",
+                                    "degenerate", "grazing"))
 
 
 @dataclass

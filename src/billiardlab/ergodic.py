@@ -9,14 +9,14 @@ scaled by unit-ball constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dynamics import causality_batch, lockstep_orbits
 from .errors import DegenerateSet, EmptySequence, TooManyTrapped
 from .lyapunov import delta_F_batch, slice_identity
-from .measure import (Estimate, domain_volumes, sample_blocks, sample_mu_theta,
+from .measure import (DomainVolumes, Estimate, domain_volumes, sample_blocks, sample_mu_theta,
                       trajectory_space_volume, unit_ball_volume, unit_sphere_volume)
 
 __all__ = [
@@ -51,25 +51,13 @@ class DeltaF:
         return delta_F_batch(self.f, batch)
 
 
-@dataclass(frozen=True)
-class SpaceAverage:
-    """Measure average of a chord observable with exclusion bookkeeping."""
+@dataclass(frozen=True, kw_only=True)
+class SpaceAverage(Estimate):
+    """Measure average of a chord observable over the samples kept, with the
+    fractions of all samples excluded as trapped and as grazing."""
 
-    estimate: Estimate
     trapped_fraction: float
     grazing_fraction: float
-
-    @property
-    def mean(self):
-        return self.estimate.mean
-
-    @property
-    def stderr(self):
-        return self.estimate.stderr
-
-    @property
-    def count(self):
-        return self.estimate.count
 
 
 def _average_block(table, samples, observable):
@@ -88,7 +76,7 @@ def space_average(table, observable, count, seed, workers=None):
     excluded = 1.0 - estimate.count / count
     if excluded > _MAX_EXCLUDED:
         raise TooManyTrapped(f"excluded fraction {excluded:.2e} exceeds {_MAX_EXCLUDED:.0e}")
-    return SpaceAverage(estimate=estimate, trapped_fraction=sum(p[1] for p in parts) / count,
+    return SpaceAverage(**asdict(estimate), trapped_fraction=sum(p[1] for p in parts) / count,
                         grazing_fraction=sum(p[2] for p in parts) / count)
 
 
@@ -155,6 +143,7 @@ def mean_free_path_prediction(table):
 @dataclass(frozen=True)
 class MeanFreePathReport:
     prediction: float
+    volumes: DomainVolumes
     space: SpaceAverage
     relative_gap: float
     note: str
@@ -162,14 +151,14 @@ class MeanFreePathReport:
 
 def mean_free_path(table, count=100_000, seed=0, workers=None):
     """Closed-form mean free path next to its Monte Carlo estimate."""
-    prediction, _ = mean_free_path_prediction(table)
+    prediction, volumes = mean_free_path_prediction(table)
     space = space_average(table, ChordLength(), count, seed, workers=workers)
     gap = abs(space.mean - prediction) / abs(prediction)
     note = (f"free paths capped at l_max={table.l_max:g}; capped fraction "
             f"{space.trapped_fraction:.2e} (excluded from the mean). On tables with "
             "unbounded free paths the estimate is cap-limited even when no sample "
             "reaches the cap.")
-    return MeanFreePathReport(prediction=float(prediction), space=space,
+    return MeanFreePathReport(prediction=float(prediction), volumes=volumes, space=space,
                               relative_gap=float(gap), note=note)
 
 
@@ -249,7 +238,6 @@ class TrappingProbe:
     grazing_fraction: float
     max_chord_progression: tuple
     gd_stabilized: bool
-    sample_count: int
     l_max: float
 
 
@@ -290,7 +278,6 @@ def trapping_probe(table, sample_count, seed=0, workers=None):
         grazing_fraction=float(np.mean(grazing)),
         max_chord_progression=tuple(progression),
         gd_stabilized=stabilized,
-        sample_count=sample_count,
         l_max=table.l_max,
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import causality_batch
+from .dynamics import _WRITE_ROWS, _write_jsonl, causality_batch
 from .errors import ConfigError
 from .measure import boundary_rng, sample_blocks
 from .spaces import FlatTorus, HyperbolicBall, Sphere
@@ -28,18 +28,10 @@ __all__ = [
     "torus_translation_map", "identity_map", "domain_reference_sample",
 ]
 
-# rows per formatted block in the writers, and chords per block of the cloud:
-# large enough to amortize the Python calls, small enough to bound temporaries
-_WRITE_ROWS = 8192
+# chords per block of the cloud: large enough to amortize the Python calls,
+# small enough to bound temporaries
 _CLOUD_CHORDS = 256
 _RECORD = ("entry_q", "entry_v", "exit_q", "exit_v", "f_entry", "f_exit")
-
-
-def _write_blocks(fh, values, row_fmt):
-    """Write the rows of a 2-D array, formatting one block of rows per `%` call."""
-    for lo in range(0, values.shape[0], _WRITE_ROWS):
-        block = values[lo:lo + _WRITE_ROWS]
-        fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 @functools.cache
@@ -137,18 +129,11 @@ class ScatteringDataset:
         return self.entry_q.shape[0]
 
     def to_jsonl(self, path):
-        """A JSON header line, then per record the line `json.dumps` writes for the
-        dict of its `_RECORD` fields (`%r` gives the same float reprs)."""
-        values = np.column_stack([getattr(self, key) for key in _RECORD])
-        if not np.isfinite(values).all():  # JSON has no spelling for other floats
-            raise ValueError("scattering records must be finite")
-        vec = "[" + ", ".join(["%r"] * self.entry_q.shape[-1]) + "]"
-        row_fmt = ('{"entry_q": %s, "entry_v": %s, "exit_q": %s, "exit_v": %s, '
-                   '"f_entry": %%r, "f_exit": %%r}\n') % ((vec,) * 4)
+        """A JSON header line, then one JSON line per record of its `_RECORD` fields."""
         with open(path, "w") as fh:
             header = {"table_id": self.table_id, "grid": self.grid, "skipped": self.skipped}
             fh.write(json.dumps({"header": header}) + "\n")
-            _write_blocks(fh, values, row_fmt)
+            _write_jsonl(fh, self, _RECORD)
 
     @staticmethod
     def from_jsonl(path):
@@ -321,7 +306,6 @@ class Reconstruction:
     hausdorff: float | None
     segment_lengths: np.ndarray
     skipped_ambiguous: int
-    resolution: float
 
     def to_csv(self, path):
         """The cloud as `np.savetxt(path, points, delimiter=",", header=...)` writes it,
@@ -404,7 +388,7 @@ def reconstruct_chords(data, space, h=0.01, reference_points=None):
     if reference_points is not None and points.shape[0]:
         hausdorff = float(np.max(_nearest_distances(space, reference_points, points)))
     return Reconstruction(points=points, hausdorff=hausdorff, segment_lengths=lengths,
-                          skipped_ambiguous=len(data) - rows.size, resolution=h)
+                          skipped_ambiguous=len(data) - rows.size)
 
 
 def domain_reference_sample(table, count, seed):

@@ -6,6 +6,9 @@ crossing of the ball boundary to z, the ball's closed-form backward root.
 F grows at unit rate along the flow, so the F-variation of a chord equals
 its length, level slices of F cut each chord at most once, and the slice
 areas integrate to int A(t) dt = vol(S^{n-1}) vol(M).
+A convex L exists only around an outer wall (`Table.outer`), and on the
+sphere only below radius pi/2: elsewhere F raises ConfigError, while a given
+ball that fails its checks raises BodyTooSmall.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import causality_batch
-from .errors import BodyTooSmall
+from .errors import BodyTooSmall, ConfigError
 from .measure import (Estimate, boundary_points, boundary_rng, domain_volumes, merge_blocks,
-                      sample_blocks, sample_mu_theta, unit_sphere_volume)
-from .spaces import FlatTorus, Sphere
+                      sample_blocks, sample_mu_theta, trajectory_space_volume,
+                      unit_sphere_volume)
+from .spaces import Sphere
 from .tables import Ball
 
 __all__ = [
@@ -27,13 +31,22 @@ __all__ = [
 ]
 
 
+def _outer_bounds(table):
+    """(center, r) of the outer wall's bounding ball; ConfigError if no convex ball encloses it."""
+    if table.outer is None:
+        raise ConfigError("a torus table has no outer wall, so no convex ball encloses it")
+    center, r = table.outer.bounds(table.space)
+    if isinstance(table.space, Sphere) and r >= np.pi / 2.0:
+        raise ConfigError(f"no convex geodesic ball encloses a sphere cap of radius {r:g} >= pi/2")
+    return center, r
+
+
 class LyapunovF:
     """F(q, v): first root of the wall of L, an outer `Ball` of radius r with
     the table in its interior, along (q, -v) in (hit_tol, 16 max(r, 1) + 16]."""
 
     def __init__(self, table, wall):
-        if isinstance(table.space, FlatTorus):
-            raise BodyTooSmall("torus tables admit no enclosing convex ball")
+        _outer_bounds(table)
         wall.check(table.space)
         self.table = table
         self.wall = wall
@@ -57,11 +70,8 @@ class LyapunovF:
 def default_enclosing_body(table):
     """Default ball about the outer wall's bounding ball (center, r): radius 2 r,
     or on spheres midway from r to the equator."""
-    space = table.space
-    if isinstance(space, FlatTorus):
-        raise BodyTooSmall("torus tables admit no enclosing convex ball")
-    center, r = next(p for p in table.pieces if p.side == "outer").bounds(space)
-    return Ball(center, 0.5 * (r + np.pi / 2.0) if isinstance(space, Sphere) else 2.0 * r)
+    center, r = _outer_bounds(table)
+    return Ball(center, 0.5 * (r + np.pi / 2.0) if isinstance(table.space, Sphere) else 2.0 * r)
 
 
 def build_well_balanced_F(table, body=None, pilot_count=512, seed=1234):
@@ -105,7 +115,6 @@ class BoundaryVariation:
     var: float
     f_min: float
     f_max: float
-    count: int
 
 
 def _uniform_boundary_phase(table, count, rng):
@@ -133,8 +142,7 @@ def var_F_boundary(table, f, count, seed):
     values.append(f.value_batch(qu, vu))
     allv = np.concatenate(values)
     return BoundaryVariation(var=float(np.max(allv) - np.min(allv)),
-                             f_min=float(np.min(allv)), f_max=float(np.max(allv)),
-                             count=int(allv.size))
+                             f_min=float(np.min(allv)), f_max=float(np.max(allv)))
 
 
 def _slice_block(table, samples, f, t_grid):
@@ -142,7 +150,7 @@ def _slice_block(table, samples, f, t_grid):
     ok = batch.ok
     f_lo = f.value_batch(batch.entry_q[ok], batch.entry_v[ok])
     f_hi = f.value_batch(batch.exit_q[ok], batch.exit_v[ok])
-    mass = samples.normalization
+    mass = trajectory_space_volume(table)
     pad = np.zeros(len(samples) - f_lo.size)  # excluded rows carry no straddle mass
     estimates = []
     for t in t_grid:

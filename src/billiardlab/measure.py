@@ -24,7 +24,6 @@ import numpy as np
 from .dynamics import billiard_batch
 from .errors import ConfigError, DegenerateSet
 from .parallel import block_counts, run_blocks
-from .spaces import FlatTorus
 
 __all__ = [
     "Estimate", "WeightedSampleSet", "PhaseBox", "phase_coordinates",
@@ -110,17 +109,17 @@ def boundary_rng(seed, stream=0):
 
 @dataclass
 class WeightedSampleSet:
-    """Entry phase points distributed according to the boundary measure."""
+    """Entry phase points distributed according to the boundary measure: per row
+    the piece index, position, direction, g-unit inward normal and incidence
+    cosine, and the fraction of directions drawn again for lying in the grazing
+    band.  Their total mass is `trajectory_space_volume(table)`."""
 
     q: np.ndarray
     v: np.ndarray
     piece: np.ndarray
     cos_in: np.ndarray
-    normalization: float     # total mass = trajectory-space volume
-    seed: int
-    stream: int
     resampled_fraction: float
-    normal: np.ndarray       # g-unit inward normal of each row's piece at q
+    normal: np.ndarray
 
     def __len__(self):
         return self.q.shape[0]
@@ -178,11 +177,8 @@ def sample_mu_theta(table, count, seed, stream=0):
     piece_idx, q, normals = boundary_points(table, count, rng)
     v, resampled = _lift_directions(space, q, normals, rng, table.tol.grazing_tol)
     cos_in = space.metric_dot(q, v, normals)
-    return WeightedSampleSet(
-        q=q, v=v, piece=piece_idx.astype(np.int64), cos_in=cos_in,
-        normalization=trajectory_space_volume(table), seed=seed, stream=stream,
-        resampled_fraction=resampled / count, normal=normals,
-    )
+    return WeightedSampleSet(q=q, v=v, piece=piece_idx.astype(np.int64), cos_in=cos_in,
+                             resampled_fraction=resampled / count, normal=normals)
 
 
 def _sample_block(task):
@@ -234,9 +230,9 @@ def domain_volumes(table):
     """
     space = table.space
     vol_dm = float(sum(p.boundary_volume(space) for p in table.pieces))
-    vol = float(np.prod(space.periods)) if isinstance(space, FlatTorus) else 0.0
+    vol = float(np.prod(space.periods)) if table.outer is None else 0.0
     for p in table.pieces:
-        vol += p.domain_volume(space) if p.side == "outer" else -p.domain_volume(space)
+        vol += p.domain_volume(space) if p is table.outer else -p.domain_volume(space)
     return DomainVolumes(vol_m=vol, vol_dm=vol_dm)
 
 

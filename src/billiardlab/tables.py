@@ -421,7 +421,8 @@ class HitBatch:
 
 
 class Table:
-    """A billiard domain: model space, boundary pieces, tolerances."""
+    """A billiard domain: model space, boundary pieces, tolerances.  `outer` is its
+    outer wall, the one OUTER piece, or None on a flat torus (obstacles only)."""
 
     def __init__(self, space, pieces, tolerances=None, name="table", check=True):
         self.space = space
@@ -430,15 +431,17 @@ class Table:
         self.name = name
         if not self.pieces:
             raise ConfigError("a table needs at least one boundary piece")
+        outer = [p for p in self.pieces if p.side == OUTER]
         if isinstance(space, FlatTorus):
-            if any(p.side != OBSTACLE or not isinstance(p, Ball) for p in self.pieces):
+            if outer or not all(isinstance(p, Ball) for p in self.pieces):
                 raise ConfigError("torus tables support ball obstacles only")
-        else:
-            if sum(p.side == OUTER for p in self.pieces) != 1:
-                raise ConfigError("non-torus tables need exactly one outer wall")
+        elif len(outer) != 1:
+            raise ConfigError("non-torus tables need exactly one outer wall")
+        self.outer = outer[0] if outer else None
         for p in self.pieces:
             p.check(space)
-        self._diameter = self._estimate_diameter()
+        self._diameter = float(np.linalg.norm(space.periods) if self.outer is None
+                               else min(2.0 * self.outer.bounds(space)[1], space.diameter))
         if not np.isfinite(self._diameter):
             raise ConfigError("table domain is unbounded")
         self.l_max = self.tol.l_max if self.tol.l_max else 1e4 * self._diameter
@@ -455,12 +458,6 @@ class Table:
             self._check_geometry()
 
     # -- construction checks ------------------------------------------------
-
-    def _estimate_diameter(self):
-        if isinstance(self.space, FlatTorus):
-            return float(np.linalg.norm(self.space.periods))
-        _, r = next(p for p in self.pieces if p.side == OUTER).bounds(self.space)
-        return float(min(2.0 * r, self.space.diameter))
 
     def _check_geometry(self):
         self._check_disjoint()
@@ -479,16 +476,15 @@ class Table:
                     if d <= a.radius + b.radius:
                         raise ConfigError("obstacles overlap (including periodic images)")
             return
-        outer = next(p for p in self.pieces if p.side == OUTER)
         for p in self.pieces:
-            if p.side != OBSTACLE:
+            if p is self.outer:
                 continue
             rng = np.random.default_rng(0)
             pts = p.sample_boundary(space, rng, 256)
-            if np.any(outer.gauge(space, pts) >= -self.tol.hit_tol):
+            if np.any(self.outer.gauge(space, pts) >= -self.tol.hit_tol):
                 raise ConfigError("obstacle touches the outer wall")
             for q in self.pieces:
-                if q is p or q.side != OBSTACLE:
+                if q is p or q is self.outer:
                     continue
                 if np.any(q.gauge(space, pts) >= -self.tol.hit_tol):
                     raise ConfigError("obstacles overlap")
@@ -504,7 +500,7 @@ class Table:
     def _chart_box(self):
         """Chart bounding box [lo, hi] covering the domain (non-sphere/torus)."""
         space = self.space
-        c, r = next(p for p in self.pieces if p.side == OUTER).bounds(space)
+        c, r = self.outer.bounds(space)
         if isinstance(space, HyperbolicBall):
             d0 = float(space.distance(c, np.zeros(space.dim)))
             rad = np.tanh(min(d0 + r, 36.0) / 2.0)

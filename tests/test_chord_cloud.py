@@ -155,14 +155,14 @@ def _special_values(shape, seed):
 @pytest.mark.parametrize("shape", [(0, 2), (1, 2), (8193, 2), (5, 3)])
 def test_cloud_csv_matches_savetxt(shape, tmp_path):
     points = _special_values(shape, sum(shape))
-    Reconstruction(points, None, np.empty(0), 0, 0.01).to_csv(tmp_path / "new.csv")
+    Reconstruction(points, None, np.empty(0), 0).to_csv(tmp_path / "new.csv")
     np.savetxt(tmp_path / "old.csv", points, delimiter=",",
                header=",".join(f"x{i}" for i in range(shape[1])))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def _assert_csv_is_savetxt(points, folder):
-    Reconstruction(points, None, np.empty(0), 0, 0.01).to_csv(folder / "new.csv")
+    Reconstruction(points, None, np.empty(0), 0).to_csv(folder / "new.csv")
     np.savetxt(folder / "old.csv", points, delimiter=",",
                header=",".join(f"x{i}" for i in range(points.shape[1])))
     assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()

@@ -604,3 +604,32 @@ def test_workers_env_variable(monkeypatch):
     assert default_workers(5) == 5
     monkeypatch.setenv("BILLIARDLAB_WORKERS", "junk")
     assert default_workers(None) == 1
+
+
+HEMISPHERE_CONF = {"space": "sphere", "pieces": [
+    {"shape": "half-space", "pole": [0.0, 0.0, 1.0], "angle": 1.5707963267948966}]}
+
+
+@pytest.mark.parametrize("table", [["--preset", "torus-two-balls"], ["--config", "{hemisphere}"]],
+                         ids=["torus", "hemisphere"])
+def test_cli_slices_rejects_tables_no_convex_ball_encloses(table, tmp_path, capsys):
+    conf = tmp_path / "hemisphere.json"
+    conf.write_text(json.dumps(HEMISPHERE_CONF))
+    argv = ["slices", *(a.format(hemisphere=conf) for a in table), "--samples", "1000",
+            "--out", str(tmp_path / "out")]
+    code, payload = run_cli(argv, capsys)
+    assert code == 1
+    assert payload["error"]["type"] == "validation"
+    assert "convex" in payload["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["", "length\n"], ids=["empty", "header-only"])
+def test_cli_hear_rejects_a_file_without_lengths(text, tmp_path, capsys):
+    lengths = tmp_path / "lengths.csv"
+    lengths.write_text(text)
+    code, payload = run_cli(["hear", "--lengths", str(lengths), "--boundary", "1", "--dim", "2",
+                             "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert payload["error"]["type"] == "validation"
+    assert not (tmp_path / "out" / "hear_volume.csv").exists()

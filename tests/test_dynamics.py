@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -336,3 +337,26 @@ def test_rescaled_involution_on_two_balls(two_balls):
     ve = reflect_batch(Elastic(), two_balls, s.q, s.v)
     for k in (0, 1):
         assert np.max(np.abs(ve[s.piece == k] - v1[s.piece == k])) > 1e-3
+
+
+def test_reflection_laws_reject_bad_input(disk):
+    with pytest.raises(ValueError, match="stretch"):
+        Rescaled(stretch=0.0)
+    with pytest.raises(TypeError, match="unknown reflection law"):
+        reflect_batch(object(), disk, [1.0, 0.0], [1.0, 0.0])
+
+
+def test_chord_jsonl_holds_the_json_dumps_line_of_each_chord(disk, tmp_path):
+    s = sample_mu_theta(disk, 4, seed=3)
+    # the last row starts tangent to the wall: a degenerate chord
+    batch = causality_batch(disk, np.vstack([s.q, [1.0, 0.0]]), np.vstack([s.v, [0.0, 1.0]]))
+    assert batch.degenerate.tolist() == [False] * 4 + [True]
+    path = tmp_path / "chords.jsonl"
+    batch.to_jsonl(path)
+    keys = ("entry_q", "entry_v", "exit_q", "exit_v", "length", "degenerate", "grazing")
+    want = [json.dumps({key: getattr(batch, key)[i].tolist() for key in keys}) + "\n"
+            for i in range(len(batch))]
+    assert path.read_text().splitlines(keepends=True) == want
+    batch.length[2] = np.nan
+    with pytest.raises(ValueError, match="length"):
+        batch.to_jsonl(path)

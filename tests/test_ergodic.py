@@ -6,8 +6,8 @@ from billiardlab.ergodic import (ChordLength, DeltaF, hear_volume, inequality_re
                                  mean_free_path, mean_free_path_prediction,
                                  recurrence_test, space_average, time_average_many,
                                  trapping_probe)
-from billiardlab.errors import EmptySequence, TooManyTrapped
-from billiardlab.measure import PhaseBox, sample_mu_theta
+from billiardlab.errors import DegenerateSet, EmptySequence, TooManyTrapped
+from billiardlab.measure import Estimate, PhaseBox, domain_volumes, sample_mu_theta
 from billiardlab.presets import torus_one_ball
 
 
@@ -235,3 +235,28 @@ def test_hear_volume_round_trip_all_presets(disk, ball3, hyp_disk, cap, two_ball
 def test_mfp_report_documents_cap():
     rep = mean_free_path(torus_one_ball(0.1), count=5_000, seed=17)
     assert "cap" in rep.note and "capped fraction" in rep.note
+
+
+def test_space_average_is_an_estimate_with_its_exclusions(one_ball):
+    sa = space_average(one_ball.with_l_max(10.0), ChordLength(), 4_000, seed=6)
+    whole = Estimate(mean=sa.mean, count=sa.count, m2=sa.m2)
+    assert isinstance(sa, Estimate) and sa.stderr == whole.stderr
+    assert 0.0 < sa.trapped_fraction <= 0.01
+    assert sa.count == 4_000 - round((sa.trapped_fraction + sa.grazing_fraction) * 4_000)
+
+
+def test_mean_free_path_report_keeps_its_volumes(two_balls):
+    rep = mean_free_path(two_balls, count=2_000, seed=1)
+    assert rep.volumes == domain_volumes(two_balls)
+    assert rep.prediction == mean_free_path_prediction(two_balls)[0]
+
+
+def test_small_probe_does_not_judge_the_tail(disk):
+    probe = trapping_probe(disk, 100, seed=1)
+    assert probe.gd_stabilized and probe.escape_fraction == 1.0
+
+
+def test_recurrence_on_an_empty_box_raises(disk):
+    # no inward direction has a signed incidence angle above pi / 2
+    with pytest.raises(DegenerateSet):
+        recurrence_test(disk, Elastic(), PhaseBox(piece=0, incidence=(2.0, 3.0)), 4, 10, seed=0)

@@ -3,12 +3,13 @@ import pytest
 
 from billiardlab.dynamics import causality_batch
 from billiardlab.errors import BodyTooSmall, ConfigError
-from billiardlab.lyapunov import (build_well_balanced_F, delta_F_batch,
+from billiardlab.lyapunov import (LyapunovF, build_well_balanced_F, delta_F_batch,
                                   slice_area_curve,
                                   var_F_boundary, default_enclosing_body)
 from billiardlab.measure import sample_mu_theta, trajectory_space_volume
 from billiardlab.presets import disk as make_disk
-from billiardlab.tables import Ball, Table
+from billiardlab.spaces import Sphere
+from billiardlab.tables import Ball, HalfSpaceOrCap, Table
 
 
 def test_default_bodies(disk, hyp_disk, cap):
@@ -216,3 +217,22 @@ def test_f_and_crossing_cosines_equal_the_one_piece_table(name):
     ref = _one_piece_first_hit(table, f, batch.exit_q[ok], batch.exit_v[ok])
     assert np.array_equal(_bits(f.exit_cos(batch.exit_q[ok], batch.exit_v[ok])),
                           _bits(ref.cos_in))
+
+
+def _hemisphere():
+    return Table(Sphere(2), [HalfSpaceOrCap((0.0, 0.0, 1.0), np.pi / 2.0)], name="hemisphere")
+
+
+def test_tables_no_convex_ball_encloses_have_no_lyapunov_function(two_balls):
+    for table, cause in ((two_balls, "no outer wall"), (_hemisphere(), "pi/2")):
+        with pytest.raises(ConfigError, match=cause):
+            build_well_balanced_F(table)
+        with pytest.raises(ConfigError, match=cause):
+            default_enclosing_body(table)
+    with pytest.raises(ConfigError, match="no outer wall"):
+        LyapunovF(two_balls, Ball((0.5, 0.5), 0.4))
+
+
+def test_capped_pilot_sample_is_too_small_a_body():
+    with pytest.raises(BodyTooSmall, match="trapped"):
+        build_well_balanced_F(make_disk().with_l_max(0.5))

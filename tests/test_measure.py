@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from billiardlab.dynamics import Elastic, Rescaled, lockstep_orbits
-from billiardlab.errors import DegenerateSet, NotOnBoundary
+from billiardlab.errors import ConfigError, DegenerateSet, NotOnBoundary
 from billiardlab.measure import (Estimate, PhaseBox, domain_volumes,
                                  measure_preservation_test, phase_coordinates, random_phase_boxes,
-                                 boundary_rng, sample_mu_theta, trajectory_space_volume,
-                                 unit_ball_volume, unit_sphere_volume)
+                                 boundary_rng, sample_blocks, sample_mu_theta,
+                                 trajectory_space_volume, unit_ball_volume, unit_sphere_volume)
 from billiardlab.presets import ellipse
 from billiardlab.tables import Table, Tolerances
 
@@ -404,3 +404,19 @@ def test_incidence_box_needs_a_planar_table(ball3):
         PhaseBox(incidence=(0.0, 0.5)).contains(ball3, s.q, s.v, s.piece)
     with pytest.raises(ValueError):   # even when no row is on the boundary
         PhaseBox(incidence=(0.0, 0.5)).contains(ball3, s.q, s.v, np.full(16, -1))
+
+
+def test_sample_counts_below_one_are_rejected(disk):
+    with pytest.raises(ConfigError):
+        sample_mu_theta(disk, 0, 0)
+    with pytest.raises(ConfigError):
+        sample_blocks(lambda table, samples: None, disk, 0, 0)
+
+
+def test_estimate_of_few_or_no_samples():
+    empty = Estimate.from_samples([])
+    assert empty.count == 0 and np.isnan(empty.mean) and np.isnan(empty.stderr)
+    one = Estimate.from_samples([2.5])
+    assert (one.mean, one.count, one.stderr) == (2.5, 1, float("inf"))
+    assert one.merge(empty) is one
+    assert empty.merge(one) is one

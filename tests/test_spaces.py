@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from billiardlab import spaces
-from billiardlab.errors import AmbiguousGeodesic
+from billiardlab.config import table_from_dict
+from billiardlab.errors import AmbiguousGeodesic, ConfigError
 from billiardlab.spaces import Euclidean, FlatTorus, HyperbolicBall, ModelSpace, Sphere
 
 ALL_SPACES = [Euclidean(2), Euclidean(3), FlatTorus((1.0, 1.0)),
@@ -189,3 +190,14 @@ def test_every_space_has_the_space_contract():
             assert inspect.isfunction(method), (cls.__name__, name)
             params = list(inspect.signature(method).parameters)
             assert params == ["self", *args.split(", ")], (cls.__name__, name)
+
+
+@pytest.mark.parametrize("periods", [(1.0,), (1.0, 1.0, 1.0, 1.0), (1.0, 0.0), (1.0, -2.0)],
+                         ids=["one-period", "four-periods", "period-0", "period-negative"])
+def test_torus_periods_must_be_two_or_three_positive_numbers(periods):
+    with pytest.raises(ValueError):
+        FlatTorus(periods)
+    conf = {"space": "flat-torus", "periods": list(periods), "pieces": [
+        {"shape": "ball", "side": "obstacle", "center": [0.5] * len(periods), "radius": 0.1}]}
+    with pytest.raises(ConfigError, match="periods"):
+        table_from_dict(conf)

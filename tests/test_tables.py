@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from billiardlab import tables
+from billiardlab import presets, tables
 from billiardlab.dynamics import Elastic, causality_batch, reflect_batch
 from billiardlab.errors import ConfigError, DegenerateStart, NotOnBoundary
 from billiardlab.measure import sample_mu_theta
@@ -428,3 +428,34 @@ def test_obstacle_inside_disk_accepted():
                                  Ball((0.3, 0.0), 0.2, side="obstacle")])
     assert table.inside(np.array([[0.8, 0.0]]))[0]
     assert not table.inside(np.array([[0.3, 0.05]]))[0]
+
+
+def test_table_keeps_its_one_outer_wall(disk, two_balls):
+    assert disk.outer is disk.pieces[0]
+    assert two_balls.outer is None
+    # the outer wall need not be listed first
+    wall = Ball((0.0, 0.0), 1.0, side="outer")
+    table = Table(Euclidean(2), [Ball((0.3, 0.0), 0.2, side="obstacle"), wall])
+    assert table.outer is wall
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Table(Euclidean(2), []), "at least one boundary piece"),
+    (lambda: Table(Euclidean(2), [Ball((0.0, 0.0), 1.0, side="outer"),
+                                  Ball((0.0, 0.0), 2.0, side="outer")]), "exactly one outer wall"),
+    (lambda: Ball((0.0, 0.0), 1.0, side="inner"), "unknown side"),
+    (lambda: Ball((0.0, 0.0), 0.0), "radius must be positive"),
+    (lambda: Ball((0.0, 0.0), -1.0), "radius must be positive"),
+], ids=["no-pieces", "two-outer-walls", "unknown-side", "radius-0", "radius-negative"])
+def test_table_construction_rejects_bad_pieces(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: presets.hyperbolic_disk(0.0), "radius must be positive"),
+    (lambda: presets.spherical_cap(2.0), "cap radius must lie in"),
+], ids=["hyperbolic-radius-0", "cap-wider-than-a-hemisphere"])
+def test_preset_factories_reject_bad_radii(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
