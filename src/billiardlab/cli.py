@@ -6,13 +6,13 @@ and wall time, and emits CSV / JSON Lines side files where curves or streams
 are produced.  Sampling subcommands call the API estimators, which share one
 block reduction, so reports equal the API's for any worker count.
 
-Exit codes: 0 success, 1 validation error (bad configuration, a count flag
-below 1, a negative seed, a length flag that is not positive and finite, a
-non-finite box bound or map parameter, a translation without one component per
-torus axis, an unreadable or empty input file, boundary angles on an n = 3
-table, a Lyapunov function asked of a table that no convex ball encloses), 2
-runtime error (trapping budget exceeded, degenerate test sets, an enclosing
-ball that fails its checks).
+Exit codes: 0 success, 1 validation error (a command line the parser rejects,
+bad configuration, a count flag below 1, a negative seed, a length flag that
+is not positive and finite, a non-finite box bound or map parameter, a
+translation without one component per torus axis, an unreadable or empty input
+file, boundary angles on an n = 3 table, a Lyapunov function asked of a table
+that no convex ball encloses), 2 runtime error (trapping budget exceeded,
+degenerate test sets, an enclosing ball that fails its checks).
 """
 
 from __future__ import annotations
@@ -71,6 +71,13 @@ def version_string():
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are validation errors, as are its subparsers'."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _table_command(sub, name, func, help, samples=True):
     """A subcommand on one table, with the flags every such subcommand takes."""
     parser = sub.add_parser(name, help=help)
@@ -80,7 +87,7 @@ def _table_command(sub, name, func, help, samples=True):
     group.add_argument("--config", help="path to a JSON table config")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: $BILLIARDLAB_WORKERS or 1)")
+                        help="worker processes (default 1)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--lmax", type=float, default=None, help="override the length cap")
     if samples:
@@ -92,13 +99,17 @@ def _table_command(sub, name, func, help, samples=True):
 _COUNTS = ("samples", "orbits", "bounces", "boxes", "starters", "grid_points", "grid",
            "reference_points", "dim", "workers")
 _LENGTHS = ("lmax", "resolution", "boundary")
+# flags of how a run goes, not what it computes; every other flag is a parameter
+_RUN_FLAGS = ("command", "func", "seed", "workers", "out", "lmax")
 
 
 def _check_flags(args):
     for name in _COUNTS:
         value = getattr(args, name, None)
-        if value is not None and not 1 <= value < np.inf:
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite and at least 1")
+        if value is not None:
+            if not 1 <= value < np.inf:
+                raise ConfigError(f"--{name.replace('_', '-')} must be finite and at least 1")
+            setattr(args, name, int(value))
     for name in _LENGTHS:
         value = getattr(args, name, None)
         if value is not None and not 0.0 < value < np.inf:
@@ -123,17 +134,18 @@ def _csv_writer(header, rows):
 def _run(args):
     """Run one subcommand, then write its side files and its report.
 
-    A subcommand returns (params, results, side), `side` mapping each side-file
-    name to a function that writes that path; nothing is written before that.
+    A subcommand returns (derived, results, side): `derived` holds the parameters
+    it resolves beyond its flags, and `side` maps each side-file name to a
+    function that writes that path; nothing is written before that.
     """
     started = time.time()
     table = None
     if getattr(args, "preset", None) or getattr(args, "config", None):
         table = preset_table(args.preset) if args.preset else load_table_config(args.config)
         table = table.with_l_max(args.lmax) if args.lmax else table
-    params, results, side = args.func(args, table)
-    if table is not None:
-        params = {"preset": args.preset, "config": args.config, **params}
+    derived, results, side = args.func(args, table)
+    params = {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS}
+    params.update(derived)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [str(out_dir / name) for name in side]
@@ -154,46 +166,45 @@ def _run(args):
 
 
 def _cmd_mfp(args, table):
-    total = int(args.samples)
-    report = mean_free_path(table, total, args.seed, workers=args.workers)
+    report = mean_free_path(table, args.samples, args.seed, workers=args.workers)
     space, vols = report.space, report.volumes
     results = {"prediction": report.prediction, "space_mean": space.mean,
                "stderr": space.stderr, "count": space.count,
                "relative_gap": report.relative_gap, "trapped_fraction": space.trapped_fraction,
                "grazing_fraction": space.grazing_fraction, "vol_m": vols.vol_m,
                "vol_dm": vols.vol_dm, "note": report.note}
-    return {"samples": total, "lmax": table.l_max, "block_size": BLOCK_SIZE}, results, {}
+    return {"lmax": table.l_max, "block_size": BLOCK_SIZE}, results, {}
 
 
 def _cmd_probe(args, table):
-    probe = trapping_probe(table, int(args.samples), seed=args.seed, workers=args.workers)
+    probe = trapping_probe(table, args.samples, seed=args.seed, workers=args.workers)
     warning = ""
     if not probe.gd_stabilized:
         warning = ("longest observed chord is still growing with the sample: the geodesic "
                    "diameter appears unbounded (trapping signature)")
     results = {**asdict(probe), "warning": warning}
-    return {"samples": int(args.samples), "lmax": table.l_max}, results, {}
+    return {"lmax": table.l_max}, results, {}
 
 
 def _cmd_simulate(args, table):
     starts = sample_mu_theta(table, args.orbits, args.seed)
-    kinds, orbits = orbit_batches(table, Elastic(), starts.q, starts.v, int(args.bounces))
+    kinds, orbits = orbit_batches(table, Elastic(), starts.q, starts.v, args.bounces)
     side, summary = {}, []
     for i, (kind, chords) in enumerate(zip(kinds, orbits)):
         side[f"orbit_{i:03d}.jsonl"] = chords.to_jsonl
         lengths = chords.length.tolist()
         summary.append([i, kind, len(lengths), sum(lengths),
-                        np.mean(lengths) if lengths else 0.0])
+                        np.mean(lengths) if lengths else np.nan])
     side["orbits_summary.csv"] = _csv_writer(
         ["orbit", "termination", "bounces", "total_length", "mean_length"], summary)
     results = {"orbits": args.orbits, "terminations": {k: kinds.count(k) for k in kinds}}
-    return {"orbits": args.orbits, "bounces": int(args.bounces)}, results, side
+    return {}, results, side
 
 
 def _cmd_measure_check(args, table):
     rng = boundary_rng(args.seed, 7777)
     boxes = random_phase_boxes(table, args.boxes, rng)
-    results = measure_preservation_test(table, Elastic(), boxes, int(args.samples), args.seed,
+    results = measure_preservation_test(table, Elastic(), boxes, args.samples, args.seed,
                                         workers=args.workers)
     rows = [{
         "piece": r.box.piece,
@@ -209,7 +220,7 @@ def _cmd_measure_check(args, table):
         "excluded_fraction": results[0].excluded_fraction if results else 0.0,
         "total_mass": trajectory_space_volume(table),
     }
-    return {"samples": int(args.samples), "boxes": args.boxes}, summary, {}
+    return {}, summary, {}
 
 
 def _cmd_recurrence(args, table):
@@ -217,17 +228,14 @@ def _cmd_recurrence(args, table):
         raise ConfigError(f"--box-piece must index one of the table's {len(table.pieces)} pieces")
     box = PhaseBox(piece=args.box_piece, boundary=tuple(args.box_angle),
                    incidence=tuple(args.box_incidence))
-    res = recurrence_test(table, Elastic(), box, args.starters, int(args.bounces), args.seed)
-    params = {"starters": args.starters, "bounces": int(args.bounces),
-              "box_piece": args.box_piece, "box_angle": list(args.box_angle),
-              "box_incidence": list(args.box_incidence)}
-    return params, asdict(res), {}
+    res = recurrence_test(table, Elastic(), box, args.starters, args.bounces, args.seed)
+    return {}, asdict(res), {}
 
 
 def _cmd_slices(args, table):
     f = build_well_balanced_F(table, seed=args.seed)
-    total = int(args.samples)
-    res = slice_identity(table, f, total, args.seed, args.grid_points, workers=args.workers)
+    res = slice_identity(table, f, args.samples, args.seed, args.grid_points,
+                         workers=args.workers)
     var = res.variation
     results = {"f_min": var.f_min, "f_max": var.f_max, "var_f": var.var,
                "integral_a_dt": res.integral, "predicted_integral": res.predicted,
@@ -235,8 +243,7 @@ def _cmd_slices(args, table):
                "trajectory_space_volume": trajectory_space_volume(table)}
     curve = _csv_writer(["t", "area_mean", "area_stderr"],
                         [[t, e.mean, e.stderr] for t, e in zip(res.grid, res.areas)])
-    params = {"samples": total, "grid_points": args.grid_points, "block_size": BLOCK_SIZE}
-    return params, results, {"slice_areas.csv": curve}
+    return {"block_size": BLOCK_SIZE}, results, {"slice_areas.csv": curve}
 
 
 def _cmd_reconstruct(args, table):
@@ -251,9 +258,7 @@ def _cmd_reconstruct(args, table):
         "hausdorff_reference_to_cloud": recon.hausdorff,
         "skipped_ambiguous": recon.skipped_ambiguous,
     }
-    params = {"grid": args.grid, "resolution": args.resolution,
-              "reference_points": args.reference_points}
-    return params, results, {"scattering.jsonl": data.to_jsonl, "chord_cloud.csv": recon.to_csv}
+    return {}, results, {"scattering.jsonl": data.to_jsonl, "chord_cloud.csv": recon.to_csv}
 
 
 def _map_numbers(spec, count):
@@ -292,9 +297,8 @@ def _cmd_conjugacy(args, table):
     if args.lmax:
         other = other.with_l_max(args.lmax)
     phi = _parse_boundary_map(args.map, table, other)
-    res = conjugacy_residual(table, other, phi, int(args.samples), args.seed,
-                             workers=args.workers)
-    return {"other": args.other, "map": args.map, "samples": int(args.samples)}, asdict(res), {}
+    res = conjugacy_residual(table, other, phi, args.samples, args.seed, workers=args.workers)
+    return {}, asdict(res), {}
 
 
 def _cmd_hear(args, table):
@@ -312,8 +316,7 @@ def _cmd_hear(args, table):
     curve = _csv_writer(["bounces", "vol_estimate"],
                         [[k, running[k - 1]] for k in _checkpoint_list(len(running))])
     results = {"bounces": len(running), "vol_m_estimate": float(running[-1])}
-    params = {"lengths": args.lengths, "boundary": args.boundary, "dim": args.dim}
-    return params, results, {"hear_volume.csv": curve}
+    return {}, results, {"hear_volume.csv": curve}
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +325,7 @@ def _cmd_hear(args, table):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="billiardlab",
         description="Geometric billiard and inverse-scattering experiments")
     parser.add_argument("--version", action="version", version=version_string())
@@ -374,14 +377,12 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = _build_parser().parse_args(argv)
         _check_flags(args)
         return _run(args)
+    except SystemExit as exc:  # --help and --version, after printing
+        return 0 if exc.code in (0, None) else 1
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "validation", "message": str(exc)}}))
         return 1

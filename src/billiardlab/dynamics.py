@@ -14,8 +14,8 @@ only that the point is still within `hit_tol` of its piece; a Monte Carlo
 block hands the sampler's pieces and normals to its first chord the same
 way.  Orbit loops (`orbit_batches`, Birkhoff and recurrence averages) run on
 the one lockstep engine `lockstep_orbits`, the preservation test on one
-`billiard_batch` step; `orbit_batches` alone decides where an orbit ends
-and which chords it keeps.
+`billiard_batch` step; `lockstep_orbits` stops an orbit after a trapped or
+grazing chord, and `orbit_batches` decides which of its chords to keep.
 """
 
 from __future__ import annotations
@@ -141,6 +141,10 @@ class Elastic:
 
     kind = "elastic"
 
+    def __call__(self, space, q, v, n):
+        out = v - 2.0 * space.metric_dot(q, v, n)[:, None] * n
+        return space.unit(q, out)
+
     def __repr__(self):
         return "Elastic()"
 
@@ -149,11 +153,12 @@ class Rescaled:
     """Reflection through the unit sphere of a stretched boundary metric.
 
     The boundary metric adds a scalar stretch along a fixed chart axis:
-    gt(u, w) = g(u, w) + (stretch^2 - 1) g(u, a) g(w, a) with a the
-    g-normalized axis.  The induced map projects radially to the gt-sphere,
-    reflects gt-elastically in the boundary hyperplane, and projects back;
-    it is an involution for every stretch and reduces to the elastic law
-    when stretch = 1.
+    gt(u, w) = g(u, w) + c g(u, a) g(w, a), c = stretch^2 - 1, with a the
+    g-unit tangent part of the axis (0 where it has none).  The induced map
+    projects radially to the gt-sphere (y), reflects gt-elastically in the
+    boundary hyperplane along its gt-normal nu, and projects back; it is an
+    involution for every stretch and reduces to the elastic law when
+    stretch = 1.
     """
 
     kind = "rescaled"
@@ -164,46 +169,34 @@ class Rescaled:
         self.stretch = float(stretch)
         self.axis = np.asarray(axis, dtype=float)
 
+    def __call__(self, space, q, v, n):
+        c = self.stretch ** 2 - 1.0
+        t = space.tangent(q, np.broadcast_to(self.axis, q.shape))
+        size = space.norm(q, t)[:, None]
+        a = np.where(size > 1e-12, t, 0.0) / np.maximum(size, 1e-12)
+        y = v / np.sqrt(1.0 + c * space.metric_dot(q, a, v) ** 2)[:, None]
+        nu = n - (c / (1.0 + c) * space.metric_dot(q, a, n))[:, None] * a
+        beta = space.metric_dot(q, y, n) / space.metric_dot(q, nu, n)
+        return space.unit(q, y - 2.0 * beta[:, None] * nu)
+
     def __repr__(self):
         return f"Rescaled(stretch={self.stretch}, axis={self.axis.tolist()})"
 
 
 def reflect_batch(law, table, q, v, piece=None, normal=None):
-    """Map outgoing boundary velocities to incoming ones.
+    """Map outgoing boundary velocities to incoming ones by `law`, a map
+    (space, q, v, inward normal) -> v; a new law is one new class.
 
     `piece` and `normal` carry what the hit at q found; unset, they are
     derived from q.
     """
-    space = table.space
+    if not callable(law):
+        raise TypeError(f"unknown reflection law {law!r}")
     q = np.atleast_2d(q)
     v = np.atleast_2d(v)
     n = normal if normal is not None else table.inward_normal_at(
         q, table.active_piece(q) if piece is None else piece)
-    if isinstance(law, Elastic):
-        out = v - 2.0 * space.metric_dot(q, v, n)[:, None] * n
-        return space.unit(q, out)
-    if not isinstance(law, Rescaled):
-        raise TypeError(f"unknown reflection law {law!r}")
-    frame = space.tangent_frame(q, n)                    # (N, m, cd)
-    basis = np.concatenate([n[:, None, :], frame], axis=1)  # (N, dim, cd)
-    coords = np.stack([space.metric_dot(q, v, basis[:, j]) for j in range(basis.shape[1])], axis=1)
-    axis = np.broadcast_to(law.axis, q.shape)
-    alpha = np.stack([space.metric_dot(q, axis, basis[:, j]) for j in range(basis.shape[1])], axis=1)
-    neff = np.linalg.norm(alpha, axis=1)
-    good = neff > 1e-12
-    alpha[good] /= neff[good, None]
-    c = law.stretch ** 2 - 1.0
-    # gt-orthogonal direction to the boundary hyperplane (Sherman-Morrison)
-    m = -(c / (1.0 + c)) * alpha[:, 0:1] * alpha
-    m[:, 0] += 1.0
-    y = coords / np.sqrt(1.0 + c * np.sum(alpha * coords, axis=1) ** 2)[:, None]
-    beta = y[:, 0] / m[:, 0]
-    z = y - 2.0 * beta[:, None] * m
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    elastic = coords.copy()
-    elastic[:, 0] = -elastic[:, 0]
-    z = np.where(good[:, None], z, elastic)
-    return np.einsum("nj,njd->nd", z, basis)
+    return law(table.space, q, v, n)
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,7 @@ def space_average(table, observable, count, seed, workers=None):
 
 
 def _checkpoint_list(m):
-    points = []
-    k = 1
-    while k < m:
-        points.append(k)
-        k *= 2
-    points.append(m)
-    return points
+    return [2 ** k for k in range((m - 1).bit_length())] + [m]
 
 
 def time_average_many(table, law, observable, z0_q, z0_v, bounces):
@@ -259,14 +253,9 @@ def trapping_probe(table, sample_count, seed=0, workers=None):
     length, trapped, grazing = (np.concatenate(column) for column in zip(*parts))
     escaped = ~trapped
     lengths = length[escaped]
-    quarters = np.array_split(length * np.where(escaped, 1.0, np.nan), 4)
-    progression = []
-    running = 0.0
-    for part in quarters:
-        vals = part[np.isfinite(part)]
-        if vals.size:
-            running = max(running, float(np.max(vals)))
-        progression.append(running)
+    # escaped lengths are >= 0, so 0 for the others leaves every maximum exact
+    quarters = np.array_split(np.where(escaped, length, 0.0), 4)
+    progression = np.maximum.accumulate([np.max(part, initial=0.0) for part in quarters])
     if lengths.size < 200:
         stabilized = True  # not enough data to judge the tail
     else:
@@ -276,7 +265,7 @@ def trapping_probe(table, sample_count, seed=0, workers=None):
         escape_fraction=float(np.mean(escaped)),
         max_chord=float(np.max(lengths)) if lengths.size else 0.0,
         grazing_fraction=float(np.mean(grazing)),
-        max_chord_progression=tuple(progression),
+        max_chord_progression=tuple(progression.tolist()),
         gd_stabilized=stabilized,
         l_max=table.l_max,
     )

@@ -291,7 +291,7 @@ class PhaseBox:
             keep &= _within(cos, self.cos_range)
         if self.incidence is not None:
             if incidence is None:
-                raise ValueError("signed incidence boxes need n = 2")
+                raise ConfigError("signed incidence angles need an n = 2 table")
             keep &= _within(incidence, self.incidence)
         return keep
 

@@ -9,26 +9,10 @@ identical for any worker count.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 
-__all__ = ["default_workers", "block_counts", "run_blocks", "BLOCK_SIZE"]
+__all__ = ["block_counts", "run_blocks", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 65_536
-WORKERS_ENV = "BILLIARDLAB_WORKERS"
-
-
-def default_workers(requested=None):
-    if requested is not None and requested > 0:
-        return int(requested)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return 1
 
 
 def block_counts(total):
@@ -46,9 +30,10 @@ def _run_forked(i):
 
 
 def run_blocks(worker, tasks, workers=1):
-    """Map `worker` over task tuples in order; forked workers inherit the tasks."""
+    """Map `worker` over task tuples in order on `workers` processes (None is 1);
+    forked workers inherit the tasks."""
     global _FORKED
-    workers = min(default_workers(workers), len(tasks)) or 1
+    workers = min(workers or 1, len(tasks))
     if workers <= 1:
         return [worker(t) for t in tasks]
     _FORKED = (worker, tasks)

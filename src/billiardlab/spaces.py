@@ -12,7 +12,9 @@ the geodesic equation.
 
 Every space kind (`Euclidean`, `FlatTorus`, `HyperbolicBall`, `Sphere`)
 defines or inherits the methods below; `ModelSpace` holds only what they
-share (the metric, `wrap`, `delta`, `chart_distance`, `validate_point`).
+share (the metric, `tangent`, `wrap`, `delta`, `chart_distance`,
+`validate_point`).  `tangent(q, u)` is the part of chart vectors u tangent to
+M at q: u itself, except on the sphere.
 
     flow(q, v, s)                        advance unit-speed geodesics by arclength s: (q', v')
     distance(p, q)                       geodesic distance between chart points
@@ -88,6 +90,9 @@ class ModelSpace:
 
     def unit(self, q, u):
         return u / self.norm(q, u)[..., None]
+
+    def tangent(self, q, u):
+        return u
 
     def wrap(self, q):
         return q
@@ -383,6 +388,9 @@ class Sphere(ModelSpace):
     def distance(self, p, q):
         return np.arccos(np.clip(_dot(np.asarray(p), np.asarray(q)), -1.0, 1.0))
 
+    def tangent(self, q, u):
+        return u - _dot(u, q)[..., None] * q
+
     def tangent_frame(self, q, n):
         q2, n2 = np.atleast_2d(q), np.atleast_2d(n)
         if self.dim == 2:
@@ -435,8 +443,7 @@ class Sphere(ModelSpace):
         return 2.0 * np.pi * (r - np.sin(r) * np.cos(r))
 
     def _unit_tangents(self, c, rng, count):
-        u = rng.standard_normal((count, self.chart_dim))
-        u -= _dot(u, np.broadcast_to(c, u.shape))[:, None] * c
+        u = self.tangent(c, rng.standard_normal((count, self.chart_dim)))
         return u / np.linalg.norm(u, axis=1, keepdims=True)
 
     def _pole_frame(self, c):

@@ -460,11 +460,13 @@ class Table:
     # -- construction checks ------------------------------------------------
 
     def _check_geometry(self):
-        self._check_disjoint()
-        self._check_gradients()
+        self._check_boundaries()
         self._check_connected()
 
-    def _check_disjoint(self):
+    def _check_boundaries(self):
+        """Torus obstacles by their exact overlap tests; then, per piece k, 256 wall
+        points from generator k: their normals must be finite and, on a table with
+        an outer wall, an obstacle's points must lie inside every other piece."""
         space = self.space
         if isinstance(space, FlatTorus):
             for b in self.pieces:
@@ -475,12 +477,12 @@ class Table:
                     d = np.linalg.norm(space.delta(a.center, b.center))
                     if d <= a.radius + b.radius:
                         raise ConfigError("obstacles overlap (including periodic images)")
-            return
-        for p in self.pieces:
-            if p is self.outer:
+        for k, p in enumerate(self.pieces):
+            pts = p.sample_boundary(space, np.random.default_rng(k), 256)
+            if not np.all(np.isfinite(p.inward_normal(space, pts))):
+                raise ConfigError("vanishing boundary gradient detected")
+            if self.outer is None or p is self.outer:
                 continue
-            rng = np.random.default_rng(0)
-            pts = p.sample_boundary(space, rng, 256)
             if np.any(self.outer.gauge(space, pts) >= -self.tol.hit_tol):
                 raise ConfigError("obstacle touches the outer wall")
             for q in self.pieces:
@@ -488,14 +490,6 @@ class Table:
                     continue
                 if np.any(q.gauge(space, pts) >= -self.tol.hit_tol):
                     raise ConfigError("obstacles overlap")
-
-    def _check_gradients(self):
-        rng = np.random.default_rng(1)
-        for p in self.pieces:
-            pts = p.sample_boundary(self.space, rng, 128)
-            n = p.inward_normal(self.space, pts)
-            if not np.all(np.isfinite(n)):
-                raise ConfigError("vanishing boundary gradient detected")
 
     def _chart_box(self):
         """Chart bounding box [lo, hi] covering the domain (non-sphere/torus)."""

@@ -2,13 +2,15 @@
 
 `benchmark/layers.py` names spans after modules, classes and methods, so a
 refactor that renames one leaves its metrics at zero without an error.
-This runs the tracer on three presets; it reads `benchmark/` and changes
-nothing there.
+This runs the tracer on three presets, and one traced pass of each workload
+with its checks; it reads `benchmark/` and changes nothing there.
 """
 
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 from billiardlab import dynamics, measure, presets, tables
 
@@ -43,3 +45,30 @@ def test_benchmark_tracer_names_the_hit_spans():
     for name in ("tables.first_hit.rows", "tables.ray_hit.ball-euclidean.rows",
                  "tables.ray_hit.ball-sphere.rows", "dynamics.causality_batch.rows"):
         assert metrics[name] > 0, name
+
+
+@pytest.mark.parametrize("workload", ["mc-closed-form", "orbits-lockstep", "hits-iterative",
+                                      "holography"])
+def test_one_traced_benchmark_pass_is_correct(workload, tmp_path):
+    # one traced pass, as `benchmark/run.py --trace 1` runs it: every named check
+    # holds and the rows the tracer saw are the rows the inputs imply
+    sys.path.insert(0, BENCH)
+    try:
+        layers, spans, worker, workloads = (importlib.import_module(m) for m in
+                                            ("layers", "spans", "worker", "workloads"))
+    finally:
+        sys.path.remove(BENCH)
+    workloads.write_inputs(tmp_path)
+    ctx = worker.Context(workload, tmp_path)
+    ops = workloads.operations(workload, workloads.pass_seed(1, 1), tmp_path)
+    rec = spans.Recorder()
+    rec.begin_pass(1)
+    layers.install(rec)
+    try:
+        res, outputs = worker.run_pass(ops, ctx, rec)
+    finally:
+        rec.uninstall()
+        rec.end_pass()
+    assert res["failed_ops"] == []
+    assert res["checks"] and all(check["ok"] for check in res["checks"])
+    worker._coverage(rec, rec.passes[-1], outputs, ctx)  # SystemExit on a row mismatch

@@ -302,6 +302,8 @@ BAD_CONFIGS = {
         {"shape": "half-space", "pole": [0.0, 0.0, 1.0], "angle": 3.2}]},
     # a JSON integer too large for a float
     "radius-huge-int": {**DISK_CONF, "pieces": [{**_DISK_PIECE, "radius": 10 ** 400}]},
+    "periods-missing": _TORUS_CONF,
+    "shape-unknown": {**DISK_CONF, "pieces": [{**_DISK_PIECE, "shape": "square"}]},
 }
 # the key each type or value error must name
 BAD_CONFIG_KEYS = {"periods-string": "periods", "radius-string": "radius",
@@ -309,7 +311,8 @@ BAD_CONFIG_KEYS = {"periods-string": "periods", "radius-string": "radius",
                    "radius-bool": "radius", "l-max-list": "l_max", "radius-nan": "radius",
                    "radius-inf": "radius", "center-nan": "center", "angle-inf": "angle",
                    "cos-coefficients-inf": "cos_coefficients", "periods-inf": "periods",
-                   "sphere-ball-radius-above-pi": "radius", "sphere-cap-angle-above-pi": "radius"}
+                   "sphere-ball-radius-above-pi": "radius", "sphere-cap-angle-above-pi": "radius",
+                   "periods-missing": "periods", "shape-unknown": "shape"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -343,6 +346,13 @@ BAD_CONFIG_KEYS = {"periods-string": "periods", "radius-string": "radius",
     ["simulate", "--preset", "disk", "--orbits", "2", "--bounces", "inf"],
     ["mfp", "--preset", "disk", "--samples", "100", "--workers", "0"],
     ["mfp", "--preset", "disk", "--samples", "100", "--workers", "-3"],
+    ["conjugacy", "--preset", "disk", "--map", "translation:0.1,0.2", "--samples", "100"],
+    ["conjugacy", "--preset", "disk", "--map", "shear:1", "--samples", "100"],
+    # command lines the parser rejects
+    ["simulate", "--preset", "disk", "--orbits", "abc"],
+    ["mfp", "--preset", "disk", "--bogus"],
+    ["mfp", "--samples", "100"],
+    ["frobnicate"],
     *(["mfp", "--config", f"{{{name}}}", "--samples", "100"] for name in BAD_CONFIGS),
 ], ids=["resolution-0", "resolution-negative", "lmax-0", "lmax-negative", "lmax-nan",
         "boundary-0", "boundary-inf", "dim-0", "lengths-missing", "lengths-bad-row",
@@ -350,7 +360,9 @@ BAD_CONFIG_KEYS = {"periods-string": "periods", "radius-string": "radius",
         "seed-negative-reconstruct", "rotation-not-a-number", "rotation-nan",
         "translation-three-components", "translation-one-component", "box-angle-nan",
         "box-incidence-inf", "samples-nan", "samples-inf", "bounces-nan", "bounces-inf",
-        "workers-zero", "workers-negative", *(f"config-{name}" for name in BAD_CONFIGS)])
+        "workers-zero", "workers-negative", "translation-off-a-torus", "map-unknown",
+        "orbits-not-an-int", "flag-unknown", "table-missing", "subcommand-unknown",
+        *(f"config-{name}" for name in BAD_CONFIGS)])
 def test_cli_rejects_out_of_domain_values(argv, tmp_path, capsys):
     files = {"good": tmp_path / "good.csv", "bad_row": tmp_path / "bad_row.csv",
              "missing": tmp_path / "missing.csv"}
@@ -496,7 +508,7 @@ def test_cli_simulate_dumps_the_orbit_batches(preset, lmax, orbits, bounces, see
         }) + "\n" for j in range(len(ch)))
         assert (out / f"orbit_{i:03d}.jsonl").read_bytes() == lines.encode()
         lengths = [float(s) for s in ch.length]
-        writer.writerow([i, kind, len(ch), sum(lengths), np.mean(lengths) if lengths else 0.0])
+        writer.writerow([i, kind, len(ch), sum(lengths), np.mean(lengths) if lengths else np.nan])
     assert (out / "orbits_summary.csv").read_bytes() == summary.getvalue().encode()
     assert rep["results"]["terminations"] == {k: kinds.count(k) for k in kinds}
     if preset is None:  # every ending, and a grazing chord written as the last line
@@ -545,6 +557,20 @@ def test_cli_conjugacy(tmp_path, capsys):
                          "--samples", "2000", "--seed", "7", "--out", str(tmp_path)], capsys)
     assert code == 0
     assert rep["results"]["max_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("argv, used", [
+    (["--map", "identity"], 2000),
+    (["--map", "reflection"], 2000),
+    # --lmax caps both tables, so every chord longer than 0.5 is skipped
+    (["--other", "disk", "--lmax", "0.5", "--map", "identity"], 66),
+], ids=["identity", "reflection", "capped-other"])
+def test_cli_conjugacy_of_the_disk_with_itself_is_exact(argv, used, tmp_path, capsys):
+    code, rep = run_cli(["conjugacy", "--preset", "disk", "--samples", "2000",
+                         "--out", str(tmp_path)] + argv, capsys)
+    assert code == 0
+    assert rep["results"]["max_residual"] == 0.0
+    assert (rep["results"]["used"], rep["results"]["skipped"]) == (used, 2000 - used)
 
 
 @pytest.mark.parametrize("preset, other", [("ball3", None), ("cap-pi4", None), ("disk", "ball3")])
@@ -596,14 +622,10 @@ def test_version_string_nonempty():
     assert version_string()
 
 
-def test_workers_env_variable(monkeypatch):
-    from billiardlab.parallel import default_workers
-
-    monkeypatch.setenv("BILLIARDLAB_WORKERS", "3")
-    assert default_workers(None) == 3
-    assert default_workers(5) == 5
-    monkeypatch.setenv("BILLIARDLAB_WORKERS", "junk")
-    assert default_workers(None) == 1
+@pytest.mark.parametrize("argv", [["--version"], ["mfp", "--help"]], ids=["version", "help"])
+def test_cli_version_and_help_exit_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
 
 
 HEMISPHERE_CONF = {"space": "sphere", "pieces": [

@@ -154,6 +154,8 @@ def test_hear_volume_round_trip(two_balls, sinai_orbits):
 def test_hear_volume_empty_raises():
     with pytest.raises(EmptySequence):
         hear_volume(np.array([]), 1.0, 2)
+    with pytest.raises(ValueError, match="boundary volume"):
+        hear_volume([1.0], 0.0, 2)
 
 
 # -- recurrence -------------------------------------------------------------------

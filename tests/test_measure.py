@@ -400,10 +400,11 @@ def test_preservation_test_derives_box_coordinates_twice_per_block(two_balls, mo
 
 def test_incidence_box_needs_a_planar_table(ball3):
     s = sample_mu_theta(ball3, 16, 0)
-    with pytest.raises(ValueError):
-        PhaseBox(incidence=(0.0, 0.5)).contains(ball3, s.q, s.v, s.piece)
-    with pytest.raises(ValueError):   # even when no row is on the boundary
-        PhaseBox(incidence=(0.0, 0.5)).contains(ball3, s.q, s.v, np.full(16, -1))
+    for box in (PhaseBox(incidence=(0.0, 0.5)), PhaseBox(boundary=(0.0, 0.5))):
+        with pytest.raises(ConfigError, match="n = 2 table"):
+            box.contains(ball3, s.q, s.v, s.piece)
+        with pytest.raises(ConfigError, match="n = 2 table"):  # even with no row on the boundary
+            box.contains(ball3, s.q, s.v, np.full(16, -1))
 
 
 def test_sample_counts_below_one_are_rejected(disk):

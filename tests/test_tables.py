@@ -446,7 +446,12 @@ def test_table_keeps_its_one_outer_wall(disk, two_balls):
     (lambda: Ball((0.0, 0.0), 1.0, side="inner"), "unknown side"),
     (lambda: Ball((0.0, 0.0), 0.0), "radius must be positive"),
     (lambda: Ball((0.0, 0.0), -1.0), "radius must be positive"),
-], ids=["no-pieces", "two-outer-walls", "unknown-side", "radius-0", "radius-negative"])
+    # a subnormal radius: a wall point's squared distance to the centre underflows to 0
+    pytest.param(lambda: Table(Euclidean(2), [Ball((0.0, 0.0), 1e-320)]),
+                 "vanishing boundary gradient",
+                 marks=pytest.mark.filterwarnings("ignore:.*encountered in divide")),
+], ids=["no-pieces", "two-outer-walls", "unknown-side", "radius-0", "radius-negative",
+        "radius-subnormal"])
 def test_table_construction_rejects_bad_pieces(build, message):
     with pytest.raises(ConfigError, match=message):
         build()
