@@ -35,7 +35,6 @@ __all__ = [
 
 _OUT = int(StratumLabel.TRANSVERSAL_OUT)
 _CONVEX = int(StratumLabel.TANGENT_CONVEX)
-_CONCAVE = int(StratumLabel.TANGENT_CONCAVE)
 # rows per formatted block in the writers: large enough to amortize the Python
 # calls, small enough to bound temporaries
 _WRITE_ROWS = 8192
@@ -91,8 +90,8 @@ class ChordBatch:
 
     @cached_property
     def grazing(self):
-        tangent = (self.exit_label == _CONVEX) | (self.exit_label == _CONCAVE)
-        return tangent & ~self.degenerate & ~self.trapped
+        tangent = self.exit_label >= _CONVEX  # TANGENT_CONVEX or TANGENT_CONCAVE, the top codes
+        return tangent & ~(self.degenerate | self.trapped)
 
     @cached_property
     def ok(self):
@@ -164,12 +163,17 @@ class Rescaled:
     kind = "rescaled"
 
     def __init__(self, stretch=1.0, axis=(1.0, 0.0)):
-        if stretch <= 0:
-            raise ValueError("stretch must be positive")
+        if not 0.0 < stretch < np.inf:
+            raise ValueError(f"stretch must be positive and finite, got {stretch!r}")
         self.stretch = float(stretch)
         self.axis = np.asarray(axis, dtype=float)
+        if self.axis.ndim != 1 or not np.isfinite(self.axis).all() or not self.axis.any():
+            raise ValueError(f"axis must be a finite nonzero vector, got {axis!r}")
 
     def __call__(self, space, q, v, n):
+        if self.axis.size != space.chart_dim:
+            raise ValueError(f"Rescaled axis has length {self.axis.size}, but the table's "
+                             f"chart_dim is {space.chart_dim}")
         c = self.stretch ** 2 - 1.0
         t = space.tangent(q, np.broadcast_to(self.axis, q.shape))
         size = space.norm(q, t)[:, None]
@@ -225,20 +229,23 @@ def causality_batch(table, q, v, piece=None, normal=None):
     if (entry_label == _OUT).any():
         raise DegenerateStart("causality map applied to an outward phase point")
     degenerate = entry_label == _CONVEX
-    trapped = np.zeros(n, dtype=bool)
-    # untraced (degenerate) and trapped rows exit where they enter
-    exits = (q, v, np.zeros(n), entry_label, entry_cos, piece, normal)
-    traced = np.flatnonzero(~degenerate)
-    if traced.size:
-        every = traced.size == n
-        hit = table.first_hit(q, v) if every else table.first_hit(q[traced], v[traced])
-        trapped[traced] = hit.trapped
-        found = (hit.q, hit.v, hit.s, hit.label, hit.cos_in, hit.piece, hit.normal)
-        if every and not trapped.any():
-            exits = found
-        else:
+    if degenerate.any():
+        traced = np.flatnonzero(~degenerate)
+        hit = table.first_hit(q[traced], v[traced]) if traced.size else None
+    else:
+        traced, hit = None, table.first_hit(q, v)  # None: every row, with no index gathers
+    if traced is None and not hit.trapped.any():
+        trapped = hit.trapped
+        exits = (hit.q, hit.v, hit.s, hit.label, hit.cos_in, hit.piece, hit.normal)
+    else:
+        # untraced (degenerate) and trapped rows exit where they enter
+        trapped = np.zeros(n, dtype=bool)
+        exits = tuple(e.copy() for e in (q, v, np.zeros(n), entry_label, entry_cos, piece, normal))
+        if hit is not None:
+            traced = np.arange(n) if traced is None else traced
+            trapped[traced] = hit.trapped
             good, sel = traced[~hit.trapped], ~hit.trapped
-            exits = tuple(e.copy() for e in exits)
+            found = (hit.q, hit.v, hit.s, hit.label, hit.cos_in, hit.piece, hit.normal)
             for e, f in zip(exits, found):
                 e[good] = f[sel]
     exit_q, exit_v, length, exit_label, exit_cos, exit_piece, exit_normal = exits
@@ -312,9 +319,13 @@ def orbit_batches(table, law, q, v, k_max):
         stop = batch.stops
         for i, trapped in zip(rows[stop].tolist(), batch.trapped[stop].tolist()):
             kinds[i] = "trapped" if trapped else "grazing"
-        kept = ~batch.trapped
-        orbit.append(rows[kept])
-        columns.append([getattr(batch, name)[kept] for name in names])
+        if batch.trapped.any():
+            kept = ~batch.trapped
+            orbit.append(rows[kept])
+            columns.append([getattr(batch, name)[kept] for name in names])
+        else:
+            orbit.append(rows)
+            columns.append([getattr(batch, name) for name in names])
     orbit = np.concatenate(orbit)
     order = np.argsort(orbit, kind="stable")
     cut = np.cumsum(np.bincount(orbit, minlength=n))[:-1]

@@ -252,7 +252,7 @@ def phase_coordinates(table, q, v, piece=None, normal=None):
     piece, normal, cos = table._boundary_geometry(q, v, piece, normal)
     if space.dim != 2:
         return piece, None, None, cos
-    angle = table._per_piece("boundary_param", piece, q, np.full(q.shape[0], np.nan))
+    angle = table._own("boundary_param", piece, q, np.full(q.shape[0], np.nan))
     sin = space.metric_dot(q, v, space.tangent_frame(q, normal)[:, 0])
     return piece, angle, np.arctan2(sin, cos), cos
 
@@ -264,13 +264,26 @@ class PhaseBox:
     boundary: angle interval on the piece.  One of length 2 pi or more covers
     the whole piece; a shorter one is taken modulo 2 pi (lo > hi wraps).
     incidence: signed-angle interval, n = 2 only.  cos_range: interval of
-    the incidence cosine, any dimension.  Unset constraints are ignored.
+    the incidence cosine, any dimension.  Unset constraints are ignored.  An
+    empty interval (lo >= hi, or a boundary arc from an angle to itself)
+    raises ConfigError.
     """
 
     piece: int | None = None
     boundary: tuple | None = None
     incidence: tuple | None = None
     cos_range: tuple | None = None
+
+    def __post_init__(self):
+        for name in ("incidence", "cos_range"):
+            interval = getattr(self, name)
+            if interval is not None and not interval[0] < interval[1]:
+                raise ConfigError(f"phase box {name} {tuple(interval)} is empty: it needs lo < hi")
+        if self.boundary is not None and self._arc is not None:
+            lo, hi = self._arc
+            if not (lo < hi or lo > hi):
+                raise ConfigError(f"phase box boundary {tuple(self.boundary)} is empty: "
+                                  f"it needs lo != hi modulo 2 pi")
 
     @cached_property
     def _arc(self):

@@ -10,13 +10,19 @@ its geodesic sphere (normal, hits, volumes, samples, angle) in private
 methods, so a tracer that wraps public methods books that time to `Ball`.
 Flat-torus tables trace rays through periodic images in windows no longer
 than the shortest period; one call of the stacked kernel `window_hit` covers
-a block of consecutive windows for every obstacle ball at once.  A block is
-one window while the active rows fill the row budget and doubles each pass
-once they do not, so a ray in a free channel takes about log2(l_max /
-window) passes; a call holds at most that budget of (row, window, ball)
-triples, so a block of many rows is split into row chunks.  Since 2r <
-every period, each window's 2^d nearest images hold every image its segment
-can hit, and the hits are those of a one-window loop, bit for bit.
+a block of consecutive windows for every obstacle ball at once.  A small
+batch's first block spans the cell diagonal, so most of its rays hit in one
+call; a large batch's first block is one window.  After that a block is one
+window while the active rows fill the row budget and doubles each pass once
+they do not, so a ray in a free channel takes about log2(l_max / window)
+passes; a call holds at most that budget of (row, window, ball) triples, so
+a block of many rows is split into row chunks.  Since 2r < every period,
+each window's 2^d nearest images hold every image its segment can hit, and
+the hits are those of a one-window loop, bit for bit, whatever the blocks.
+The same stacked balls give a torus table's gauges, inward normals and
+boundary angles at each row's own piece in one call of the `Ball` method, on
+a ball of per-row centres and radii (a lone ball is itself every row's own),
+so the bits are those of each ball.
 
 A table derives the boundary geometry of phase points (piece, inward
 normal, incidence cosine) in one step, `_boundary_geometry`, which uses a
@@ -65,6 +71,10 @@ OBSTACLE = "obstacle"
 _IMAGE_PAIR = np.array([0.0, 1.0])[:, None, None, None]
 # row x window x ball triples per window_hit call in a torus block
 _BLOCK_ROWS = 65536
+# a window_hit call costs about 50 us plus about 21 ns per (row, window, ball,
+# image) element (2-core Xeon, numpy 2.4): a first block that spans the cell
+# diagonal saves the second call while its elements stay below this
+_WIDE_FIRST = 4096
 
 
 class StratumLabel(IntEnum):
@@ -101,7 +111,11 @@ def _check_planar(space):
 
 
 class Ball:
-    """Geodesic ball piece (outer wall or obstacle); its space computes its sphere."""
+    """Geodesic ball piece (outer wall or obstacle); its space computes its sphere.
+
+    `gauge`, `inward_normal` and `boundary_param` are elementwise in the centre
+    and radius, so a torus table runs each once on a ball of per-row centres
+    and radii (`Table._own`)."""
 
     def __init__(self, center, radius, side=OUTER):
         if side not in (OUTER, OBSTACLE):
@@ -450,6 +464,7 @@ class Table:
             # radius ** 2 (libm pow), not an array multiply: the two can differ
             # in the last bit, which moves grazing roots
             self._centers = np.array([p.center for p in self.pieces])
+            self._radii = np.array([p.radius for p in self.pieces])
             self._radii_sq = np.array([p.radius ** 2 for p in self.pieces])
             # past s_lo + 2r, with room for roundoff, no exit root can win
             self._exit_reach = (2.0 * max(p.radius for p in self.pieces)
@@ -602,9 +617,30 @@ class Table:
             raise NotOnBoundary("point is not on the table boundary")
         return piece_idx
 
+    def _own(self, method, piece_idx, q, out):
+        """`_per_piece` for a method that is elementwise in a ball's centre and
+        radius (gauge, inward_normal, boundary_param).  A torus table calls it
+        once, on a ball whose centre and radius are each row's own, gathered
+        from the stacked obstacles; rows off the boundary keep `out`'s value."""
+        if self.outer is not None:
+            return self._per_piece(method, piece_idx, q, out)
+        if len(self.pieces) == 1:
+            rows = self.pieces[0]  # a lone ball is every row's own: no gathers
+        else:
+            rows = Ball.__new__(Ball)  # Ball.__init__ checks one scalar radius
+            # take, not fancy indexing, which gathers 2-D rows about ten times slower
+            rows.center = self._centers.take(piece_idx, axis=0)
+            rows.radius = self._radii.take(piece_idx)
+            rows.side, rows._sign = OBSTACLE, -1.0  # every torus piece is an obstacle
+        value = getattr(rows, method)(self.space, q)
+        off = piece_idx < 0
+        if off.any():
+            value[off] = out[off]
+        return value
+
     def _own_gauge(self, q, piece_idx):
         """Gauge of each row's own piece at (N, chart_dim) rows q; every index >= 0."""
-        return self._per_piece("gauge", piece_idx, q, np.empty(q.shape[0]))
+        return self._own("gauge", piece_idx, q, np.empty(q.shape[0]))
 
     def piece_gauge(self, q, piece_idx):
         """Gauge of each row's own piece at q."""
@@ -612,7 +648,7 @@ class Table:
 
     def inward_normal_at(self, q, piece_idx):
         q = np.atleast_2d(q)
-        return self._per_piece("inward_normal", self._on_boundary(piece_idx), q, np.empty_like(q))
+        return self._own("inward_normal", self._on_boundary(piece_idx), q, np.empty_like(q))
 
     # -- strata ---------------------------------------------------------------
 
@@ -641,7 +677,7 @@ class Table:
         some_off = off.any()
         if normal is None:
             fill = np.full_like(q, np.nan) if some_off else np.empty_like(q)
-            normal = self._per_piece("inward_normal", piece, q, fill)
+            normal = self._own("inward_normal", piece, q, fill)
         elif some_off:
             normal = np.where(off[:, None], np.nan, normal)
         return piece, normal, self.space.metric_dot(q, v, normal)
@@ -691,18 +727,22 @@ class Table:
     def _first_hit_torus(self, q, v, s_lo, s_hi):
         """First hits through windows of length min(periods), traced in blocks.
 
-        The first block is the window [0, window].  After each block the
-        width doubles, capped so that width x active rows stays within
-        _BLOCK_ROWS; while the active rows alone fill that budget a block is
-        one window.  Each block is one `window_hit` call over every ball,
-        split into row chunks so that rows x windows x balls stays within
-        _BLOCK_ROWS too.  Window bounds come from the same repeated additions
-        as a one-window loop, and windows are disjoint, so the smallest root
-        over a block is the first window's hit, ties to the lower piece index.
+        The first block spans the cell diagonal when its (row, window, ball,
+        image) elements stay within _WIDE_FIRST, and is the window [0, window]
+        otherwise.  After each block the width doubles, capped so that width x
+        active rows stays within _BLOCK_ROWS; while the active rows alone fill
+        that budget a block is one window.  Each block is one `window_hit` call
+        over every ball, split into row chunks so that rows x windows x balls
+        stays within _BLOCK_ROWS too.  Window bounds come from the same
+        repeated additions as a one-window loop, and windows are disjoint, so
+        the smallest root over a block is the first window's hit, ties to the
+        lower piece index.
         """
-        window = float(np.min(self.space.periods))
+        window = float(self.space.periods.min())
         rows = None  # the rows still tracing; None while that is every row
-        s0, width = 0.0, 1
+        span = int(np.ceil(self._diameter / window))
+        wide = q.shape[0] * len(self.pieces) * 2 ** self.space.dim * span <= _WIDE_FIRST
+        s0, width = 0.0, span if wide else 1
         while s0 < s_hi:
             edges = [s0]
             while len(edges) <= width and edges[-1] < s_hi:

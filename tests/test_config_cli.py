@@ -340,6 +340,8 @@ BAD_CONFIG_KEYS = {"periods-string": "periods", "radius-string": "radius",
      "--bounces", "10"],
     ["recurrence", "--preset", "disk", "--box-incidence", "0.4", "inf", "--starters", "4",
      "--bounces", "10"],
+    ["recurrence", "--preset", "disk", "--box-incidence", "0.6", "0.4"],
+    ["recurrence", "--preset", "disk", "--box-angle", "0.3", "0.3"],
     ["mfp", "--preset", "disk", "--samples", "nan"],
     ["mfp", "--preset", "disk", "--samples", "inf"],
     ["simulate", "--preset", "disk", "--orbits", "2", "--bounces", "nan"],
@@ -359,7 +361,7 @@ BAD_CONFIG_KEYS = {"periods-string": "periods", "radius-string": "radius",
         "box-piece-5", "box-piece-negative", "seed-negative-mfp", "seed-negative-simulate",
         "seed-negative-reconstruct", "rotation-not-a-number", "rotation-nan",
         "translation-three-components", "translation-one-component", "box-angle-nan",
-        "box-incidence-inf", "samples-nan", "samples-inf", "bounces-nan", "bounces-inf",
+        "box-incidence-inf", "box-incidence-empty", "box-angle-empty", "samples-nan", "samples-inf", "bounces-nan", "bounces-inf",
         "workers-zero", "workers-negative", "translation-off-a-torus", "map-unknown",
         "orbits-not-an-int", "flag-unknown", "table-missing", "subcommand-unknown",
         *(f"config-{name}" for name in BAD_CONFIGS)])

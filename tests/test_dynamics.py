@@ -346,6 +346,20 @@ def test_reflection_laws_reject_bad_input(disk):
         reflect_batch(object(), disk, [1.0, 0.0], [1.0, 0.0])
 
 
+def test_rescaled_rejects_a_bad_stretch_or_axis(ball3):
+    for stretch in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="stretch"):
+            Rescaled(stretch=stretch)
+    for axis in ((0.0, 0.0, 0.0), (np.nan, 1.0, 0.0), (np.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="axis"):
+            Rescaled(stretch=1.5, axis=axis)
+    s = sample_mu_theta(ball3, 8, seed=5)
+    with pytest.raises(ValueError, match="length 2.*chart_dim is 3"):
+        reflect_batch(Rescaled(1.5), ball3, s.q, s.v)
+    v = reflect_batch(Rescaled(1.5, axis=(1.0, 0.0, 0.0)), ball3, s.q, s.v)
+    assert np.all(np.isfinite(v))
+
+
 def test_chord_jsonl_holds_the_json_dumps_line_of_each_chord(disk, tmp_path):
     s = sample_mu_theta(disk, 4, seed=3)
     # the last row starts tangent to the wall: a degenerate chord

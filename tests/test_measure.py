@@ -407,6 +407,24 @@ def test_incidence_box_needs_a_planar_table(ball3):
             box.contains(ball3, s.q, s.v, np.full(16, -1))
 
 
+@pytest.mark.parametrize("box", [
+    dict(incidence=(0.6, 0.4)), dict(incidence=(0.5, 0.5)), dict(cos_range=(0.8, 0.2)),
+    dict(cos_range=(0.3, 0.3)), dict(boundary=(1.0, 1.0)), dict(incidence=(0.1, np.nan)),
+], ids=["incidence-reversed", "incidence-point", "cos-reversed", "cos-point", "boundary-point",
+        "incidence-nan"])
+def test_an_empty_phase_box_is_rejected(box):
+    with pytest.raises(ConfigError, match="empty"):
+        PhaseBox(**box)
+
+
+def test_nonempty_phase_boxes_stay_valid():
+    # outside the incidence range, wrapping, or a full circle: nonempty as intervals
+    PhaseBox(incidence=(2.0, 3.0))
+    PhaseBox(boundary=(5.5, 0.7), cos_range=(0.2, 0.9))
+    PhaseBox(boundary=(0.0, 2.0 * np.pi))
+    PhaseBox(boundary=(1.0, 1.0 + 4.0 * np.pi))
+
+
 def test_sample_counts_below_one_are_rejected(disk):
     with pytest.raises(ConfigError):
         sample_mu_theta(disk, 0, 0)

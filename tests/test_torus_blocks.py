@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from billiardlab import presets, tables
+from billiardlab.dynamics import Elastic, lockstep_orbits
 from billiardlab.errors import ConfigError
-from billiardlab.measure import sample_mu_theta
+from billiardlab.measure import phase_coordinates, sample_mu_theta
 from billiardlab.spaces import Euclidean, FlatTorus
 from billiardlab.tables import Ball, Table, Tolerances
 
@@ -88,8 +89,8 @@ def _grazing_starts(table, rng, count):
 
 
 @st.composite
-def torus_tables(draw):
-    dim = draw(st.sampled_from([2, 3]))
+def torus_tables(draw, dims=(2, 3)):
+    dim = draw(st.sampled_from(dims))
     periods = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim)))
     count = draw(st.integers(1, 3))
     balls = []
@@ -179,3 +180,73 @@ def test_channel_ray_is_traced_in_few_blocks(one_ball, monkeypatch):
     assert 900.0 < hit.s[0] < 1100.0
     s_ref, piece_ref = reference_first_hit(one_ball, q, v)
     assert hit.s[0] == s_ref[0] and hit.piece[0] == piece_ref[0] == 0
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint8)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=25)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_stacked_ball_evaluation_matches_each_balls_own_method(dim, data, seed):
+    table = data.draw(torus_tables(dims=(dim,)))
+    space = table.space
+    s = sample_mu_theta(table, 64, seed)
+    # boundary points, and points anywhere in the cell, inside obstacles too
+    rng = np.random.default_rng(seed)
+    q_any = rng.uniform(0.0, 1.0, (32, dim)) * space.periods
+    piece_any = rng.integers(len(table.pieces), size=32)
+    q = np.concatenate([s.q, q_any])
+    piece = np.concatenate([s.piece, piece_any])
+    v = np.concatenate([s.v, s.v[:32]])
+    gauge = table.piece_gauge(q, piece)
+    normal = table.inward_normal_at(q, piece)
+    for k, ball in enumerate(table.pieces):
+        rows = piece == k
+        assert np.array_equal(_bits(gauge[rows]), _bits(ball.gauge(space, q[rows])))
+        assert np.array_equal(_bits(normal[rows]), _bits(ball.inward_normal(space, q[rows])))
+    # rows off the boundary (piece -1) keep the NaN fill
+    off = np.arange(q.shape[0]) % 5 == 0
+    mixed = np.where(off, -1, piece)
+    got, angle, _, cos = phase_coordinates(table, q, v, mixed)
+    assert np.array_equal(got, mixed) and np.isnan(cos[off]).all()
+    if dim == 2:
+        assert np.isnan(angle[off]).all()
+        for k, ball in enumerate(table.pieces):
+            rows = mixed == k
+            assert np.array_equal(_bits(angle[rows]), _bits(ball.boundary_param(space, q[rows])))
+    else:
+        assert angle is None
+        with pytest.raises(ConfigError, match="n = 2 table"):
+            table._own("boundary_param", piece, q, np.full(q.shape[0], np.nan))
+
+
+def _count_window_calls(monkeypatch):
+    calls = []
+    window_hit = tables.window_hit
+
+    def counted(q, v, s0, s1, *args):
+        calls.append((q.shape[0], s0.size))
+        return window_hit(q, v, s0, s1, *args)
+
+    monkeypatch.setattr(tables, "window_hit", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [10, 128])
+def test_a_small_lockstep_step_makes_one_window_call(two_balls, monkeypatch, rows):
+    calls = _count_window_calls(monkeypatch)
+    s = sample_mu_theta(two_balls, rows, 7)
+    steps = 0
+    for step, _, batch, _ in lockstep_orbits(two_balls, Elastic(), s.q, s.v, 40):
+        assert len(calls) == step  # one call per step: the first block spans the diagonal
+        steps = step
+    assert steps == 40 and {c[1] for c in calls} == {2}
+
+
+def test_a_large_first_hit_starts_with_a_one_window_block(one_ball, monkeypatch):
+    calls = _count_window_calls(monkeypatch)
+    s = sample_mu_theta(one_ball, 16384, 7)
+    one_ball.first_hit(s.q, s.v)
+    assert calls[0] == (16384, 1)
