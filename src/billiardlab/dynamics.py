@@ -35,6 +35,7 @@ __all__ = [
 
 _OUT = int(StratumLabel.TRANSVERSAL_OUT)
 _CONVEX = int(StratumLabel.TANGENT_CONVEX)
+_CONCAVE = int(StratumLabel.TANGENT_CONCAVE)
 # rows per formatted block in the writers: large enough to amortize the Python
 # calls, small enough to bound temporaries
 _WRITE_ROWS = 8192
@@ -90,8 +91,8 @@ class ChordBatch:
 
     @cached_property
     def grazing(self):
-        tangent = self.exit_label >= _CONVEX  # TANGENT_CONVEX or TANGENT_CONCAVE, the top codes
-        return tangent & ~(self.degenerate | self.trapped)
+        tangent = (self.exit_label == _CONVEX) | (self.exit_label == _CONCAVE)
+        return tangent & ~self.degenerate & ~self.trapped
 
     @cached_property
     def ok(self):
@@ -319,13 +320,9 @@ def orbit_batches(table, law, q, v, k_max):
         stop = batch.stops
         for i, trapped in zip(rows[stop].tolist(), batch.trapped[stop].tolist()):
             kinds[i] = "trapped" if trapped else "grazing"
-        if batch.trapped.any():
-            kept = ~batch.trapped
-            orbit.append(rows[kept])
-            columns.append([getattr(batch, name)[kept] for name in names])
-        else:
-            orbit.append(rows)
-            columns.append([getattr(batch, name) for name in names])
+        kept = ~batch.trapped
+        orbit.append(rows[kept])
+        columns.append([getattr(batch, name)[kept] for name in names])
     orbit = np.concatenate(orbit)
     order = np.argsort(orbit, kind="stable")
     cut = np.cumsum(np.bincount(orbit, minlength=n))[:-1]

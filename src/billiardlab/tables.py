@@ -19,10 +19,10 @@ passes; a call holds at most that budget of (row, window, ball) triples, so
 a block of many rows is split into row chunks.  Since 2r < every period,
 each window's 2^d nearest images hold every image its segment can hit, and
 the hits are those of a one-window loop, bit for bit, whatever the blocks.
-The same stacked balls give a torus table's gauges, inward normals and
-boundary angles at each row's own piece in one call of the `Ball` method, on
-a ball of per-row centres and radii (a lone ball is itself every row's own),
-so the bits are those of each ball.
+The same stacked balls give the gauges, inward normals and boundary angles
+of a torus table with two or more balls at each row's own piece in one call
+of the `Ball` method, on a ball of per-row centres and radii, so the bits
+are those of each ball; a lone ball is called on every row as it is.
 
 A table derives the boundary geometry of phase points (piece, inward
 normal, incidence cosine) in one step, `_boundary_geometry`, which uses a
@@ -114,8 +114,8 @@ class Ball:
     """Geodesic ball piece (outer wall or obstacle); its space computes its sphere.
 
     `gauge`, `inward_normal` and `boundary_param` are elementwise in the centre
-    and radius, so a torus table runs each once on a ball of per-row centres
-    and radii (`Table._own`)."""
+    and radius, so a torus table of several balls runs each once on a ball of
+    per-row centres and radii (`Table._own`)."""
 
     def __init__(self, center, radius, side=OUTER):
         if side not in (OUTER, OBSTACLE):
@@ -619,19 +619,17 @@ class Table:
 
     def _own(self, method, piece_idx, q, out):
         """`_per_piece` for a method that is elementwise in a ball's centre and
-        radius (gauge, inward_normal, boundary_param).  A torus table calls it
-        once, on a ball whose centre and radius are each row's own, gathered
-        from the stacked obstacles; rows off the boundary keep `out`'s value."""
-        if self.outer is not None:
+        radius (gauge, inward_normal, boundary_param).  A torus table of two or
+        more balls calls it once, on a ball whose centre and radius are each
+        row's own, gathered from the stacked obstacles; rows off the boundary
+        keep `out`'s value."""
+        if self.outer is not None or len(self.pieces) == 1:
             return self._per_piece(method, piece_idx, q, out)
-        if len(self.pieces) == 1:
-            rows = self.pieces[0]  # a lone ball is every row's own: no gathers
-        else:
-            rows = Ball.__new__(Ball)  # Ball.__init__ checks one scalar radius
-            # take, not fancy indexing, which gathers 2-D rows about ten times slower
-            rows.center = self._centers.take(piece_idx, axis=0)
-            rows.radius = self._radii.take(piece_idx)
-            rows.side, rows._sign = OBSTACLE, -1.0  # every torus piece is an obstacle
+        rows = Ball.__new__(Ball)  # Ball.__init__ checks one scalar radius
+        # take, not fancy indexing, which gathers 2-D rows about ten times slower
+        rows.center = self._centers.take(piece_idx, axis=0)
+        rows.radius = self._radii.take(piece_idx)
+        rows.side, rows._sign = OBSTACLE, -1.0  # every torus piece is an obstacle
         value = getattr(rows, method)(self.space, q)
         off = piece_idx < 0
         if off.any():

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from billiardlab import presets, tables
 from billiardlab.dynamics import Elastic, lockstep_orbits
 from billiardlab.errors import ConfigError
+from billiardlab.holography import boundary_param_map
 from billiardlab.measure import phase_coordinates, sample_mu_theta
 from billiardlab.spaces import Euclidean, FlatTorus
 from billiardlab.tables import Ball, Table, Tolerances
@@ -220,6 +221,28 @@ def test_stacked_ball_evaluation_matches_each_balls_own_method(dim, data, seed):
         assert angle is None
         with pytest.raises(ConfigError, match="n = 2 table"):
             table._own("boundary_param", piece, q, np.full(q.shape[0], np.nan))
+
+
+def test_a_torus_of_balls_evaluates_its_balls_stacked(two_balls, monkeypatch):
+    methods = []
+    per_piece = Table._per_piece
+
+    def recorded(self, method, *args):
+        methods.append(method)
+        return per_piece(self, method, *args)
+
+    monkeypatch.setattr(Table, "_per_piece", recorded)
+    s = sample_mu_theta(two_balls, 64, 3)
+    for _ in lockstep_orbits(two_balls, Elastic(), s.q, s.v, 5):
+        pass
+    phase_coordinates(two_balls, s.q, s.v, s.piece)
+    out_q, _ = boundary_param_map(two_balls, two_balls)(s.q, s.v)
+    # the map's angles come from the stacked balls, its points from each ball
+    assert set(methods) == {"point_at_param"}
+    for k, ball in enumerate(two_balls.pieces):
+        rows = s.piece == k
+        expected = ball.point_at_param(two_balls.space, ball.boundary_param(two_balls.space, s.q[rows]))
+        assert np.array_equal(_bits(out_q[rows]), _bits(expected))
 
 
 def _count_window_calls(monkeypatch):
