@@ -10,9 +10,11 @@ Exit codes: 0 success, 1 validation error (a command line the parser rejects,
 bad configuration, a count flag below 1, a negative seed, a length flag that
 is not positive and finite, a non-finite box bound or map parameter, a
 translation without one component per torus axis, an unreadable or empty input
-file, boundary angles on an n = 3 table, a Lyapunov function asked of a table
-that no convex ball encloses), 2 runtime error (trapping budget exceeded,
-degenerate test sets, an enclosing ball that fails its checks).
+file, a negative or non-finite bounce length, boundary angles on an n = 3
+table, a Lyapunov function asked of a table that no convex ball encloses),
+2 runtime error (trapping budget exceeded, degenerate test sets, an enclosing
+ball that fails its checks).  A report is strict JSON: a non-finite float in
+it is written as null.
 """
 
 from __future__ import annotations
@@ -99,8 +101,9 @@ def _table_command(sub, name, func, help, samples=True):
 _COUNTS = ("samples", "orbits", "bounces", "boxes", "starters", "grid_points", "grid",
            "reference_points", "dim", "workers")
 _LENGTHS = ("lmax", "resolution", "boundary")
-# flags of how a run goes, not what it computes; every other flag is a parameter
-_RUN_FLAGS = ("command", "func", "seed", "workers", "out", "lmax")
+# flags of how a run goes, not what it computes; every other flag is a parameter,
+# and so is --lmax when it is given
+_RUN_FLAGS = ("command", "func", "seed", "workers", "out")
 
 
 def _check_flags(args):
@@ -131,6 +134,17 @@ def _csv_writer(header, rows):
     return write
 
 
+def _finite_or_null(x):
+    """`x` with every non-finite float as None: JSON has no NaN or Infinity."""
+    if isinstance(x, float):
+        return x if np.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return x
+
+
 def _run(args):
     """Run one subcommand, then write its side files and its report.
 
@@ -144,7 +158,8 @@ def _run(args):
         table = preset_table(args.preset) if args.preset else load_table_config(args.config)
         table = table.with_l_max(args.lmax) if args.lmax else table
     derived, results, side = args.func(args, table)
-    params = {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS}
+    params = {k: v for k, v in vars(args).items()
+              if k not in _RUN_FLAGS and not (k == "lmax" and v is None)}
     params.update(derived)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -154,7 +169,7 @@ def _run(args):
     report = {"command": args.command, "config": params, "seed": args.seed,
               "version": version_string(), "wall_time_s": round(time.time() - started, 3),
               "files": files, "results": results}
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(_finite_or_null(report), indent=2, sort_keys=True)
     (out_dir / f"{args.command}.json").write_text(text + "\n")
     print(text)
     return 0
@@ -312,7 +327,10 @@ def _cmd_hear(args, table):
         lengths.insert(0, float(cells[0]))
     if not lengths:
         raise ConfigError(f"--lengths {args.lengths} holds no bounce length")
-    running = hear_volume(np.asarray(lengths), args.boundary, args.dim)
+    try:
+        running = hear_volume(np.asarray(lengths), args.boundary, args.dim)
+    except ValueError as exc:  # a negative or non-finite length
+        raise ConfigError(f"--lengths {args.lengths}: {exc}") from exc
     curve = _csv_writer(["bounces", "vol_estimate"],
                         [[k, running[k - 1]] for k in _checkpoint_list(len(running))])
     results = {"bounces": len(running), "vol_m_estimate": float(running[-1])}

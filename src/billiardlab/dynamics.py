@@ -219,36 +219,25 @@ def causality_batch(table, q, v, piece=None, normal=None):
     """
     q = np.atleast_2d(q)
     v = np.atleast_2d(v)
-    n = q.shape[0]
     carried = piece is not None
     piece, normal, entry_cos = table._boundary_geometry(q, v, piece, normal)
     entry_label = table._strata(q, v, piece, entry_cos)
     if (entry_label < 0).any():
         raise NotOnBoundary("point is not on the table boundary")
-    if carried and (np.abs(table._own_gauge(q, piece)) > table.tol.hit_tol).any():
+    if carried and (np.abs(table._per_piece("gauge", piece, q, np.empty(q.shape[0])))
+                    > table.tol.hit_tol).any():
         raise NotOnBoundary("carried phase point is off its boundary piece")
     if (entry_label == _OUT).any():
         raise DegenerateStart("causality map applied to an outward phase point")
     degenerate = entry_label == _CONVEX
-    if degenerate.any():
-        traced = np.flatnonzero(~degenerate)
-        hit = table.first_hit(q[traced], v[traced]) if traced.size else None
-    else:
-        traced, hit = None, table.first_hit(q, v)  # None: every row, with no index gathers
-    if traced is None and not hit.trapped.any():
-        trapped = hit.trapped
-        exits = (hit.q, hit.v, hit.s, hit.label, hit.cos_in, hit.piece, hit.normal)
-    else:
-        # untraced (degenerate) and trapped rows exit where they enter
-        trapped = np.zeros(n, dtype=bool)
-        exits = tuple(e.copy() for e in (q, v, np.zeros(n), entry_label, entry_cos, piece, normal))
-        if hit is not None:
-            traced = np.arange(n) if traced is None else traced
-            trapped[traced] = hit.trapped
-            good, sel = traced[~hit.trapped], ~hit.trapped
-            found = (hit.q, hit.v, hit.s, hit.label, hit.cos_in, hit.piece, hit.normal)
-            for e, f in zip(exits, found):
-                e[good] = f[sel]
+    hit = table.first_hit(q, v)
+    trapped = hit.trapped & ~degenerate
+    exits = (hit.q, hit.v, hit.s, hit.label, hit.cos_in, hit.piece, hit.normal)
+    stay = degenerate | hit.trapped  # these rows exit where they enter
+    if stay.any():
+        entries = (q, v, 0.0, entry_label, entry_cos, piece, normal)
+        exits = [np.where(stay[:, None] if f.ndim == 2 else stay, e, f)
+                 for e, f in zip(entries, exits)]
     exit_q, exit_v, length, exit_label, exit_cos, exit_piece, exit_normal = exits
     return ChordBatch(entry_q=q, entry_v=v, exit_q=exit_q, exit_v=exit_v,
                       length=length, entry_label=entry_label, exit_label=exit_label,
@@ -266,15 +255,9 @@ def billiard_batch(table, law, q, v, piece=None, normal=None):
     normal arrays with `batch`.
     """
     batch = causality_batch(table, q, v, piece, normal)
-    ok = batch.ok
-    if ok.all():
-        next_v = reflect_batch(law, table, batch.exit_q, batch.exit_v,
-                               piece=batch.exit_piece, normal=batch.exit_normal)
-    else:
-        next_v = batch.exit_v.copy()
-        if ok.any():
-            next_v[ok] = reflect_batch(law, table, batch.exit_q[ok], batch.exit_v[ok],
-                                       piece=batch.exit_piece[ok], normal=batch.exit_normal[ok])
+    next_v = reflect_batch(law, table, batch.exit_q, batch.exit_v,
+                           piece=batch.exit_piece, normal=batch.exit_normal)
+    next_v = np.where(batch.ok[:, None], next_v, batch.exit_v)
     return batch, BoundaryState(batch.exit_q, next_v, batch.exit_piece, batch.exit_normal)
 
 

@@ -160,11 +160,14 @@ def hear_volume(lengths, vol_dm, n):
     """Running bulk-volume estimates from a bounce-length sequence.
 
     Inverts the mean free path identity: vol_M = (vol B^{n-1} / vol S^{n-1})
-    times the boundary volume times the running mean chord length.
+    times the boundary volume times the running mean chord length.  A length
+    must be finite and at least 0 (a degenerate chord has length 0).
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.size == 0:
         raise EmptySequence("need at least one bounce length")
+    if not np.all((lengths >= 0.0) & (lengths < np.inf)):
+        raise ValueError("bounce lengths must be finite and at least 0")
     if vol_dm <= 0:
         raise ValueError("boundary volume must be positive")
     ratio = unit_ball_volume(n - 1) / unit_sphere_volume(n - 1)

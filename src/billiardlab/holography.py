@@ -248,7 +248,7 @@ def boundary_param_map(table_from, table_to):
         v = np.atleast_2d(v)
         n = q.shape[0]
         piece_idx = table_from.active_piece(q)
-        alpha = table_from._own("boundary_param", piece_idx, q, np.full(n, np.nan))
+        alpha = table_from._per_piece("boundary_param", piece_idx, q, np.full(n, np.nan))
         out_q = table_to._per_piece("point_at_param", piece_idx, alpha,
                                     np.full((n, table_to.space.chart_dim), np.nan))
         return out_q, table_to.space.unit(out_q, v)

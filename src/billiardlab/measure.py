@@ -252,7 +252,7 @@ def phase_coordinates(table, q, v, piece=None, normal=None):
     piece, normal, cos = table._boundary_geometry(q, v, piece, normal)
     if space.dim != 2:
         return piece, None, None, cos
-    angle = table._own("boundary_param", piece, q, np.full(q.shape[0], np.nan))
+    angle = table._per_piece("boundary_param", piece, q, np.full(q.shape[0], np.nan))
     sin = space.metric_dot(q, v, space.tangent_frame(q, normal)[:, 0])
     return piece, angle, np.arctan2(sin, cos), cos
 

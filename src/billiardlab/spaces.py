@@ -184,7 +184,8 @@ class Euclidean(ModelSpace):
         return np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * np.pi)
 
     def _sphere_point(self, c, r, alpha):
-        return self.wrap(c + r * np.stack([np.cos(alpha), np.sin(alpha)], axis=-1))
+        rim = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
+        return self.wrap(c + np.asarray(r)[..., None] * rim)  # r may be per row
 
 
 class FlatTorus(Euclidean):

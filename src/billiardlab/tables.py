@@ -19,10 +19,11 @@ passes; a call holds at most that budget of (row, window, ball) triples, so
 a block of many rows is split into row chunks.  Since 2r < every period,
 each window's 2^d nearest images hold every image its segment can hit, and
 the hits are those of a one-window loop, bit for bit, whatever the blocks.
-The same stacked balls give the gauges, inward normals and boundary angles
-of a torus table with two or more balls at each row's own piece in one call
-of the `Ball` method, on a ball of per-row centres and radii, so the bits
-are those of each ball; a lone ball is called on every row as it is.
+One dispatcher, `_per_piece`, evaluates a piece method at each row's own
+piece (gauges, inward normals, boundary angles, wall points).  On a torus
+table of two or more balls it calls the `Ball` method once, on a ball of
+per-row centres and radii gathered from the stacked balls, so the bits are
+those of each ball; on every other table it calls each piece on its rows.
 
 A table derives the boundary geometry of phase points (piece, inward
 normal, incidence cosine) in one step, `_boundary_geometry`, which uses a
@@ -113,9 +114,9 @@ def _check_planar(space):
 class Ball:
     """Geodesic ball piece (outer wall or obstacle); its space computes its sphere.
 
-    `gauge`, `inward_normal` and `boundary_param` are elementwise in the centre
-    and radius, so a torus table of several balls runs each once on a ball of
-    per-row centres and radii (`Table._own`)."""
+    `gauge`, `inward_normal`, `boundary_param` and `point_at_param` are
+    elementwise in the centre and radius, so a torus table of several balls
+    runs each once on a ball of per-row centres and radii (`Table._per_piece`)."""
 
     def __init__(self, center, radius, side=OUTER):
         if side not in (OUTER, OBSTACLE):
@@ -597,9 +598,21 @@ class Table:
 
     def _per_piece(self, method, piece_idx, x, out):
         """Fill each row of `out` with pieces[k].method(space, x) for its piece k;
-        rows whose index names no piece (-1 off the boundary) keep their value.
-        A piece that owns every row is called on x itself, and its result is
-        returned in place of `out`."""
+        rows whose index names no piece (-1 off the boundary) keep `out`'s value.
+        A torus table of two or more balls calls the method once, on a ball whose
+        centre and radius are each row's own, and a piece that owns every row is
+        called on x itself; either result is returned in place of `out`."""
+        if self.outer is None and len(self.pieces) > 1:
+            rows = Ball.__new__(Ball)  # Ball.__init__ checks one scalar radius
+            # take, not fancy indexing, which gathers 2-D rows about ten times slower
+            rows.center = self._centers.take(piece_idx, axis=0)
+            rows.radius = self._radii.take(piece_idx)
+            rows.side, rows._sign = OBSTACLE, -1.0  # every torus piece is an obstacle
+            value = getattr(rows, method)(self.space, x)
+            off = piece_idx < 0
+            if off.any():
+                value[off] = out[off]
+            return value
         for k, piece in enumerate(self.pieces):
             rows = piece_idx == k
             count = np.count_nonzero(rows)
@@ -617,36 +630,14 @@ class Table:
             raise NotOnBoundary("point is not on the table boundary")
         return piece_idx
 
-    def _own(self, method, piece_idx, q, out):
-        """`_per_piece` for a method that is elementwise in a ball's centre and
-        radius (gauge, inward_normal, boundary_param).  A torus table of two or
-        more balls calls it once, on a ball whose centre and radius are each
-        row's own, gathered from the stacked obstacles; rows off the boundary
-        keep `out`'s value."""
-        if self.outer is not None or len(self.pieces) == 1:
-            return self._per_piece(method, piece_idx, q, out)
-        rows = Ball.__new__(Ball)  # Ball.__init__ checks one scalar radius
-        # take, not fancy indexing, which gathers 2-D rows about ten times slower
-        rows.center = self._centers.take(piece_idx, axis=0)
-        rows.radius = self._radii.take(piece_idx)
-        rows.side, rows._sign = OBSTACLE, -1.0  # every torus piece is an obstacle
-        value = getattr(rows, method)(self.space, q)
-        off = piece_idx < 0
-        if off.any():
-            value[off] = out[off]
-        return value
-
-    def _own_gauge(self, q, piece_idx):
-        """Gauge of each row's own piece at (N, chart_dim) rows q; every index >= 0."""
-        return self._own("gauge", piece_idx, q, np.empty(q.shape[0]))
-
     def piece_gauge(self, q, piece_idx):
         """Gauge of each row's own piece at q."""
-        return self._own_gauge(np.atleast_2d(q), self._on_boundary(piece_idx))
+        q = np.atleast_2d(q)
+        return self._per_piece("gauge", self._on_boundary(piece_idx), q, np.empty(q.shape[0]))
 
     def inward_normal_at(self, q, piece_idx):
         q = np.atleast_2d(q)
-        return self._own("inward_normal", self._on_boundary(piece_idx), q, np.empty_like(q))
+        return self._per_piece("inward_normal", self._on_boundary(piece_idx), q, np.empty_like(q))
 
     # -- strata ---------------------------------------------------------------
 
@@ -655,7 +646,8 @@ class Table:
         h = 1e-4 * max(self._diameter, 1e-6)
         qp, _ = self.space.flow(q, v, np.full(q.shape[0], h))
         qm, _ = self.space.flow(q, v, np.full(q.shape[0], -h))
-        g0, gp, gm = (self._own_gauge(x, piece_idx) for x in (q, qp, qm))
+        g0, gp, gm = (self._per_piece("gauge", piece_idx, x, np.empty(x.shape[0]))
+                      for x in (q, qp, qm))
         return (gp - 2.0 * g0 + gm) / (h * h)
 
     def classify(self, q, v, piece_idx=None, normal=None):
@@ -675,7 +667,7 @@ class Table:
         some_off = off.any()
         if normal is None:
             fill = np.full_like(q, np.nan) if some_off else np.empty_like(q)
-            normal = self._own("inward_normal", piece, q, fill)
+            normal = self._per_piece("inward_normal", piece, q, fill)
         elif some_off:
             normal = np.where(off[:, None], np.nan, normal)
         return piece, normal, self.space.metric_dot(q, v, normal)

@@ -605,6 +605,54 @@ def test_cli_hear(tmp_path, capsys):
     assert (tmp_path / "hear_volume.csv").exists()
 
 
+@pytest.mark.parametrize("row", ["nan", "inf", "-5"])
+def test_cli_hear_rejects_bad_bounce_lengths(row, tmp_path, capsys):
+    lengths = tmp_path / "lengths.csv"
+    lengths.write_text(f"1.5\n{row}\n2.0\n")
+    code, payload = run_cli(["hear", "--lengths", str(lengths), "--boundary", "1", "--dim", "2",
+                             "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert payload["error"]["type"] == "validation"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_hear_accepts_zero_lengths(tmp_path, capsys):
+    lengths = tmp_path / "lengths.csv"
+    lengths.write_text("0\n2.0\n")
+    code, rep = run_cli(["hear", "--lengths", str(lengths), "--boundary", "2", "--dim", "2",
+                         "--out", str(tmp_path)], capsys)
+    assert code == 0 and abs(rep["results"]["vol_m_estimate"] - 2.0 / np.pi) < 1e-12
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["mfp", "--preset", "disk", "--samples", "1"], "stderr"),
+    (["conjugacy", "--preset", "disk", "--other", "ellipse", "--map", "identity",
+      "--samples", "2000"], "max_residual"),
+], ids=["mfp-one-sample", "conjugacy-none-used"])
+def test_cli_reports_are_strict_json(argv, key, tmp_path, capsys):
+    code = main(argv + ["--out", str(tmp_path)])
+    printed = capsys.readouterr().out
+    assert code == 0
+    for text in (printed, (tmp_path / f"{argv[0]}.json").read_text()):
+        rep = json.loads(text, parse_constant=_reject_constant)
+        assert rep["results"][key] is None
+
+
+def test_cli_records_a_given_length_cap(tmp_path, capsys):
+    code, rep = run_cli(["simulate", "--preset", "torus-one-ball", "--orbits", "4",
+                         "--bounces", "3", "--lmax", "0.05", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert rep["results"]["terminations"] == {"trapped": 4}
+    assert rep["config"]["lmax"] == 0.05
+    code, rep = run_cli(["simulate", "--preset", "disk", "--orbits", "1", "--bounces", "1",
+                         "--out", str(tmp_path)], capsys)
+    assert code == 0 and "lmax" not in rep["config"]
+
+
 def test_cli_validation_error_exit_code(tmp_path, capsys):
     code, payload = run_cli(["mfp", "--config", str(tmp_path / "missing.json"),
                              "--out", str(tmp_path)], capsys)

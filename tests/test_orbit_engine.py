@@ -183,6 +183,24 @@ def test_orbit_batches_equals_one_orbit_at_a_time(two_balls):
             assert_same(getattr(chords, key), getattr(alone, key))
 
 
+@pytest.mark.parametrize("name", ["disk", "ellipse"])
+def test_one_exit_path_mixes_degenerate_trapped_and_clean_rows(name):
+    # chords longer than the 0.5 cap are trapped; tangent starts are degenerate
+    tab = table(name).with_l_max(0.5)
+    s = sample_mu_theta(tab, 64, 5)
+    q_tan = tab.pieces[0].point_at_param(tab.space, np.array([0.0, 2.0]))
+    n_tan = tab.inward_normal_at(q_tan, np.zeros(2, dtype=np.int64))
+    q = np.vstack([s.q, q_tan])
+    v = np.vstack([s.v, np.stack([-n_tan[:, 1], n_tan[:, 0]], axis=1)])
+    piece, normal = np.concatenate([s.piece, [0, 0]]), np.vstack([s.normal, n_tan])
+    ref = reference_causality_batch(tab, q, v)
+    for batch in (causality_batch(tab, q, v), causality_batch(tab, q, v, piece, normal)):
+        assert batch.degenerate[-2:].all() and batch.trapped.any() and batch.ok.any()
+        for key in FIELDS:
+            assert_same(getattr(batch, key), ref[key])
+        assert_same(batch.grazing, ref["grazing"])
+
+
 def test_engine_drops_trapped_orbits(one_ball):
     # from the east point of the obstacle: the horizontal ray bounces between
     # images (chords of 0.5), the tilted one runs past the 0.6 cap

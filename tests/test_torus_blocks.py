@@ -212,33 +212,53 @@ def test_stacked_ball_evaluation_matches_each_balls_own_method(dim, data, seed):
     mixed = np.where(off, -1, piece)
     got, angle, _, cos = phase_coordinates(table, q, v, mixed)
     assert np.array_equal(got, mixed) and np.isnan(cos[off]).all()
+    alpha = rng.uniform(0.0, 2.0 * np.pi, q.shape[0])
     if dim == 2:
         assert np.isnan(angle[off]).all()
+        points = table._per_piece("point_at_param", mixed, alpha, np.full_like(q, np.nan))
+        assert np.isnan(points[off]).all()
         for k, ball in enumerate(table.pieces):
             rows = mixed == k
             assert np.array_equal(_bits(angle[rows]), _bits(ball.boundary_param(space, q[rows])))
+            assert np.array_equal(_bits(points[rows]),
+                                  _bits(ball.point_at_param(space, alpha[rows])))
     else:
         assert angle is None
-        with pytest.raises(ConfigError, match="n = 2 table"):
-            table._own("boundary_param", piece, q, np.full(q.shape[0], np.nan))
+        for method, x in (("boundary_param", q), ("point_at_param", alpha)):
+            with pytest.raises(ConfigError, match="n = 2 table"):
+                table._per_piece(method, piece, x, np.full(q.shape[0], np.nan))
 
 
 def test_a_torus_of_balls_evaluates_its_balls_stacked(two_balls, monkeypatch):
-    methods = []
-    per_piece = Table._per_piece
-
-    def recorded(self, method, *args):
-        methods.append(method)
-        return per_piece(self, method, *args)
-
-    monkeypatch.setattr(Table, "_per_piece", recorded)
     s = sample_mu_theta(two_balls, 64, 3)
+    # Table.gauges evaluates every piece at every row by design; every other call
+    # of a piece method is per row and must go to one ball of per-row centres
+    calls, every_piece = [], []
+    for name in ("gauge", "inward_normal", "boundary_param", "point_at_param"):
+        def recorded(self, space, x, name=name, method=getattr(Ball, name)):
+            if not every_piece:
+                calls.append((name, self))
+            return method(self, space, x)
+
+        monkeypatch.setattr(Ball, name, recorded)
+    gauges = Table.gauges
+
+    def all_pieces(self, q):
+        every_piece.append(True)
+        try:
+            return gauges(self, q)
+        finally:
+            every_piece.pop()
+
+    monkeypatch.setattr(Table, "gauges", all_pieces)
     for _ in lockstep_orbits(two_balls, Elastic(), s.q, s.v, 5):
         pass
     phase_coordinates(two_balls, s.q, s.v, s.piece)
     out_q, _ = boundary_param_map(two_balls, two_balls)(s.q, s.v)
-    # the map's angles come from the stacked balls, its points from each ball
-    assert set(methods) == {"point_at_param"}
+    assert {name for name, _ in calls} == {"gauge", "inward_normal", "boundary_param",
+                                          "point_at_param"}
+    assert not any(ball is piece for _, ball in calls for piece in two_balls.pieces)
+    assert all(ball.center.ndim == 2 for _, ball in calls)
     for k, ball in enumerate(two_balls.pieces):
         rows = s.piece == k
         expected = ball.point_at_param(two_balls.space, ball.boundary_param(two_balls.space, s.q[rows]))
