@@ -382,7 +382,7 @@ def _build_parser():
     p.add_argument("--other", choices=sorted(PRESETS), default=None,
                    help="second table (default: same table)")
     p.add_argument("--map", default="identity",
-                   help="identity | reflection | rotation:ANGLE | translation:DX,DY")
+                   help="identity | param | reflection | rotation:ANGLE | translation:DX,DY")
 
     p = sub.add_parser("hear", help="recover the volume from a bounce-length file")
     p.add_argument("--lengths", required=True, help="CSV with one length per row")

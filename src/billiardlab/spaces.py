@@ -21,7 +21,9 @@ M at q: u itself, except on the sphere.
     tangent_frame(q, n)                  (..., dim - 1, chart_dim) g-orthonormal tangents to n
     geodesic_between(qa, qb, t)          points at fractions t of paired segments qa -> qb
     _sphere_normal(q, c)                 g-unit tangent at q pointing away from c
-    _sphere_hit(q, v, c, r, s_lo, s_hi)  first arclength in (s_lo, s_hi] on S(c, r), or inf
+    _sphere_hit(q, v, c, r, sign, s_lo, s_hi)
+                                         arclength in (s_lo, s_hi] leaving B(c, r) if sign is
+                                         +1 (outer wall), entering it if -1 (obstacle); or inf
     _sphere_area(r)                      volume of the sphere S(c, r)
     _sphere_angle(q, c)                  angle of q about c (n = 2 only)
     _sphere_point(c, r, alpha)           point of S(c, r) at angle alpha (n = 2 only)
@@ -56,13 +58,9 @@ def _dot(a, b):
     return out
 
 
-def _smallest_root(roots, valid, s_lo, s_hi):
-    """Minimum of candidate root arrays within (s_lo, s_hi]; inf if none."""
-    best = np.full(roots[0].shape, np.inf)
-    for r, ok in zip(roots, valid):
-        take = ok & (r > s_lo) & (r <= s_hi) & (r < best)
-        best = np.where(take, r, best)
-    return best
+def _root_within(root, ok, s_lo, s_hi):
+    """The root where `ok` holds and it lies in (s_lo, s_hi]; inf elsewhere."""
+    return np.where(ok & (root > s_lo) & (root <= s_hi), root, np.inf)
 
 
 class ModelSpace:
@@ -157,14 +155,13 @@ class Euclidean(ModelSpace):
         d = self.delta(q, c)
         return d / np.sqrt(_dot(d, d))[..., None]
 
-    def _sphere_hit(self, q, v, c, r, s_lo, s_hi):
-        """Smallest arclength in (s_lo, s_hi] where the geodesic meets S(c, r); inf if none."""
+    def _sphere_hit(self, q, v, c, r, sign, s_lo, s_hi):
+        """The line leaves B(c, r) at -b + sq and enters it at -b - sq."""
         d = q - c
         b = _dot(d, v)
         disc = b * b - (_dot(d, d) - r ** 2)
-        ok = disc >= 0.0
         sq = np.sqrt(np.maximum(disc, 0.0))
-        return _smallest_root([-b - sq, -b + sq], [ok, ok], s_lo, s_hi)
+        return _root_within(-b + sign * sq, disc >= 0.0, s_lo, s_hi)
 
     def _sphere_area(self, r):
         return 2.0 * np.pi * r if self.dim == 2 else 4.0 * np.pi * r * r
@@ -216,7 +213,7 @@ class FlatTorus(Euclidean):
         # not unique on a torus; callers reconstruct from direction instead
         raise AmbiguousGeodesic("torus endpoints do not determine a geodesic")
 
-    def _sphere_hit(self, q, v, c, r, s_lo, s_hi):
+    def _sphere_hit(self, q, v, c, r, sign, s_lo, s_hi):
         raise RuntimeError("torus pieces are traced through window_hit")
 
 
@@ -317,7 +314,10 @@ class HyperbolicBall(ModelSpace):
         _, vr = self.from_hyperboloid(x, t)
         return self.unit(q, vr)
 
-    def _sphere_hit(self, q, v, c, r, s_lo, s_hi):
+    def _sphere_hit(self, q, v, c, r, sign, s_lo, s_hi):
+        """With t = e^s, cosh d(c, x(s)) = cosh r reads (a + b) t^2 - 2 cosh(r) t
+        + (a - b) = 0; the larger root leaves B(c, r), the smaller enters it.  At
+        a + b ~ 0 the equation is linear: only the entry is within reach."""
         x, u = self.to_hyperboloid(q, v)
         xc = self.to_hyperboloid(c[None, :])[0]
         a = -_mink_dot(x, xc)
@@ -325,16 +325,11 @@ class HyperbolicBall(ModelSpace):
         h = np.cosh(r)
         aa, bb = a + b, a - b
         disc = h * h - aa * bb
-        ok = disc >= 0.0
         sq = np.sqrt(np.maximum(disc, 0.0))
         small = np.abs(aa) < 1e-14
-        denom = np.where(small, 1.0, aa)
-        t1 = np.where(small, bb / (2.0 * h), (h - sq) / denom)
-        t2 = np.where(small, np.inf, (h + sq) / denom)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r1 = np.where(ok & (t1 > 0), np.log(np.maximum(t1, 1e-300)), np.inf)
-            r2 = np.where(ok & (t2 > 0), np.log(np.maximum(t2, 1e-300)), np.inf)
-        return _smallest_root([r1, r2], [np.isfinite(r1), np.isfinite(r2)], s_lo, s_hi)
+        t = np.where(small, np.inf if sign > 0 else bb / (2.0 * h),
+                     (h + sign * sq) / np.where(small, 1.0, aa))
+        return _root_within(np.log(np.maximum(t, 1e-300)), (disc >= 0.0) & (t > 0), s_lo, s_hi)
 
     def _sphere_area(self, r):
         return 2.0 * np.pi * np.sinh(r) if self.dim == 2 else 4.0 * np.pi * np.sinh(r) ** 2
@@ -423,17 +418,16 @@ class Sphere(ModelSpace):
         t = (np.cos(ang)[..., None] * q - c) / sn
         return t / np.sqrt(_dot(t, t))[..., None]
 
-    def _sphere_hit(self, q, v, c, r, s_lo, s_hi):
+    def _sphere_hit(self, q, v, c, r, sign, s_lo, s_hi):
+        """<x(s), c> = hypot(a, b) cos(s - phi) > cos r inside B(c, r): the geodesic
+        enters at phi - delta, leaves at phi + delta, lifted to the first s >= s_lo."""
         a = _dot(q, c)
         b = _dot(v, c)
         y = np.cos(r) / np.maximum(np.hypot(a, b), 1e-300)
-        ok = np.abs(y) <= 1.0
-        phi = np.arctan2(b, a)
-        delta = np.arccos(np.clip(y, -1.0, 1.0))
+        base = np.arctan2(b, a) + sign * np.arccos(np.clip(y, -1.0, 1.0))
         two_pi = 2.0 * np.pi
-        roots = [base + two_pi * np.ceil((s_lo - base) / two_pi)
-                 for base in (phi - delta, phi + delta)]
-        return _smallest_root(roots, [ok, ok], s_lo, min(s_hi, s_lo + two_pi))
+        root = base + two_pi * np.ceil((s_lo - base) / two_pi)
+        return _root_within(root, np.abs(y) <= 1.0, s_lo, s_hi)
 
     def _sphere_area(self, r):
         return 2.0 * np.pi * np.sin(r) if self.dim == 2 else 4.0 * np.pi * np.sin(r) ** 2

@@ -42,7 +42,7 @@ passed it.
     bounds(space)                       (center, radius) of a geodesic ball holding it
     gauge(space, q)                     signed gauge, negative inside the domain
     inward_normal(space, q)             g-unit normal pointing into the domain
-    ray_hit(space, q, v, s_lo, s_hi)    first crossing arclength in (s_lo, s_hi], or inf
+    ray_hit(space, q, v, s_lo, s_hi)    first crossing out of the domain in (s_lo, s_hi], or inf
     boundary_volume(space)              g-volume of the piece's wall
     domain_volume(space)                g-volume of the region the piece encloses
     sample_boundary(space, rng, count)  wall points, uniform in boundary volume
@@ -155,7 +155,7 @@ class Ball:
         return -self._sign * space._sphere_normal(q, self.center)
 
     def ray_hit(self, space, q, v, s_lo, s_hi):
-        return space._sphere_hit(q, v, self.center, self.radius, s_lo, s_hi)
+        return space._sphere_hit(q, v, self.center, self.radius, self._sign, s_lo, s_hi)
 
     def boundary_volume(self, space):
         return space._sphere_area(self.radius)
@@ -368,23 +368,20 @@ class RadialFourierCurve:
 # ---------------------------------------------------------------------------
 
 
-def window_hit(q, v, s0, s1, s_lo, space, centers, radii_sq, exit_reach):
-    """First hits on a torus's obstacle balls over consecutive windows.
+def window_hit(q, v, s0, s1, s_lo, space, centers, radii_sq):
+    """First entries into a torus's obstacle balls over consecutive windows.
 
-    Returns (s, piece): per row the smallest root over every ball (rows of
-    `centers`, radius squares `radii_sq`) in any window (max(s0_j, s_lo),
-    s1_j], ties to the lower ball index; inf and -1 when there is none.
+    Returns (s, piece): per row the smallest entry root -b - sq over every
+    ball (rows of `centers`, radius squares `radii_sq`) in any window
+    (max(s0_j, s_lo), s1_j], ties to the lower ball index; inf and -1 when
+    there is none.  A ray leaves an obstacle it starts in without a hit.
     `s0`, `s1` bound windows no longer than the shortest period.  On axis i
     a window's segment stays within P_i / 2 of its midpoint m, and an image
     it hits lies within r < P_i / 2 of the segment, so only the images
     floor(y) and floor(y) + 1, with y = (m_i - c_i) / P_i, can be hit: 2^d
     images per ball, row and window, laid out (2^d, balls, windows, rows).
     Each root comes from the same image centre by the same operations
-    whichever window or block computes it.  The exit root -b + sq can come
-    first only for an image that holds the start point (any other image is
-    entered, and so hit, first), whose exit lies within s_lo + 2r of the
-    start; blocks that start past s_lo + `exit_reach` (2 r_max plus room
-    for roundoff) skip exit roots.
+    whichever window or block computes it.
     """
     n, dim = q.shape
     periods = space.periods
@@ -401,16 +398,12 @@ def window_hit(q, v, s0, s1, s_lo, space, centers, radii_sq, exit_reach):
         b, c = (dv, dd) if i == 0 else (b + dv, c + dd)
     disc = b * b - (c - radii_sq[:, None, None])
     cand = (disc >= 0.0).ravel().nonzero()[0]
-    nb = -b.ravel()[cand]
-    sq = np.sqrt(disc.ravel()[cand])
+    root = -b.ravel()[cand] - np.sqrt(disc.ravel()[cand])
     wn, row = np.divmod(cand, n)
     image_ball, j = np.divmod(wn, windows)
-    key = image_ball % balls * n + row
-    lo, hi = np.maximum(s0, s_lo)[j], s1[j]
+    ok = (root > np.maximum(s0, s_lo)[j]) & (root <= s1[j])
     best = np.full(balls * n, np.inf)
-    for root in ((nb - sq, nb + sq) if s0[0] <= s_lo + exit_reach else (nb - sq,)):
-        ok = (root > lo) & (root <= hi)
-        np.minimum.at(best, key[ok], root[ok])
+    np.minimum.at(best, (image_ball % balls * n + row)[ok], root[ok])
     best = best.reshape(balls, n)
     s = best.min(axis=0)
     return s, np.where(s < np.inf, best.argmin(axis=0), -1)
@@ -467,9 +460,6 @@ class Table:
             self._centers = np.array([p.center for p in self.pieces])
             self._radii = np.array([p.radius for p in self.pieces])
             self._radii_sq = np.array([p.radius ** 2 for p in self.pieces])
-            # past s_lo + 2r, with room for roundoff, no exit root can win
-            self._exit_reach = (2.0 * max(p.radius for p in self.pieces)
-                                + 1e-9 * float(np.max(space.periods)))
         if check:
             self._check_geometry()
 
@@ -741,7 +731,7 @@ class Table:
             qa, va = (q, v) if rows is None else (q[rows], v[rows])
             chunk = max(1, _BLOCK_ROWS // ((edges.size - 1) * len(self.pieces)))
             found = [window_hit(qa[i:i + chunk], va[i:i + chunk], edges[:-1], edges[1:], s_lo,
-                                self.space, self._centers, self._radii_sq, self._exit_reach)
+                                self.space, self._centers, self._radii_sq)
                      for i in range(0, max(qa.shape[0], 1), chunk)]
             s, piece = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
             if rows is None:

@@ -1,7 +1,9 @@
 import csv
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from billiardlab import cli
 from billiardlab.cli import main, version_string
 from billiardlab.config import load_table_config, table_from_dict
 from billiardlab.dynamics import Elastic, orbit_batches
@@ -676,6 +679,17 @@ def test_version_string_nonempty():
 def test_cli_version_and_help_exit_0(argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_conjugacy_help_names_every_boundary_map(capsys):
+    # the specs `_parse_boundary_map` accepts, read from its own tests of `spec`
+    source = inspect.getsource(cli._parse_boundary_map)
+    tests = re.findall(r'spec == "(\w+)"|spec\.startswith\("(\w+:)"\)', source)
+    specs = [a or b for a, b in tests]
+    assert specs == ["identity", "param", "reflection", "rotation:", "translation:"]
+    assert main(["conjugacy", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(spec in out for spec in specs)
 
 
 HEMISPHERE_CONF = {"space": "sphere", "pieces": [

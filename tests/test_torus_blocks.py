@@ -16,7 +16,8 @@ _STENCILS = {d: np.array(list(np.ndindex(*([3] * d))), dtype=float) - 1.0 for d 
 
 
 def _reference_window_hit(ball, space, q, v, s0, s1, s_lo):
-    """Smallest root in (max(s0, s_lo), s1] over the 3^d images around the window."""
+    """Smallest entry root -b - sq in (max(s0, s_lo), s1] over the 3^d images
+    around the window."""
     periods = space.periods
     mid = q + (0.5 * (s0 + s1)) * v
     base = np.round((mid - ball.center) / periods)
@@ -26,14 +27,9 @@ def _reference_window_hit(ball, space, q, v, s0, s1, s_lo):
     b = np.sum(d * v[None, :, :], axis=-1)
     c = np.sum(d * d, axis=-1) - ball.radius ** 2
     disc = b * b - c
-    ok = disc >= 0.0
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    lo = max(s0, s_lo)
-    best = np.full(q.shape[0], np.inf)
-    for root in (-b - sq, -b + sq):
-        root = np.where(ok & (root > lo) & (root <= s1), root, np.inf)
-        best = np.minimum(best, np.min(root, axis=0))
-    return best
+    root = -b - np.sqrt(np.maximum(disc, 0.0))
+    root = np.where((disc >= 0.0) & (root > max(s0, s_lo)) & (root <= s1), root, np.inf)
+    return np.min(root, axis=0)
 
 
 def reference_first_hit(table, q, v):
@@ -112,7 +108,7 @@ def _mixed_starts(table, seed):
     rng = np.random.default_rng(seed)
     s = sample_mu_theta(table, 48, seed)
     qg, vg = _grazing_starts(table, rng, 32)
-    # anywhere in the torus, inside obstacles too, where exit roots come first
+    # anywhere in the torus, inside obstacles too, which a ray leaves without a hit
     qa = rng.uniform(0.0, 1.0, (32, table.space.dim)) * table.space.periods
     va = rng.standard_normal((32, table.space.dim))
     va /= np.linalg.norm(va, axis=1, keepdims=True)

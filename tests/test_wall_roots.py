@@ -1,0 +1,149 @@
+"""A ball piece reports one root: where the geodesic crosses out of the domain.
+
+An outer wall's hit is where the geodesic leaves its ball, an obstacle's where
+it enters its ball, so a start a hair on the wrong side of its own wall gets
+the far hit, never a chord of about hit_tol / cos.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from billiardlab import presets
+from billiardlab.dynamics import Elastic, lockstep_orbits
+from billiardlab.measure import sample_mu_theta
+from billiardlab.spaces import Euclidean, HyperbolicBall, Sphere
+from billiardlab.tables import Ball, StratumLabel, Table
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_long_torus_orbits_keep_bouncing(seed):
+    # a long chord can land a hair inside its obstacle; the next chord used to
+    # take that obstacle's exit root, about 1e-10 on, as its hit and stop the
+    # run with DegenerateStart (at bounce 186 from seed 1, 151 from seed 7)
+    table = presets.preset_table("torus-one-ball")
+    s = sample_mu_theta(table, 128, seed)
+    steps = [step for step, *_ in lockstep_orbits(table, Elastic(), s.q, s.v, 300)]
+    assert steps[-1] == 300
+
+
+# each table and the piece whose wall the start sits across
+OFF_WALL = {
+    "disk": (presets.disk, 0),
+    "cap-pi4": (lambda: presets.preset_table("cap-pi4"), 0),
+    "hyperbolic-disk-1": (lambda: presets.preset_table("hyperbolic-disk-1"), 0),
+    "disk-with-obstacle": (lambda: Table(Euclidean(2), [
+        Ball((0.0, 0.0), 1.0), Ball((0.3, 0.1), 0.2, side="obstacle")]), 1),
+    "torus-two-balls": (lambda: presets.preset_table("torus-two-balls"), 1),
+}
+
+
+def _start_off_wall(table, k, offset, cos_in, alpha=0.7):
+    """A start `offset` outside the domain across piece k's wall, with incidence
+    cosine `cos_in` to the piece's inward normal there."""
+    space, piece = table.space, table.pieces[k]
+    p = piece.point_at_param(space, np.array([alpha]))
+    q, _ = space.flow(p, -piece.inward_normal(space, p), np.array([offset]))
+    n = piece.inward_normal(space, q)
+    t = space.tangent_frame(q, n)[:, 0]
+    return q, cos_in * n + np.sqrt(1.0 - cos_in * cos_in) * t
+
+
+@pytest.mark.parametrize("name", sorted(OFF_WALL))
+# at incidence cosine 0.1, 1e-11 off the wall puts the wall's other root at
+# about hit_tol; 3e-11 puts it clearly past
+@pytest.mark.parametrize("offset", [1e-11, 3e-11])
+def test_a_start_off_its_own_wall_gets_the_far_hit(name, offset):
+    make, k = OFF_WALL[name]
+    table = make()
+    q, v = _start_off_wall(table, k, offset, 0.1)
+    assert table.pieces[k].gauge(table.space, q)[0] > 0.5 * offset
+    hit = table.first_hit(q, v)
+    assert hit.s[0] > 0.01 and hit.label[0] == int(StratumLabel.TRANSVERSAL_OUT)
+    if table.pieces[k] is table.outer:
+        # a ball's chord leaves at the cosine it entered with
+        assert hit.piece[0] == k and abs(hit.cos_in[0] + 0.1) < 1e-6
+
+
+# -- property: Ball.ray_hit is the first outward sign change of the gauge -----
+
+_S_LO = 1e-10
+_STEP = 0.002       # scan step; a chord that crosses at |cos| >= _TANGENT is longer
+_TANGENT = 0.05     # crossings at a smaller |incidence cosine| are left out
+_REACH = {"euclidean": 8.0, "hyperbolic-ball": 5.0, "sphere": 7.0}  # 7 > 2 pi
+
+
+def _free_points(space, ball, rng, count):
+    """Points at distances uniform in (0, 2 r) from the centre, inside and outside."""
+    u = space._unit_tangents(ball.center, rng, count)
+    c = np.broadcast_to(ball.center, u.shape)
+    return space.flow(c, u, rng.uniform(0.0, 2.0 * ball.radius, count))[0]
+
+
+def _scanned_exit(space, ball, q, v, s_hi):
+    """First s in (s_lo, s_hi] where the gauge along the flow turns from <= 0 to
+    > 0: a dense scan brackets it, bisection pins it down; inf if none."""
+    n = q.shape[0]
+    grid = np.linspace(_S_LO, s_hi, int(np.ceil((s_hi - _S_LO) / _STEP)) + 1)
+    x, _ = space.flow(np.repeat(q, grid.size, axis=0), np.repeat(v, grid.size, axis=0),
+                      np.tile(grid, n))
+    g = ball.gauge(space, x).reshape(n, grid.size)
+    turn = (g[:, :-1] <= 0.0) & (g[:, 1:] > 0.0)
+    k = turn.argmax(axis=1)
+    lo, hi = grid[k], grid[k + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = ball.gauge(space, space.flow(q, v, mid)[0]) <= 0.0
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return np.where(turn.any(axis=1), hi, np.inf)
+
+
+def _cosine_at(space, ball, q, v, s):
+    """|Incidence cosine| where the geodesic is at arclength s; 1 where s is inf."""
+    x, w = space.flow(q, v, np.where(np.isfinite(s), s, 0.0))
+    cos = np.abs(space.metric_dot(x, w, ball.inward_normal(space, x)))
+    return np.where(np.isfinite(s), cos, 1.0)
+
+
+@st.composite
+def _balls(draw, space):
+    if isinstance(space, Sphere):
+        c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=space.chart_dim,
+                                   max_size=space.chart_dim)))
+        c = c / np.linalg.norm(c) if np.linalg.norm(c) > 0.1 else np.eye(space.chart_dim)[-1]
+        return c, draw(st.floats(0.2, np.pi - 0.2))
+    span = 0.5 if isinstance(space, HyperbolicBall) else 1.0
+    c = np.array(draw(st.lists(st.floats(-span, span), min_size=space.dim, max_size=space.dim)))
+    c *= min(1.0, span / max(np.linalg.norm(c), 1e-300))
+    return c, draw(st.floats(0.2, 1.5))
+
+
+@pytest.mark.parametrize("side", ["outer", "obstacle"])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("space_kind", [Euclidean, HyperbolicBall, Sphere], ids=lambda k: k.kind)
+@settings(max_examples=3)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_a_ball_hit_is_the_first_crossing_out_of_the_domain(space_kind, dim, side, data, seed):
+    space = space_kind(dim)
+    center, radius = data.draw(_balls(space))
+    ball = Ball(center, radius, side=side)
+    rng = np.random.default_rng(seed)
+    # on the wall, 1e-11 to either side of it, and free starts aimed near the centre
+    wall = ball.sample_boundary(space, rng, 8)
+    away = space._sphere_normal(wall, ball.center)
+    free = _free_points(space, ball, rng, 8)
+    q = np.concatenate([wall, space.flow(wall, away, np.full(8, 1e-11))[0],
+                        space.flow(wall, away, np.full(8, -1e-11))[0], free])
+    v = space.unit(q, space.tangent(q, rng.standard_normal(q.shape)))
+    aim = 0.6 * v[24:] - space._sphere_normal(free, ball.center)
+    v[24:] = space.unit(free, space.tangent(free, aim))
+    s_hi = _REACH[space.kind]
+    got = ball.ray_hit(space, q, v, _S_LO, s_hi)
+    want = _scanned_exit(space, ball, q, v, s_hi)
+    tangent = ((_cosine_at(space, ball, q, v, got) < _TANGENT)
+               | (_cosine_at(space, ball, q, v, want) < _TANGENT))
+    assert np.count_nonzero(tangent) <= q.shape[0] // 4
+    keep = ~tangent
+    assert np.array_equal(np.isinf(got[keep]), np.isinf(want[keep]))
+    finite = keep & np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-9)
