@@ -192,9 +192,14 @@ class HalfSpaceOrCap(Ball):
 class RadialFourierCurve:
     """Planar wall r(theta) = a0 + sum a_k cos(k theta) + b_k sin(k theta).
 
-    Euclidean n = 2 only.  Construction computes provable bounds r_min <= r <=
-    r_max, |r'| <= R1 and |r''| <= R2, and from them L >= |grad g| and
-    K >= |d^2 g / ds^2| on unit-speed lines in the region |x| >= r_min / 2.
+    Euclidean n = 2 only.  `radius` gives r and r' at unit directions u =
+    (cos theta, sin theta) by the angle-addition recurrence from u, within a
+    few ulp of the exact series.  Construction runs it once on a 4096-point
+    grid for the bounds r_min <= r <= r_max, |r'| <= R1 and |r''| <= R2 and
+    the sampler's speed envelope, each grid extremum widened by an explicit
+    h^2 / 8 margin far above that roundoff, and for the perimeter and the
+    area (the trapezoid rule is exact for r^2).  The bounds give L >= |grad g|
+    and K >= |d^2 g / ds^2| on unit-speed lines in the region |x| >= r_min / 2.
     Ray intersections use certified sphere tracing: each step is no longer
     than a lower bound on the distance to the first zero of the gauge (the
     Lipschitz ball |g| / L, the along-line quadratic bound from g, g' and K,
@@ -212,21 +217,16 @@ class RadialFourierCurve:
         self.side = side
         self._sign = 1.0 if side == OUTER else -1.0
         self.base_radius = float(base_radius)
-        self.cos_coeffs = np.asarray(cos_coeffs, dtype=float)
-        self.sin_coeffs = np.asarray(sin_coeffs, dtype=float)
-        # r'(theta) as a series of its own: k b_k with cos, -k a_k with sin
-        self._dr_cos = self.sin_coeffs * np.arange(1, self.sin_coeffs.size + 1)
-        self._dr_sin = -(self.cos_coeffs * np.arange(1, self.cos_coeffs.size + 1))
+        a, b = np.asarray(cos_coeffs, dtype=float), np.asarray(sin_coeffs, dtype=float)
+        self._coef = np.zeros((max(a.size, b.size), 2))  # row k - 1: (a_k, b_k), zero-padded
+        self._coef[:a.size, 0], self._coef[:b.size, 1] = a, b
         # amplitude of harmonic k = 1..m; |d^j r / d theta^j| <= sum k^j amp_k
-        amp = np.zeros(max(self.cos_coeffs.size, self.sin_coeffs.size))
-        amp[:self.cos_coeffs.size] += np.abs(self.cos_coeffs)
-        amp[:self.sin_coeffs.size] += np.abs(self.sin_coeffs)
-        k = np.arange(1, amp.size + 1)
-        r1, r2, r3 = (float(np.sum(k ** j * amp)) for j in (1, 2, 3))
+        amp = np.abs(self._coef).sum(axis=1)
+        r1, r2, r3 = (float(np.sum(np.arange(1, amp.size + 1) ** j * amp)) for j in (1, 2, 3))
         # a grid extremum of f misses the true one by at most max|f''| h^2 / 8
         grid = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         gap = grid[1] ** 2 / 8.0
-        rg, drg = self.r_of(grid), self.dr_of(grid)
+        rg, drg = self.radius(np.stack([np.cos(grid), np.sin(grid)], axis=-1))
         self._r_min = max(self.base_radius - float(np.sum(amp)), float(np.min(rg)) - r2 * gap)
         if self._r_min <= 0:
             raise ConfigError("radial Fourier curve must have positive radius")
@@ -236,26 +236,22 @@ class RadialFourierCurve:
         self._curv = 2.0 / self._r_min + 4.0 * (r2 + 2.0 * r1) / self._r_min ** 2
         speed = np.hypot(rg, drg)
         self._perimeter = float(np.mean(speed) * 2.0 * np.pi)
+        self._area = float(np.mean(0.5 * rg ** 2) * 2.0 * np.pi)
         # (r^2 + r'^2)'' = 2 (r'^2 + r r'' + r''^2 + r' r''')
         speed2_curv = 2.0 * (r1 * r1 + self._r_max * r2 + r2 * r2 + r1 * r3)
         self._speed_max = float(np.sqrt(np.max(speed) ** 2 + speed2_curv * gap))
 
-    @staticmethod
-    def _series(theta, base, a, b):
-        """base + sum_k a_k cos(k theta) + b_k sin(k theta), k = 1, 2, ..."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.full(theta.shape, base)
-        for coeffs, wave in ((a, np.cos), (b, np.sin)):
-            if coeffs.size:
-                k = np.arange(1, coeffs.size + 1)
-                out = out + np.sum(coeffs * wave(np.multiply.outer(theta, k)), axis=-1)
-        return out
-
-    def r_of(self, theta):
-        return self._series(theta, self.base_radius, self.cos_coeffs, self.sin_coeffs)
-
-    def dr_of(self, theta):
-        return self._series(theta, 0.0, self._dr_cos, self._dr_sin)
+    def radius(self, u):
+        """(r, r') at unit directions u = (cos theta, sin theta), shape (..., 2)."""
+        c1, s1 = u[..., 0], u[..., 1]
+        r, dr = np.full(c1.shape, self.base_radius), np.zeros(c1.shape)
+        ck, sk = 1.0, 0.0  # cos and sin of k theta, from k = 0
+        for k, (a, b) in enumerate(self._coef, start=1):
+            ck, sk = ck * c1 - sk * s1, sk * c1 + ck * s1
+            if a or b:  # a zero-padded harmonic adds nothing
+                r += a * ck + b * sk
+                dr += k * (b * ck - a * sk)
+        return r, dr
 
     def check(self, space):
         if not (type(space) is Euclidean and space.dim == 2):
@@ -265,19 +261,15 @@ class RadialFourierCurve:
         return np.zeros(2), self._r_max
 
     def gauge(self, space, q):
-        theta = np.arctan2(q[..., 1], q[..., 0])
-        return self._sign * (np.linalg.norm(q, axis=-1) - self.r_of(theta))
+        rho, u = _polar(q)
+        return self._sign * (rho - self.radius(u)[0])
 
     def inward_normal(self, space, q):
-        rho = np.linalg.norm(q, axis=-1)
-        theta = np.arctan2(q[..., 1], q[..., 0])
-        dr = self.dr_of(theta)
-        # grad(|q| - r(theta)) in Cartesian coordinates
-        grad = q / rho[..., None]
-        perp = np.stack([-q[..., 1], q[..., 0]], axis=-1) / (rho * rho)[..., None]
-        grad = grad - dr[..., None] * perp
-        grad /= np.linalg.norm(grad, axis=-1, keepdims=True)
-        return -self._sign * grad
+        # grad(|q| - r(theta)) = u - (r' / rho) u_perp in Cartesian coordinates
+        rho, u = _polar(q)
+        perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        grad = u - (self.radius(u)[1] / rho)[..., None] * perp
+        return (-self._sign / np.sqrt(_dot(grad, grad)))[..., None] * grad
 
     def ray_hit(self, space, q, v, s_lo, s_hi):
         """Certified sphere tracing along unit-speed lines; see the class docstring."""
@@ -300,14 +292,12 @@ class RadialFourierCurve:
         xtol = self._XTOL * self._r_max
         below = None
         while idx.size:
-            x = qa + s[:, None] * va
-            g = self.gauge(space, x)
-            rho2 = _dot(x, x)
-            rho = np.sqrt(rho2)
-            radial = _dot(x, va)                              # rho drho/ds
-            angular = x[:, 0] * va[:, 1] - x[:, 1] * va[:, 0]  # rho^2 dtheta/ds
-            dr = self.dr_of(np.arctan2(x[:, 1], x[:, 0]))
-            dg = self._sign * (radial / rho - dr * angular / rho2)
+            rho, u = _polar(qa + s[:, None] * va)
+            r, dr = self.radius(u)
+            g = self._sign * (rho - r)
+            radial = _dot(u, va)                              # drho/ds
+            angular = u[:, 0] * va[:, 1] - u[:, 1] * va[:, 0]  # rho dtheta/ds
+            dg = self._sign * (radial - dr * angular / rho)
             if below is None:
                 below = np.where(outside, self._sign < 0.0, g <= 0.0)  # side of the start point
             crossed = (g <= 0.0) != below  # landed on the root to roundoff
@@ -324,7 +314,8 @@ class RadialFourierCurve:
             converged = (d > 0.0) & (disc >= 0.0) & (far <= room) & (far - near <= xtol)
             done = crossed | converged
             s_hit[idx[done]] = np.where(crossed, s, s + 0.5 * (near + far))[done]
-            inner = np.sqrt(np.maximum(radial * radial - rho2 + r_min * r_min, 0.0)) - radial
+            xv = rho * radial  # x . v
+            inner = np.sqrt(np.maximum(xv * xv - rho * rho + r_min * r_min, 0.0)) - xv
             step = np.maximum(np.minimum(np.maximum(a / L, near), room),
                               np.where(rho < r_min, inner, 0.0))
             # a root may sit exactly at s_end, so the last step lands there
@@ -343,11 +334,12 @@ class RadialFourierCurve:
         while filled < count:
             m = 2 * (count - filled) + 16
             theta = rng.uniform(0.0, 2.0 * np.pi, m)
-            accept = rng.uniform(0.0, self._speed_max, m) < np.hypot(self.r_of(theta), self.dr_of(theta))
-            theta = theta[accept][: count - filled]
-            r = self.r_of(theta)
-            out[filled:filled + theta.size] = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-            filled += theta.size
+            u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            r, dr = self.radius(u)
+            accept = rng.uniform(0.0, self._speed_max, m) < np.hypot(r, dr)
+            take = (r[:, None] * u)[accept][: count - filled]
+            out[filled:filled + take.shape[0]] = take
+            filled += take.shape[0]
         return out
 
     def boundary_param(self, space, q):
@@ -355,12 +347,19 @@ class RadialFourierCurve:
 
     def point_at_param(self, space, alpha):
         alpha = np.asarray(alpha, dtype=float)
-        r = self.r_of(alpha)
-        return np.stack([r * np.cos(alpha), r * np.sin(alpha)], axis=-1)
+        u = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
+        return self.radius(u)[0][..., None] * u
 
     def domain_volume(self, space):
-        grid = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
-        return float(np.mean(0.5 * self.r_of(grid) ** 2) * 2.0 * np.pi)
+        return self._area
+
+
+def _polar(q):
+    """|q| and q / |q| of planar points; the origin gets (1, 0), arctan2's angle 0."""
+    rho = np.sqrt(_dot(q, q))
+    u = q / np.where(rho > 0.0, rho, np.inf)[..., None]
+    u[rho == 0.0] = 1.0, 0.0
+    return rho, u
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +501,10 @@ class Table:
         space = self.space
         c, r = self.outer.bounds(space)
         if isinstance(space, HyperbolicBall):
+            # the ball's chart disk: a diameter along c / |c|, ends at chart radii tanh(d / 2)
             d0 = float(space.distance(c, np.zeros(space.dim)))
-            rad = np.tanh(min(d0 + r, 36.0) / 2.0)
-            return -rad * np.ones(space.dim), rad * np.ones(space.dim)
+            near, far = (np.tanh(min(d, 36.0) / 2.0) for d in (d0 - r, d0 + r))
+            c, r = 0.5 * (near + far) * (c / (np.linalg.norm(c) or 1.0)), 0.5 * (far - near)
         return c - r, c + r
 
     def _interior_samples(self, rng, count):

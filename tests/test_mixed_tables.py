@@ -181,3 +181,34 @@ def test_fourier_hits_match_reference_march(fixture, request, monkeypatch):
     assert np.all(thin[skipped])
     assert skipped.size == (5 if fixture == "disk_with_fourier_blob" else 0)
     assert np.all(new.s[skipped] < ref.s[skipped]) and np.all(new.piece[skipped] == 1)
+
+
+@pytest.mark.parametrize("fixture", ["ellipse", "disk_with_fourier_blob"])
+def test_fourier_chords_match_a_50_digit_root(fixture, request):
+    # each transversal exit on a Fourier wall against the root of the exact
+    # gauge along the same float line, solved at 50 digits from l +- 1e-9
+    import mpmath as mp
+
+    table = request.getfixturevalue(fixture)
+    s = sample_mu_theta(table, 400, seed=57)
+    batch = causality_batch(table, s.q, s.v)
+    fourier = [k for k, p in enumerate(table.pieces) if isinstance(p, RadialFourierCurve)]
+    rows = np.flatnonzero(np.isin(batch.exit_piece, fourier) & batch.ok
+                          & (np.abs(batch.exit_cos) > 1e-3))
+    assert rows.size > 20
+    with mp.workdps(50):
+        for i in rows:
+            wall = table.pieces[batch.exit_piece[i]]
+            a, b = wall._coef.T
+            q, v = (list(map(mp.mpf, p.tolist())) for p in (batch.entry_q[i], batch.entry_v[i]))
+
+            def gauge(length):
+                x, y = q[0] + length * v[0], q[1] + length * v[1]
+                t = mp.atan2(y, x)
+                waves = (a[k - 1] * mp.cos(k * t) + b[k - 1] * mp.sin(k * t)
+                         for k in range(1, a.size + 1))
+                return mp.sqrt(x * x + y * y) - wall.base_radius - mp.fsum(waves)
+
+            length = float(batch.length[i])
+            exact = mp.findroot(gauge, (length - 1e-9, length + 1e-9))
+            assert abs(length - exact) <= 1e-14 * max(1.0, length), (i, length, exact)

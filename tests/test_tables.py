@@ -8,7 +8,7 @@ from billiardlab import presets, tables
 from billiardlab.dynamics import Elastic, causality_batch, reflect_batch
 from billiardlab.errors import ConfigError, DegenerateStart, NotOnBoundary
 from billiardlab.measure import sample_mu_theta
-from billiardlab.spaces import Euclidean, FlatTorus, Sphere
+from billiardlab.spaces import Euclidean, FlatTorus, HyperbolicBall, Sphere
 from billiardlab.tables import Ball, HalfSpaceOrCap, RadialFourierCurve, StratumLabel, Table
 
 
@@ -280,6 +280,10 @@ def test_fourier_normal_matches_fd(ellipse):
         assert np.allclose(n, -grad / np.linalg.norm(grad), atol=1e-6)
 
 
+def _unit(theta):
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
 def test_fourier_bounds_enclose_the_curve():
     # a 7-harmonic wall and a k = 30 harmonic: r_min, r_max and the boundary
     # sampler's speed envelope must bound the curve, not just its 4096-point grid
@@ -296,45 +300,74 @@ def test_fourier_bounds_enclose_the_curve():
         return f(np.linspace(t0 - h, t0 + h, 20_001))
 
     for w in walls:
+        def r_of(t):
+            return w.radius(_unit(t))[0]
+
         def speed(t):
-            return np.hypot(w.r_of(t), w.dr_of(t))
-        assert w._r_min <= np.min(refine(w.r_of, np.argmin))
-        assert w._r_max >= np.max(refine(w.r_of, np.argmax))
+            return np.hypot(*w.radius(_unit(t)))
+        assert w._r_min <= np.min(refine(r_of, np.argmin))
+        assert w._r_max >= np.max(refine(r_of, np.argmax))
         assert w._speed_max >= np.max(refine(speed, np.argmax))
 
 
-def _reference_r_and_dr(w, theta):
-    """r and r' as the two separate sums they were first written as."""
-    kc, ks = np.arange(1, w.cos_coeffs.size + 1), np.arange(1, w.sin_coeffs.size + 1)
-    r, dr = np.full(theta.shape, w.base_radius), np.zeros(theta.shape)
-    if kc.size:
-        r = r + np.sum(w.cos_coeffs * np.cos(np.multiply.outer(theta, kc)), axis=-1)
-        dr = dr - np.sum(w.cos_coeffs * kc * np.sin(np.multiply.outer(theta, kc)), axis=-1)
-    if ks.size:
-        r = r + np.sum(w.sin_coeffs * np.sin(np.multiply.outer(theta, ks)), axis=-1)
-        dr = dr + np.sum(w.sin_coeffs * ks * np.cos(np.multiply.outer(theta, ks)), axis=-1)
-    return r, dr
+def test_fourier_radius_matches_a_40_digit_series():
+    # r and r' from the angle-addition recurrence against the series summed at
+    # 40 digits; errors are absolute, in units of eps (r is near 1)
+    import mpmath as mp
 
-
-def test_fourier_series_matches_the_two_sum_formulas_bit_for_bit():
     rng = np.random.default_rng(17)
     # random angles over three turns, negative ones among them, and multiples of pi / 2048
-    theta = np.concatenate([rng.uniform(-2.0 * np.pi, 4.0 * np.pi, 200_000),
-                            np.arange(4096) * (np.pi / 2048.0)])
-    walls = [RadialFourierCurve(1.0),
-             RadialFourierCurve(1.0, cos_coeffs=(0.0, 0.15)),
-             RadialFourierCurve(1.2, sin_coeffs=(0.05, 0.0, -0.03)),
-             RadialFourierCurve(1.0, cos_coeffs=rng.uniform(-0.02, 0.02, 7),
-                                sin_coeffs=rng.uniform(-0.02, 0.02, 4))]
-    for w in walls:
-        r, dr = _reference_r_and_dr(w, theta)
-        assert _same_bits(w.r_of(theta), r)
-        assert _same_bits(w.dr_of(theta), dr)
+    theta = np.concatenate([rng.uniform(-2.0 * np.pi, 4.0 * np.pi, 400),
+                            np.arange(0, 4096, 41) * (np.pi / 2048.0)])
+    walls = [(1.0, (), ()), (1.0, (0.0, 0.15), ()), (1.2, (), (0.05, 0.0, -0.03)),
+             (1.0, rng.uniform(-0.02, 0.02, 7), rng.uniform(-0.02, 0.02, 4)),
+             (1.0, [0.0] * 29 + [0.01], ())]
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        # e^{i k theta} for k = 1..30 at each angle
+        waves = []
+        for t in theta:
+            z = mp.expj(mp.mpf(float(t)))
+            waves.append([z])
+            for _ in range(29):
+                waves[-1].append(waves[-1][-1] * z)
+        for base, a, b in walls:
+            r, dr = RadialFourierCurve(base, a, b).radius(_unit(theta))
+            err_r = err_dr = 0.0
+            for i, zk in enumerate(waves):
+                exact_r, exact_dr = mp.mpf(base), mp.mpf(0)
+                for k, ak in enumerate(a, start=1):
+                    exact_r += ak * zk[k - 1].real
+                    exact_dr -= k * ak * zk[k - 1].imag
+                for k, bk in enumerate(b, start=1):
+                    exact_r += bk * zk[k - 1].imag
+                    exact_dr += k * bk * zk[k - 1].real
+                err_r = max(err_r, abs(float(mp.mpf(float(r[i])) - exact_r)))
+                err_dr = max(err_dr, abs(float(mp.mpf(float(dr[i])) - exact_dr)))
+            assert err_r <= 4.0 * eps and err_dr <= 8.0 * eps, (len(a), len(b), err_r / eps,
+                                                                 err_dr / eps)
 
 
 def test_fourier_perimeter_positive_radius():
     with pytest.raises(ConfigError):
         RadialFourierCurve(0.1, cos_coeffs=(0.5,))
+
+
+def test_fourier_origin_keeps_its_gauge():
+    # the origin has no direction; it takes the angle 0 that arctan2 gives it
+    table = presets.ellipse()
+    assert table.gauges([[0.0, 0.0]])[0, 0] == -1.15
+    assert table.inside([[0.0, 0.0]])[0]
+
+
+def test_off_centre_hyperbolic_ball_is_sampled_from_its_own_chart_disk():
+    # the ball fills 8e-5 of the box about the chart origin that holds it, too
+    # little for the interior sampler; its own chart disk bounds it tightly
+    table = Table(HyperbolicBall(2), [Ball((0.9, 0.0), 0.1)])
+    lo, hi = table._chart_box()
+    wall = table.outer.sample_boundary(table.space, np.random.default_rng(3), 4096)
+    assert np.all((wall >= lo - 1e-12) & (wall <= hi + 1e-12))
+    assert np.allclose([wall.min(axis=0), wall.max(axis=0)], [lo, hi], atol=1e-4)
 
 
 # -- sphere caps ---------------------------------------------------------------
