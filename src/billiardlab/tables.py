@@ -19,6 +19,8 @@ passes; a call holds at most that budget of (row, window, ball) triples, so
 a block of many rows is split into row chunks.  Since 2r < every period,
 each window's 2^d nearest images hold every image its segment can hit, and
 the hits are those of a one-window loop, bit for bit, whatever the blocks.
+Each root is solved from its window's midpoint, not from the ray's start, so
+a flight hundreds of periods long still lands on its wall to about 1e-13.
 One dispatcher, `_per_piece`, evaluates a piece method at each row's own
 piece (gauges, inward normals, boundary angles, wall points).  On a torus
 table of two or more balls it calls the `Ball` method once, on a ball of
@@ -31,7 +33,8 @@ carried piece or normal as given and derives a missing one; `_strata` adds
 the stratum labels for the callers that read them (`classify`, `first_hit`,
 `causality_batch`).  A row off the boundary (piece -1, a trapped hit among
 them) gets a NaN normal, a NaN cosine and label -1; `classify` and
-`inward_normal_at` raise NotOnBoundary on such rows.
+`inward_normal_at` raise NotOnBoundary on such rows.  Interior points (the
+connectivity check, `reconstruct`'s coverage reference) are uniform in g-volume.
 
 Every piece kind (`Ball`, its alias `HalfSpaceOrCap`, `RadialFourierCurve`)
 has a `side`, OUTER or OBSTACLE, and the methods below.  `Table` calls
@@ -58,7 +61,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigError, NotOnBoundary
-from .spaces import Euclidean, FlatTorus, HyperbolicBall, Sphere, _dot
+from .spaces import Euclidean, FlatTorus, _dot
 
 __all__ = [
     "StratumLabel", "Tolerances", "Ball", "HalfSpaceOrCap",
@@ -370,36 +373,41 @@ def _polar(q):
 def window_hit(q, v, s0, s1, s_lo, space, centers, radii_sq):
     """First entries into a torus's obstacle balls over consecutive windows.
 
-    Returns (s, piece): per row the smallest entry root -b - sq over every
-    ball (rows of `centers`, radius squares `radii_sq`) in any window
+    Returns (s, piece): per row the smallest entry root t + (-b - sq) over
+    every ball (rows of `centers`, radius squares `radii_sq`) in any window
     (max(s0_j, s_lo), s1_j], ties to the lower ball index; inf and -1 when
     there is none.  A ray leaves an obstacle it starts in without a hit.
     `s0`, `s1` bound windows no longer than the shortest period.  On axis i
-    a window's segment stays within P_i / 2 of its midpoint m, and an image
-    it hits lies within r < P_i / 2 of the segment, so only the images
-    floor(y) and floor(y) + 1, with y = (m_i - c_i) / P_i, can be hit: 2^d
-    images per ball, row and window, laid out (2^d, balls, windows, rows).
-    Each root comes from the same image centre by the same operations
-    whichever window or block computes it.
+    a window's segment stays within P_i / 2 of its midpoint m = q + t v,
+    t = (s0_j + s1_j) / 2, and an image it hits lies within r < P_i / 2 of
+    the segment, so only the images floor(y) and floor(y) + 1, with
+    y = (m_i - c_i) / P_i, can be hit: 2^d images per ball, row and window,
+    laid out (2^d, balls, windows, rows).  b and sq come from m, within about
+    a period of the image, so the error of b^2 - |d|^2 and of |v|^2 != 1 does
+    not grow with the flight.  Each root comes from the same image and window
+    by the same operations whichever block computes it.
     """
     n, dim = q.shape
     periods = space.periods
     balls, windows = radii_sq.size, s0.size
-    t = (0.5 * (s0 + s1))[:, None]
-    # b = d.v and c = |d|^2 summed axis by axis in the order np.sum uses
+    t = 0.5 * (s0 + s1)
+    # b = d.v and c = |d|^2 from the midpoint m = q + t v, summed axis by axis
+    # in the order np.sum uses
     for i in range(dim):
-        qi, vi = q[:, i], v[:, i]
+        vi = v[:, i]
+        mi = q[:, i] + t[:, None] * vi                               # (W, n)
         ci = centers[:, i, None, None]
-        base = np.floor((qi + t * vi - ci) / periods[i])             # (P, W, n)
-        d = qi - (ci + (base + _IMAGE_PAIR) * periods[i])            # (2, P, W, n)
+        base = np.floor((mi - ci) / periods[i])                      # (P, W, n)
+        d = mi - (ci + (base + _IMAGE_PAIR) * periods[i])            # (2, P, W, n)
         shape = (1,) * i + (2,) + (1,) * (dim - 1 - i) + d.shape[1:]
         dv, dd = (d * vi).reshape(shape), (d * d).reshape(shape)
         b, c = (dv, dd) if i == 0 else (b + dv, c + dd)
     disc = b * b - (c - radii_sq[:, None, None])
     cand = (disc >= 0.0).ravel().nonzero()[0]
-    root = -b.ravel()[cand] - np.sqrt(disc.ravel()[cand])
     wn, row = np.divmod(cand, n)
     image_ball, j = np.divmod(wn, windows)
+    root = -b.ravel()[cand] - np.sqrt(disc.ravel()[cand])
+    root += t[j]  # t + (-b - sq): a float sum is the same in either order
     ok = (root > np.maximum(s0, s_lo)[j]) & (root <= s1[j])
     best = np.full(balls * n, np.inf)
     np.minimum.at(best, (image_ball % balls * n + row)[ok], root[ok])
@@ -496,18 +504,11 @@ class Table:
                 if np.any(q.gauge(space, pts) >= -self.tol.hit_tol):
                     raise ConfigError("obstacles overlap")
 
-    def _chart_box(self):
-        """Chart bounding box [lo, hi] covering the domain (non-sphere/torus)."""
-        space = self.space
-        c, r = self.outer.bounds(space)
-        if isinstance(space, HyperbolicBall):
-            # the ball's chart disk: a diameter along c / |c|, ends at chart radii tanh(d / 2)
-            d0 = float(space.distance(c, np.zeros(space.dim)))
-            near, far = (np.tanh(min(d, 36.0) / 2.0) for d in (d0 - r, d0 + r))
-            c, r = 0.5 * (near + far) * (c / (np.linalg.norm(c) or 1.0)), 0.5 * (far - near)
-        return c - r, c + r
-
     def _interior_samples(self, rng, count):
+        """Interior points, uniform in g-volume.  A torus draws from its cell; a
+        table with an outer wall draws from the ball B(c, R) of `outer.bounds`:
+        distance rho from c with density ~ the sphere area at rho (rejection
+        against its peak), a g-unit direction u at c, the point flow(c, u, rho)."""
         space = self.space
         out = np.empty((count, space.chart_dim))
         filled = 0
@@ -517,18 +518,15 @@ class Table:
             if tries > 2000:
                 raise ConfigError("could not sample the table interior")
             m = 4 * (count - filled) + 32
-            if isinstance(space, FlatTorus):
+            if self.outer is None:
                 q = rng.uniform(0.0, 1.0, (m, space.dim)) * space.periods
-            elif isinstance(space, Sphere):
-                q = rng.standard_normal((m, space.chart_dim))
-                q /= np.linalg.norm(q, axis=1, keepdims=True)
             else:
-                lo, hi = self._chart_box()
-                q = rng.uniform(0.0, 1.0, (m, space.dim)) * (hi - lo) + lo
-                if isinstance(space, HyperbolicBall):
-                    q = q[_dot(q, q) < 1.0 - 1e-9]
-            if q.shape[0] == 0:
-                continue
+                c, r = self.outer.bounds(space)
+                peak = space._sphere_area(min(r, space.diameter / 2.0))
+                rho = rng.uniform(0.0, r, m)
+                rho = rho[rng.uniform(0.0, peak, m) < space._sphere_area(rho)]
+                u = space._unit_tangents(c, rng, rho.size)
+                q = space.flow(np.broadcast_to(c, u.shape), u, rho)[0]
             keep = q[self.inside(q, tol=-1e-9)]
             take = keep[: count - filled]
             out[filled:filled + take.shape[0]] = take

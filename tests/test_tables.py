@@ -360,14 +360,50 @@ def test_fourier_origin_keeps_its_gauge():
     assert table.inside([[0.0, 0.0]])[0]
 
 
-def test_off_centre_hyperbolic_ball_is_sampled_from_its_own_chart_disk():
-    # the ball fills 8e-5 of the box about the chart origin that holds it, too
-    # little for the interior sampler; its own chart disk bounds it tightly
+# -- interior samples ------------------------------------------------------------
+
+
+def test_off_centre_hyperbolic_ball_builds_and_is_sampled_inside_itself():
+    # the ball fills 8e-5 of the chart box about the origin that holds it; the
+    # sampler draws from the ball itself
     table = Table(HyperbolicBall(2), [Ball((0.9, 0.0), 0.1)])
-    lo, hi = table._chart_box()
-    wall = table.outer.sample_boundary(table.space, np.random.default_rng(3), 4096)
-    assert np.all((wall >= lo - 1e-12) & (wall <= hi + 1e-12))
-    assert np.allclose([wall.min(axis=0), wall.max(axis=0)], [lo, hi], atol=1e-4)
+    q = table._interior_samples(np.random.default_rng(3), 4096)
+    assert np.all(table.space.distance(q, table.outer.center) <= 0.1)
+
+
+@pytest.mark.parametrize("space, pole, radius", [
+    (Sphere(2), (0.0, 0.0, 1.0), 0.03),
+    (Sphere(2), (0.0, 0.0, 1.0), 0.01),
+    (Sphere(3), (0.0, 0.0, 0.0, 1.0), 0.1),
+], ids=["s2-r0.03", "s2-r0.01", "s3-r0.1"])
+def test_small_sphere_caps_build(space, pole, radius):
+    # a cap this small holds too few of any uniform sample of the whole sphere
+    table = Table(space, [Ball(pole, radius)])
+    q = table._interior_samples(np.random.default_rng(4), 1000)
+    assert np.all(table.space.distance(q, table.outer.center) <= radius)
+
+
+# each table, and the g-volume share of the ball about its outer wall's centre
+# of half the wall's radius
+HALF_RADIUS_SHARE = {
+    "hyperbolic-disk-2": (lambda: presets.preset_table("hyperbolic-disk-2"),
+                          (np.cosh(1.0) - 1.0) / (np.cosh(2.0) - 1.0)),
+    "hyperbolic-ball3-1": (lambda: Table(HyperbolicBall(3), [Ball((0.0, 0.0, 0.0), 1.0)]),
+                           (np.sinh(1.0) - 1.0) / (np.sinh(2.0) - 2.0)),
+    "cap-pi4": (lambda: presets.preset_table("cap-pi4"),
+                (1.0 - np.cos(np.pi / 8.0)) / (1.0 - np.cos(np.pi / 4.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALF_RADIUS_SHARE))
+def test_interior_samples_are_uniform_in_volume(name):
+    make, share = HALF_RADIUS_SHARE[name]
+    table = make()
+    count = 20000
+    q = table._interior_samples(np.random.default_rng(1), count)
+    c, r = table.outer.bounds(table.space)
+    got = np.mean(table.space.distance(q, c) < 0.5 * r)
+    assert abs(got - share) <= 4.0 * np.sqrt(share * (1.0 - share) / count), (got, share)
 
 
 # -- sphere caps ---------------------------------------------------------------

@@ -16,18 +16,19 @@ _STENCILS = {d: np.array(list(np.ndindex(*([3] * d))), dtype=float) - 1.0 for d 
 
 
 def _reference_window_hit(ball, space, q, v, s0, s1, s_lo):
-    """Smallest entry root -b - sq in (max(s0, s_lo), s1] over the 3^d images
-    around the window."""
+    """Smallest entry root t + (-b - sq) in (max(s0, s_lo), s1] over the 3^d
+    images around the window, with b and sq from its midpoint q + t v."""
     periods = space.periods
-    mid = q + (0.5 * (s0 + s1)) * v
+    t = 0.5 * (s0 + s1)
+    mid = q + t * v
     base = np.round((mid - ball.center) / periods)
     offs = _STENCILS[space.dim]
     c_img = ball.center + (base[None, :, :] + offs[:, None, :]) * periods  # (K, N, d)
-    d = q[None, :, :] - c_img
+    d = mid[None, :, :] - c_img
     b = np.sum(d * v[None, :, :], axis=-1)
     c = np.sum(d * d, axis=-1) - ball.radius ** 2
     disc = b * b - c
-    root = -b - np.sqrt(np.maximum(disc, 0.0))
+    root = t + (-b - np.sqrt(np.maximum(disc, 0.0)))
     root = np.where((disc >= 0.0) & (root > max(s0, s_lo)) & (root <= s1), root, np.inf)
     return np.min(root, axis=0)
 

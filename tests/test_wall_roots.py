@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from billiardlab import presets
 from billiardlab.dynamics import Elastic, lockstep_orbits
 from billiardlab.measure import sample_mu_theta
-from billiardlab.spaces import Euclidean, HyperbolicBall, Sphere
+from billiardlab.spaces import Euclidean, FlatTorus, HyperbolicBall, Sphere
 from billiardlab.tables import Ball, StratumLabel, Table
 
 
@@ -25,6 +25,59 @@ def test_long_torus_orbits_keep_bouncing(seed):
     s = sample_mu_theta(table, 128, seed)
     steps = [step for step, *_ in lockstep_orbits(table, Elastic(), s.q, s.v, 300)]
     assert steps[-1] == 300
+
+
+# -- long torus flights land on the wall --------------------------------------
+
+LONG_FLIGHTS = {
+    "eps-torus": lambda: presets.torus_one_ball(0.1),
+    "torus3-two-balls": lambda: Table(FlatTorus((1.0, 1.0, 1.0)), [
+        Ball((0.25, 0.25, 0.25), 0.2, side="obstacle"),
+        Ball((0.75, 0.75, 0.75), 0.15, side="obstacle")]),
+}
+
+
+@pytest.mark.parametrize("name, rows, seed",
+                         [("eps-torus", rows, seed) for rows in (10, 128) for seed in range(1, 11)]
+                         + [("torus3-two-balls", 128, seed) for seed in (2, 4)])
+def test_long_torus_flights_land_on_the_wall(name, rows, seed):
+    # chords of hundreds of periods used to end 1e-10 to 3e-9 off the wall, and
+    # the next step raised NotOnBoundary (bounce 200 from 10 rows of seed 1)
+    table = LONG_FLIGHTS[name]()
+    s = sample_mu_theta(table, rows, seed)
+    steps = 0
+    for steps, _, batch, _ in lockstep_orbits(table, Elastic(), s.q, s.v, 400):
+        hit = ~batch.trapped
+        gauge = table.piece_gauge(batch.exit_q[hit], batch.exit_piece[hit])
+        assert np.all(np.abs(gauge) <= 1e-12), (steps, np.max(np.abs(gauge)))
+    assert steps == 400
+
+
+@pytest.mark.parametrize("radius", [0.25, 0.1])
+def test_torus_chords_match_a_50_digit_root(radius):
+    # the 200 longest of 20000 chords against the entry root of
+    # |q + s v - C|^2 = r^2 at 50 digits, from the float q and v (with v's own
+    # norm) and the image C nearest the hit
+    import mpmath as mp
+
+    table = presets.torus_one_ball(radius)
+    s = sample_mu_theta(table, 20000, 9)
+    hit = table.first_hit(s.q, s.v)
+    rows = np.argsort(np.where(hit.trapped, -1.0, hit.s))[-200:]
+    assert not hit.trapped[rows].any() and hit.s[rows].max() > 70.0
+    periods = table.space.periods
+    with mp.workdps(50):
+        for i in rows:
+            ball, length = table.pieces[hit.piece[i]], float(hit.s[i])
+            end = s.q[i] + length * s.v[i]
+            image = ball.center + np.round((end - ball.center) / periods) * periods
+            d = [mp.mpf(float(x)) - mp.mpf(float(c)) for x, c in zip(s.q[i], image)]
+            v = [mp.mpf(float(x)) for x in s.v[i]]
+            a = mp.fsum(x * x for x in v)
+            b = mp.fsum(x * y for x, y in zip(d, v))
+            c = mp.fsum(x * x for x in d) - mp.mpf(ball.radius) ** 2
+            exact = (-b - mp.sqrt(b * b - a * c)) / a
+            assert abs(length - exact) <= 1e-14 * max(1.0, length), (i, length, exact)
 
 
 # each table and the piece whose wall the start sits across
