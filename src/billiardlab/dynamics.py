@@ -7,21 +7,24 @@ billiard map B = tau o C.  Every map works on batches of phase points,
 arrays of shape (N, d); a single (d,) point is read as a batch of one.
 
 The exit point of one chord is where the reflection acts and where the next
-chord starts, so the piece and inward normal found when classifying a hit
-are all that both need.  A `BoundaryState` carries them: `billiard_batch`
-returns one and takes its piece and normal back on the next step, checking
-only that the point is still within `hit_tol` of its piece; a Monte Carlo
-block hands the sampler's pieces and normals to its first chord the same
-way.  Orbit loops (`orbit_batches`, Birkhoff and recurrence averages) run on
-the one lockstep engine `lockstep_orbits`, the preservation test on one
-`billiard_batch` step; `lockstep_orbits` stops an orbit after a trapped or
-grazing chord, and `orbit_batches` decides which of its chords to keep.
+chord starts, so the piece, inward normal and cosine found when classifying
+a hit are all that both need: the law takes the exit cosine, and a
+`BoundaryState` carries the next entry's piece, normal and cosine back into
+`billiard_batch`, which checks only that the point is still within
+`hit_tol` of its piece.  A Monte Carlo block hands the sampler's state to
+its first chord the same way.  Rows that are tangent, outward, off the
+boundary or trapped cost work only in a step whose one test finds some; a
+test for some row is `np.count_nonzero`, a third of the cost of `.any()`
+on arrays of a lockstep batch's size.  Orbit loops (`orbit_batches`,
+Birkhoff and recurrence averages) run on the one lockstep engine
+`lockstep_orbits`, the preservation test on one `billiard_batch` step;
+`lockstep_orbits` stops an orbit after a trapped or grazing chord, and
+`orbit_batches` decides which of its chords to keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +38,6 @@ __all__ = [
 
 _OUT = int(StratumLabel.TRANSVERSAL_OUT)
 _CONVEX = int(StratumLabel.TANGENT_CONVEX)
-_CONCAVE = int(StratumLabel.TANGENT_CONCAVE)
 # rows per formatted block in the writers: large enough to amortize the Python
 # calls, small enough to bound temporaries
 _WRITE_ROWS = 8192
@@ -71,7 +73,9 @@ def _write_jsonl(fh, record, keys):
 
 @dataclass
 class ChordBatch:
-    """Vectorized chord records; invalid rows are flagged, not raised."""
+    """Vectorized chord records; invalid rows are flagged, not raised: `grazing`
+    (a traced chord exits tangent), `stops` (trapped or grazing: the orbit ends
+    here) and `ok` (a clean transversal chord) are set when the batch is made."""
 
     entry_q: np.ndarray
     entry_v: np.ndarray
@@ -89,20 +93,11 @@ class ChordBatch:
     degenerate: np.ndarray
     trapped: np.ndarray
 
-    @cached_property
-    def grazing(self):
-        tangent = (self.exit_label == _CONVEX) | (self.exit_label == _CONCAVE)
-        return tangent & ~self.degenerate & ~self.trapped
-
-    @cached_property
-    def ok(self):
-        """Rows with a clean transversal chord."""
-        return ~(self.stops | self.degenerate)
-
-    @cached_property
-    def stops(self):
-        """Rows whose orbit ends with this chord: trapped or grazing."""
-        return self.trapped | self.grazing
+    def __post_init__(self):
+        # TANGENT_CONVEX and TANGENT_CONCAVE are the two labels from 2 up
+        self.grazing = (self.exit_label >= _CONVEX) & ~(self.degenerate | self.trapped)
+        self.stops = self.trapped | self.grazing
+        self.ok = ~(self.stops | self.degenerate)
 
     def __len__(self):
         return self.length.shape[0]
@@ -117,18 +112,21 @@ class ChordBatch:
 
 @dataclass
 class BoundaryState:
-    """Boundary phase points with the piece and g-unit inward normal at each q."""
+    """Boundary phase points with the piece, the g-unit inward normal and the
+    incidence cosine g(v, normal) at each q."""
 
     q: np.ndarray
     v: np.ndarray
     piece: np.ndarray
     normal: np.ndarray
+    cos: np.ndarray
 
     def take(self, rows):
         """The rows selected by a boolean mask; itself when it selects every row."""
-        if rows.all():
+        if np.count_nonzero(rows) == rows.size:
             return self
-        return BoundaryState(self.q[rows], self.v[rows], self.piece[rows], self.normal[rows])
+        return BoundaryState(self.q[rows], self.v[rows], self.piece[rows], self.normal[rows],
+                             self.cos[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +139,8 @@ class Elastic:
 
     kind = "elastic"
 
-    def __call__(self, space, q, v, n):
-        out = v - 2.0 * space.metric_dot(q, v, n)[:, None] * n
-        return space.unit(q, out)
+    def __call__(self, space, q, v, n, cos):
+        return space.unit(q, v - 2.0 * cos[:, None] * n)
 
     def __repr__(self):
         return "Elastic()"
@@ -171,10 +168,11 @@ class Rescaled:
         if self.axis.ndim != 1 or not np.isfinite(self.axis).all() or not self.axis.any():
             raise ValueError(f"axis must be a finite nonzero vector, got {axis!r}")
 
-    def __call__(self, space, q, v, n):
+    def __call__(self, space, q, v, n, cos):
         if self.axis.size != space.chart_dim:
             raise ValueError(f"Rescaled axis has length {self.axis.size}, but the table's "
                              f"chart_dim is {space.chart_dim}")
+        # cos = g(v, n) goes unused: the law reflects the rescaled y, not v
         c = self.stretch ** 2 - 1.0
         t = space.tangent(q, np.broadcast_to(self.axis, q.shape))
         size = space.norm(q, t)[:, None]
@@ -188,20 +186,22 @@ class Rescaled:
         return f"Rescaled(stretch={self.stretch}, axis={self.axis.tolist()})"
 
 
-def reflect_batch(law, table, q, v, piece=None, normal=None):
+def reflect_batch(law, table, q, v, piece=None, normal=None, cos=None):
     """Map outgoing boundary velocities to incoming ones by `law`, a map
-    (space, q, v, inward normal) -> v; a new law is one new class.
+    (space, q, v, inward normal n, cosine g(v, n)) -> v; a new law is one new
+    class.
 
-    `piece` and `normal` carry what the hit at q found; unset, they are
-    derived from q.
+    `piece`, `normal` and `cos` carry what the hit at q found; unset, they
+    are derived from q.
     """
     if not callable(law):
         raise TypeError(f"unknown reflection law {law!r}")
-    q = np.atleast_2d(q)
-    v = np.atleast_2d(v)
-    n = normal if normal is not None else table.inward_normal_at(
-        q, table.active_piece(q) if piece is None else piece)
-    return law(table.space, q, v, n)
+    q, v = np.atleast_2d(q, v)
+    if normal is None:
+        normal = table.inward_normal_at(q, table.active_piece(q) if piece is None else piece)
+    if cos is None:
+        cos = table.space.metric_dot(q, v, normal)
+    return law(table.space, q, v, normal, cos)
 
 
 # ---------------------------------------------------------------------------
@@ -209,32 +209,38 @@ def reflect_batch(law, table, q, v, piece=None, normal=None):
 # ---------------------------------------------------------------------------
 
 
-def causality_batch(table, q, v, piece=None, normal=None):
+def causality_batch(table, q, v, piece=None, normal=None, cos=None):
     """Vectorized causality map on inward boundary phase points.
 
-    `piece` and `normal` carry the boundary state of q found by the hit that
-    ended the previous chord; a carried point must still lie within hit_tol
-    of its piece.  Unset, both are derived from q.  Entry labels and cosines
-    are recomputed either way.
+    `piece`, `normal` and `cos` carry the boundary state of q found by the
+    hit that ended the previous chord; a carried point must still lie within
+    hit_tol of its piece.  Unset, they are derived from q.  Entry labels are
+    recomputed either way.
     """
-    q = np.atleast_2d(q)
-    v = np.atleast_2d(v)
+    q, v = np.atleast_2d(q, v)
     carried = piece is not None
-    piece, normal, entry_cos = table._boundary_geometry(q, v, piece, normal)
+    piece, normal, entry_cos = table._boundary_geometry(q, v, piece, normal, cos)
     entry_label = table._strata(q, v, piece, entry_cos)
-    if (entry_label < 0).any():
+    # every label is TRANSVERSAL_IN (0) unless some row is off, outward or tangent
+    rare = np.count_nonzero(entry_label)
+    if rare and (entry_label < 0).any():
         raise NotOnBoundary("point is not on the table boundary")
-    if carried and (np.abs(table._per_piece("gauge", piece, q, np.empty(q.shape[0])))
-                    > table.tol.hit_tol).any():
-        raise NotOnBoundary("carried phase point is off its boundary piece")
-    if (entry_label == _OUT).any():
+    if carried:
+        gauge = table._per_piece("gauge", piece, q, np.empty(q.shape[0]))
+        if np.count_nonzero(np.abs(gauge) > table.tol.hit_tol):
+            raise NotOnBoundary("carried phase point is off its boundary piece")
+    if rare and (entry_label == _OUT).any():
         raise DegenerateStart("causality map applied to an outward phase point")
-    degenerate = entry_label == _CONVEX
     hit = table.first_hit(q, v)
-    trapped = hit.trapped & ~degenerate
+    if rare:
+        degenerate = entry_label == _CONVEX
+        trapped = hit.trapped & ~degenerate
+        stay = degenerate | hit.trapped  # these rows exit where they enter
+    else:
+        degenerate = np.zeros(q.shape[0], dtype=bool)
+        trapped = stay = hit.trapped
     exits = (hit.q, hit.v, hit.s, hit.label, hit.cos_in, hit.piece, hit.normal)
-    stay = degenerate | hit.trapped  # these rows exit where they enter
-    if stay.any():
+    if np.count_nonzero(stay):
         entries = (q, v, 0.0, entry_label, entry_cos, piece, normal)
         exits = [np.where(stay[:, None] if f.ndim == 2 else stay, e, f)
                  for e, f in zip(entries, exits)]
@@ -247,18 +253,22 @@ def causality_batch(table, q, v, piece=None, normal=None):
                       degenerate=degenerate, trapped=trapped)
 
 
-def billiard_batch(table, law, q, v, piece=None, normal=None):
+def billiard_batch(table, law, q, v, piece=None, normal=None, cos=None):
     """One billiard step: chords plus the next entry points.
 
     Returns (batch, state): clean rows of `state` are reflected exits, the
     others are the exits as they are.  `state` shares its q, piece and
-    normal arrays with `batch`.
+    normal arrays with `batch`; its cosines are those of the next entries.
     """
-    batch = causality_batch(table, q, v, piece, normal)
-    next_v = reflect_batch(law, table, batch.exit_q, batch.exit_v,
-                           piece=batch.exit_piece, normal=batch.exit_normal)
-    next_v = np.where(batch.ok[:, None], next_v, batch.exit_v)
-    return batch, BoundaryState(batch.exit_q, next_v, batch.exit_piece, batch.exit_normal)
+    batch = causality_batch(table, q, v, piece, normal, cos)
+    next_v = reflect_batch(law, table, batch.exit_q, batch.exit_v, batch.exit_piece,
+                           batch.exit_normal, batch.exit_cos)
+    ok = batch.ok
+    if np.count_nonzero(ok) < ok.size:
+        next_v = np.where(ok[:, None], next_v, batch.exit_v)
+    next_cos = table.space.metric_dot(batch.exit_q, next_v, batch.exit_normal)
+    return batch, BoundaryState(batch.exit_q, next_v, batch.exit_piece, batch.exit_normal,
+                                next_cos)
 
 
 def lockstep_orbits(table, law, q, v, bounces):
@@ -266,26 +276,27 @@ def lockstep_orbits(table, law, q, v, bounces):
 
     Yields (step, rows, batch, state) for step = 1, ..., bounces: `rows`
     indexes the orbits stepped, `batch` holds their chords and `state` their
-    next entry points.  The first step derives piece and normal from q;
-    later steps carry them.  An orbit stops after a trapped or grazing
+    next entry points.  The first step derives piece, normal and cosine from
+    q; later steps carry them.  An orbit stops after a trapped or grazing
     chord, and the run ends once every orbit has stopped.  Every orbit loop
     of the package runs here, so this is where a bounce count below 1 is
     rejected.
     """
     if bounces < 1:
         raise ValueError("bounces must be at least 1")
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
+    q, v = np.atleast_2d(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
     rows = np.arange(q.shape[0])
-    piece = normal = None
+    piece = normal = cos = None
     for step in range(1, bounces + 1):
         if rows.size == 0:
             return
-        batch, state = billiard_batch(table, law, q, v, piece, normal)
+        batch, state = billiard_batch(table, law, q, v, piece, normal, cos)
         yield step, rows, batch, state
-        go = ~batch.stops
-        rows, state = rows[go], state.take(go)
-        q, v, piece, normal = state.q, state.v, state.piece, state.normal
+        stops = batch.stops
+        if np.count_nonzero(stops):
+            go = ~stops
+            rows, state = rows[go], state.take(go)
+        q, v, piece, normal, cos = state.q, state.v, state.piece, state.normal, state.cos
 
 
 def orbit_batches(table, law, q, v, k_max):

@@ -61,7 +61,8 @@ class SpaceAverage(Estimate):
 
 
 def _average_block(table, samples, observable):
-    batch = causality_batch(table, samples.q, samples.v, samples.piece, samples.normal)
+    batch = causality_batch(table, samples.q, samples.v, samples.piece, samples.normal,
+                            samples.cos_in)
     return (Estimate.from_samples(observable.values(batch)[batch.ok]),
             int(np.sum(batch.trapped)), int(np.sum(batch.grazing)))
 
@@ -107,7 +108,7 @@ def time_average_many(table, law, observable, z0_q, z0_v, bounces):
     for step, rows, batch, _ in lockstep_orbits(table, law, z0_q, z0_v, bounces):
         vals = observable.values(batch)
         bad = batch.stops
-        if bad.any():
+        if np.count_nonzero(bad):
             termination[rows[bad]] = np.where(batch.trapped[bad], "trapped", "grazing")
             rows, vals = rows[~bad], vals[~bad]
         sums[rows] += vals
@@ -198,7 +199,7 @@ def recurrence_test(table, law, box, starters, bounces, seed):
             break
         chunk = sample_mu_theta(table, max(4 * starters, 4096), seed, stream)
         stream += 1
-        mask = box.contains(table, chunk.q, chunk.v, chunk.piece, chunk.normal)
+        mask = box.contains(table, chunk.q, chunk.v, chunk.piece, chunk.normal, chunk.cos_in)
         if np.any(mask):
             found_q.append(chunk.q[mask])
             found_v.append(chunk.v[mask])
@@ -208,17 +209,13 @@ def recurrence_test(table, law, box, starters, bounces, seed):
     q = np.concatenate(found_q)[:starters]
     v = np.concatenate(found_v)[:starters]
     n = q.shape[0]
-    returned = np.zeros(n, dtype=bool)
     counts = np.zeros(n)
     for _, rows, batch, state in lockstep_orbits(table, law, q, v, bounces):
-        good = ~batch.stops
-        gi = rows[good]
-        if gi.size:
-            nxt = state.take(good)
-            member = box.contains(table, nxt.q, nxt.v, nxt.piece, nxt.normal)
-            returned[gi] |= member
-            counts[gi] += member
-    return RecurrenceResult(returned_fraction=float(np.mean(returned)),
+        if np.count_nonzero(batch.stops):  # a stopped orbit has no next entry to test
+            go = ~batch.stops
+            rows, state = rows[go], state.take(go)
+        counts[rows] += box.contains(table, state.q, state.v, state.piece, state.normal, state.cos)
+    return RecurrenceResult(returned_fraction=float(np.mean(counts > 0)),
                             mean_return_count=float(np.mean(counts)),
                             starters=n, bounces=bounces)
 
@@ -239,7 +236,8 @@ class TrappingProbe:
 
 
 def _probe_block(table, samples):
-    batch = causality_batch(table, samples.q, samples.v, samples.piece, samples.normal)
+    batch = causality_batch(table, samples.q, samples.v, samples.piece, samples.normal,
+                            samples.cos_in)
     return batch.length, batch.trapped, batch.grazing
 
 

@@ -87,7 +87,8 @@ def build_well_balanced_F(table, body=None, pilot_count=512, seed=1234):
         if np.any(f.wall.gauge(table.space, pts) >= -table.tol.hit_tol):
             raise BodyTooSmall("table boundary is not strictly inside the body")
     samples = sample_mu_theta(table, pilot_count, seed)
-    batch = causality_batch(table, samples.q, samples.v, samples.piece, samples.normal)
+    batch = causality_batch(table, samples.q, samples.v, samples.piece, samples.normal,
+                            samples.cos_in)
     ok = batch.ok
     if np.any(batch.trapped):
         raise BodyTooSmall("pilot sample contains trapped rays")
@@ -146,7 +147,8 @@ def var_F_boundary(table, f, count, seed):
 
 
 def _slice_block(table, samples, f, t_grid):
-    batch = causality_batch(table, samples.q, samples.v, samples.piece, samples.normal)
+    batch = causality_batch(table, samples.q, samples.v, samples.piece, samples.normal,
+                            samples.cos_in)
     ok = batch.ok
     f_lo = f.value_batch(batch.entry_q[ok], batch.entry_v[ok])
     f_hi = f.value_batch(batch.exit_q[ok], batch.exit_v[ok])

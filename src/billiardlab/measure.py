@@ -5,12 +5,12 @@ the product of boundary area and direction measure, restricted to inward
 hemispheres.  Its total mass is the volume of the trajectory space,
 vol(B^{n-1}) * vol(boundary).  Sampling is exact: boundary points come from
 per-piece area samplers and directions from lifting a uniform point of the
-equatorial unit ball to the hemisphere.  Each sample keeps its piece and
-inward normal, and its first chord takes them as carried boundary state.
-Phase-box coordinates come from the table's boundary-geometry step, so a
-row off the boundary has NaN coordinates and lies in no box.  The
-preservation test derives them twice per block, for the entries and their
-images, and every box tests those.
+equatorial unit ball to the hemisphere.  Each sample keeps its piece,
+inward normal and incidence cosine as the carried state of its first chord.
+Phase-box coordinates come from the table's boundary-geometry step, carried
+state used as given, so a row off the boundary has NaN coordinates and lies
+in no box.  The preservation test derives them twice per block, for the
+entries and their images, and every box tests those.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from .dynamics import billiard_batch
 from .errors import ConfigError, DegenerateSet
 from .parallel import block_counts, run_blocks
+from .spaces import _dot
 
 __all__ = [
     "Estimate", "WeightedSampleSet", "PhaseBox", "phase_coordinates",
@@ -138,7 +139,7 @@ def _lift_directions(space, q, normals, rng, gtol):
             r = np.sqrt(rng.uniform(0.0, 1.0, m))
             phi = rng.uniform(0.0, 2.0 * np.pi, m)
             u = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
-        u2 = np.sum(u * u, axis=1)
+        u2 = _dot(u, u)
         cos = np.sqrt(np.maximum(1.0 - u2, 0.0))
         vec = cos[:, None] * normals[todo]
         for j in range(dim - 1):
@@ -241,15 +242,15 @@ def domain_volumes(table):
 # ---------------------------------------------------------------------------
 
 
-def phase_coordinates(table, q, v, piece=None, normal=None):
+def phase_coordinates(table, q, v, piece=None, normal=None, cos=None):
     """What `PhaseBox.test` reads, computed once for any number of boxes: per row,
     the piece (-1 off the boundary), the boundary angle and signed incidence angle
     (None unless n = 2) and the incidence cosine, with NaN angles and cosines off
-    the boundary.  `piece` and `normal` carry what the hit at q found; unset, they
-    are derived from q."""
+    the boundary.  `piece`, `normal` and `cos` carry what the hit at q found (or
+    the sampler drew); unset, they are derived from q."""
     space = table.space
-    q, v = np.atleast_2d(q), np.atleast_2d(v)
-    piece, normal, cos = table._boundary_geometry(q, v, piece, normal)
+    q, v = np.atleast_2d(q, v)
+    piece, normal, cos = table._boundary_geometry(q, v, piece, normal, cos)
     if space.dim != 2:
         return piece, None, None, cos
     angle = table._per_piece("boundary_param", piece, q, np.full(q.shape[0], np.nan))
@@ -308,10 +309,10 @@ class PhaseBox:
             keep &= _within(incidence, self.incidence)
         return keep
 
-    def contains(self, table, q, v, piece_idx=None, normal=None):
-        """`test` of the `phase_coordinates` of rows (q, v); `piece_idx` and `normal`
-        carry what the hit at q found, and unset they are derived from q."""
-        return self.test(phase_coordinates(table, q, v, piece_idx, normal))
+    def contains(self, table, q, v, piece_idx=None, normal=None, cos=None):
+        """`test` of the `phase_coordinates` of rows (q, v); `piece_idx`, `normal`
+        and `cos` carry what the hit at q found, and unset they are derived from q."""
+        return self.test(phase_coordinates(table, q, v, piece_idx, normal, cos))
 
 
 def _within(x, interval):
@@ -346,12 +347,14 @@ class PreservationResult:
 
 def _preservation_block(table, samples, law, boxes):
     """Per box, estimates of 1_K(z) - 1_K(Bz), 1_K(z) and 1_K(Bz) over valid rows."""
-    batch, state = billiard_batch(table, law, samples.q, samples.v, samples.piece, samples.normal)
+    batch, state = billiard_batch(table, law, samples.q, samples.v, samples.piece,
+                                  samples.normal, samples.cos_in)
     valid = ~batch.stops
     now = phase_coordinates(table, *(a[valid] for a in (batch.entry_q, batch.entry_v,
-                                                        batch.entry_piece, batch.entry_normal)))
+                                                        batch.entry_piece, batch.entry_normal,
+                                                        batch.entry_cos)))
     after = state.take(valid)
-    nxt = phase_coordinates(table, after.q, after.v, after.piece, after.normal)
+    nxt = phase_coordinates(table, after.q, after.v, after.piece, after.normal, after.cos)
     parts = []
     for box in boxes:
         in_now, in_next = box.test(now).astype(float), box.test(nxt).astype(float)

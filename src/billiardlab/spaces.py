@@ -4,7 +4,9 @@ Every billiard table lives over one of four model spaces: Euclidean space,
 a flat torus, hyperbolic space in the Poincare ball chart (curvature -1),
 or the round unit sphere in ambient coordinates (curvature +1).  All
 operations accept batches: positions and tangents are arrays of shape
-(..., chart_dim), arclengths of shape (...).
+(..., chart_dim), arclengths of shape (...).  `flow` broadcasts its start
+points and arclengths against the tangents, so one (chart_dim,) point and
+one arclength may start a whole batch.
 
 Hyperbolic geodesics are computed in the hyperboloid (Minkowski) model and
 mapped back to the ball chart, which gives exact flows without integrating
@@ -126,9 +128,12 @@ def _euclidean_frame(n_hat):
     e = np.zeros_like(n_hat)
     e[np.arange(big_n), idx] = 1.0
     t1 = e - _dot(e, n_hat)[:, None] * n_hat
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(n_hat, t1)
-    return np.stack([t1, t2], axis=1)
+    t1 /= np.sqrt(_dot(t1, t1))[:, None]
+    t = np.empty((big_n, 2, 3))
+    t[:, 0] = t1
+    (a0, a1, a2), (b0, b1, b2) = n_hat.T, t1.T  # t[:, 1] = n_hat x t1, as np.cross has it
+    t[:, 1, 0], t[:, 1, 1], t[:, 1, 2] = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    return t
 
 
 class Euclidean(ModelSpace):
@@ -259,7 +264,7 @@ class HyperbolicBall(ModelSpace):
         if v is None:
             return x
         qv = _dot(q, v)
-        u = np.empty_like(x)
+        u = np.empty(qv.shape + x.shape[-1:])  # one point q may start many tangents v
         u[..., 0] = 4.0 * qv / (d * d)
         u[..., 1:] = 2.0 * v / d[..., None] + 4.0 * q * (qv / (d * d))[..., None]
         return x, u

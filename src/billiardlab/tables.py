@@ -29,7 +29,7 @@ those of each ball; on every other table it calls each piece on its rows.
 
 A table derives the boundary geometry of phase points (piece, inward
 normal, incidence cosine) in one step, `_boundary_geometry`, which uses a
-carried piece or normal as given and derives a missing one; `_strata` adds
+carried piece, normal or cosine as given and derives a missing one; `_strata` adds
 the stratum labels for the callers that read them (`classify`, `first_hit`,
 `causality_batch`).  A row off the boundary (piece -1, a trapped hit among
 them) gets a NaN normal, a NaN cosine and label -1; `classify` and
@@ -169,8 +169,7 @@ class Ball:
 
     def sample_boundary(self, space, rng, count):
         u = space._unit_tangents(self.center, rng, count)
-        c = np.broadcast_to(self.center, u.shape)
-        return space.flow(c, u, np.full(count, self.radius))[0]
+        return space.flow(self.center, u, self.radius)[0]
 
     def boundary_param(self, space, q):
         _check_planar(space)
@@ -526,7 +525,7 @@ class Table:
                 rho = rng.uniform(0.0, r, m)
                 rho = rho[rng.uniform(0.0, peak, m) < space._sphere_area(rho)]
                 u = space._unit_tangents(c, rng, rho.size)
-                q = space.flow(np.broadcast_to(c, u.shape), u, rho)[0]
+                q = space.flow(c, u, rho)[0]
             keep = q[self.inside(q, tol=-1e-9)]
             take = keep[: count - filled]
             out[filled:filled + take.shape[0]] = take
@@ -598,7 +597,7 @@ class Table:
             rows.side, rows._sign = OBSTACLE, -1.0  # every torus piece is an obstacle
             value = getattr(rows, method)(self.space, x)
             off = piece_idx < 0
-            if off.any():
+            if np.count_nonzero(off):
                 value[off] = out[off]
             return value
         for k, piece in enumerate(self.pieces):
@@ -641,24 +640,26 @@ class Table:
     def classify(self, q, v, piece_idx=None, normal=None):
         """StratumLabel codes and incidence cosines for boundary phase points;
         `piece_idx` and `normal`, when known, save deriving them again."""
-        q, v = np.atleast_2d(q), np.atleast_2d(v)
+        q, v = np.atleast_2d(q, v)
         piece, _, cos_in = self._boundary_geometry(q, v, piece_idx, normal)
         self._on_boundary(piece)
         return self._strata(q, v, piece, cos_in), cos_in
 
-    def _boundary_geometry(self, q, v, piece=None, normal=None):
+    def _boundary_geometry(self, q, v, piece=None, normal=None, cos=None):
         """(piece, inward normal, incidence cosine) at (N, chart_dim) rows (q, v).  A
-        piece or normal the caller carries is used as given; a missing one is derived.
-        A row off the boundary (piece -1) gets a NaN normal and a NaN cosine."""
+        piece, normal or cosine the caller carries is used as given; a missing one is
+        derived.  A row off the boundary (piece -1) gets a NaN normal and a NaN cosine."""
         piece = self.active_piece(q) if piece is None else np.atleast_1d(piece)
         off = piece < 0
-        some_off = off.any()
+        some_off = np.count_nonzero(off) > 0
         if normal is None:
             fill = np.full_like(q, np.nan) if some_off else np.empty_like(q)
             normal = self._per_piece("inward_normal", piece, q, fill)
         elif some_off:
             normal = np.where(off[:, None], np.nan, normal)
-        return piece, normal, self.space.metric_dot(q, v, normal)
+        if cos is None or some_off:
+            cos = self.space.metric_dot(q, v, normal)
+        return piece, normal, cos
 
     def _strata(self, q, v, piece, cos_in):
         """StratumLabel codes of rows with the piece and cosine `_boundary_geometry`
@@ -666,7 +667,7 @@ class Table:
         # TRANSVERSAL_IN 0 and TRANSVERSAL_OUT 1 are the bools as int8; a NaN cosine is tangent
         label = (cos_in < -self.tol.grazing_tol).view(np.int8)
         transversal = np.abs(cos_in) > self.tol.grazing_tol
-        if not transversal.all():
+        if np.count_nonzero(transversal) < transversal.size:
             off = piece < 0
             label[off] = -1
             tangent = ~(transversal | off)
@@ -679,9 +680,8 @@ class Table:
     # -- ray tracing -----------------------------------------------------------
 
     def first_hit(self, q, v):
-        """Vectorized first boundary crossing along unit-speed geodesics."""
-        q = np.atleast_2d(q)
-        v = np.atleast_2d(v)
+        """Vectorized first boundary crossing along unit-speed geodesics from
+        (N, chart_dim) rows (q, v)."""
         s_lo, s_hi = self.tol.hit_tol, self.l_max
         if isinstance(self.space, FlatTorus):
             best_s, best_piece = self._first_hit_torus(q, v, s_lo, s_hi)
@@ -695,8 +695,9 @@ class Table:
                 better = s_k < best_s
                 best_s = np.where(better, s_k, best_s)
                 best_piece = np.where(better, k, best_piece)
-        trapped = best_piece < 0
-        q_hit, v_hit = self.space.flow(q, v, np.where(trapped, 0.0, best_s))
+        trapped = best_piece < 0  # a trapped row stays where it started
+        s = np.where(trapped, 0.0, best_s) if np.count_nonzero(trapped) else best_s
+        q_hit, v_hit = self.space.flow(q, v, s)
         _, normal, cos_in = self._boundary_geometry(q_hit, v_hit, best_piece)
         label = self._strata(q_hit, v_hit, best_piece, cos_in)
         return HitBatch(s=best_s, q=q_hit, v=v_hit, piece=best_piece, normal=normal,

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from billiardlab.dynamics import (Elastic, Rescaled, causality_batch, lockstep_orbits,
-                                  orbit_batches, reflect_batch)
-from billiardlab.ergodic import ChordLength, time_average_many
+from billiardlab.dynamics import (Elastic, Rescaled, billiard_batch, causality_batch,
+                                  lockstep_orbits, orbit_batches, reflect_batch)
+from billiardlab.ergodic import ChordLength, recurrence_test, time_average_many
 from billiardlab.errors import DegenerateStart, NotOnBoundary
-from billiardlab.measure import PhaseBox, sample_mu_theta
+from billiardlab.measure import PhaseBox, phase_coordinates, sample_mu_theta
 from billiardlab.presets import PRESETS, preset_table
 from billiardlab.tables import StratumLabel
 
@@ -252,3 +252,111 @@ def test_phase_box_excludes_points_off_the_boundary(disk):
     assert PhaseBox(cos_range=(0.5, 1.01)).contains(disk, q, v).tolist() == [False, True]
     assert PhaseBox(incidence=(-0.1, 0.1)).contains(disk, q, v).tolist() == [False, True]
     assert PhaseBox().contains(disk, q, v).tolist() == [False, True]
+
+
+def reference_recurrence(tab, law, box, starters, bounces, seed):
+    """(returned fraction, mean return count) of recurrence_test's search and
+    orbits, with each state's piece from `active_piece` and its coordinates
+    from `phase_coordinates(table, q, v)`."""
+    found_q, found_v, found, stream = [], [], 0, 101
+    while found < starters:
+        chunk = sample_mu_theta(tab, max(4 * starters, 4096), seed, stream)
+        stream += 1
+        mask = box.test(phase_coordinates(tab, chunk.q, chunk.v))
+        found_q.append(chunk.q[mask])
+        found_v.append(chunk.v[mask])
+        found += int(np.sum(mask))
+    q, v = np.concatenate(found_q)[:starters], np.concatenate(found_v)[:starters]
+    active = np.ones(starters, dtype=bool)
+    returned, counts = np.zeros(starters, dtype=bool), np.zeros(starters)
+    for _ in range(bounces):
+        ai = np.flatnonzero(active)
+        if not ai.size:
+            break
+        batch = reference_causality_batch(tab, q[ai], v[ai])
+        stop = batch["trapped"] | batch["grazing"]
+        ok = ~stop & ~batch["degenerate"]
+        next_v = batch["exit_v"].copy()
+        if np.any(ok):
+            exit_q = batch["exit_q"][ok]
+            next_v[ok] = reflect_batch(law, tab, exit_q, batch["exit_v"][ok],
+                                       piece=tab.active_piece(exit_q))
+        gi, nq, nv = ai[~stop], batch["exit_q"][~stop], next_v[~stop]
+        member = box.test(phase_coordinates(tab, nq, nv))
+        returned[gi] |= member
+        counts[gi] += member
+        q[gi], v[gi] = nq, nv
+        active[ai[stop]] = False
+    return np.mean(returned), np.mean(counts)
+
+
+@pytest.mark.parametrize("name", ["disk", "torus-two-balls", "cap-pi4", "ellipse"])
+def test_recurrence_matches_derived_state(name):
+    tab = table(name)
+    box = PhaseBox(piece=0, boundary=(0.0, 0.6), incidence=(0.2, 0.7))
+    got = recurrence_test(tab, Elastic(), box, 16, 80, seed=3)
+    want = reference_recurrence(tab, Elastic(), box, 16, 80, seed=3)
+    assert got.returned_fraction > 0.0
+    assert_same([got.returned_fraction, got.mean_return_count], want)
+
+
+def with_tangent_starts(tab, s, rows):
+    """Sampler rows and their carried state, plus `rows` starts tangent to the
+    wall at the first sampled points: degenerate on an outer wall, a tangent
+    entry on an obstacle."""
+    q0, n0 = s.q[:rows], s.normal[:rows]
+    v0 = tab.space.tangent_frame(q0, n0)[:, 0]
+    q, v = np.vstack([s.q, q0]), np.vstack([s.v, v0])
+    cos = np.concatenate([s.cos_in, tab.space.metric_dot(q0, v0, n0)])
+    return q, v, np.concatenate([s.piece, s.piece[:rows]]), np.vstack([s.normal, n0]), cos
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_carried_cosine_matches_derived_state(name):
+    # a cap below the diameter traps some chords
+    tab = table(name).with_l_max(0.7 * table(name)._diameter)
+    q, v, piece, normal, cos = with_tangent_starts(tab, sample_mu_theta(tab, 256, 11), 4)
+    batch, state = billiard_batch(tab, Elastic(), q, v, piece, normal, cos)
+    assert batch.trapped.any() and batch.ok.any()
+    assert batch.degenerate[-4:].all() == (tab.outer is not None)
+    nxt = state.take(~batch.stops)
+    assert_same(nxt.cos, tab.space.metric_dot(nxt.q, nxt.v, nxt.normal))
+    for (cq, cv, *carried) in ((q, v, piece, normal, cos),
+                               (nxt.q, nxt.v, nxt.piece, nxt.normal, nxt.cos)):
+        got, want = causality_batch(tab, cq, cv, *carried), causality_batch(tab, cq, cv)
+        for key in FIELDS + ("entry_normal", "exit_normal", "grazing"):
+            assert_same(getattr(got, key), getattr(want, key))
+    # rows off the boundary (piece -1) get NaN coordinates whatever normal and
+    # cosine they carry
+    off_q = tab._interior_samples(np.random.default_rng(0), 3)
+    off_v = tab.space.unit(off_q, tab.space.tangent(off_q, np.ones_like(off_q)))
+    assert (tab.active_piece(off_q) == -1).all()
+    rows = (np.vstack([nxt.q, off_q]), np.vstack([nxt.v, off_v]))
+    carried = (np.concatenate([nxt.piece, [-1] * 3]), np.vstack([nxt.normal, off_v]),
+               np.concatenate([nxt.cos, [0.5] * 3]))
+    for got, want in zip(phase_coordinates(tab, *rows, *carried), phase_coordinates(tab, *rows)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_same(got, want)
+
+
+class RecordingLaw(Elastic):
+    """The elastic law, keeping every (q, v, n, cos) it is called with."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, space, q, v, n, cos):
+        self.calls.append((q, v, n, cos))
+        return super().__call__(space, q, v, n, cos)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_law_receives_the_exit_cosine(name):
+    tab, law = table(name), RecordingLaw()
+    q, v = starters(tab, name, 6, 12)
+    for _ in lockstep_orbits(tab, law, q, v, 20):
+        pass
+    assert len(law.calls) > 1
+    for q, v, n, cos in law.calls:
+        assert_same(cos, tab.space.metric_dot(q, v, n))

@@ -123,6 +123,20 @@ def test_flow_reversal(space):
     assert np.max(np.linalg.norm(-va - vb, axis=1)) < 1e-10
 
 
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_flow_from_one_start_point_broadcasts(space):
+    # one (d,) start and one arclength for many tangents give the bits of the
+    # batch that repeats them row by row
+    rng = np.random.default_rng(9)
+    c = random_phase(space, rng, 1)[0][0]
+    u = space._unit_tangents(c, rng, 64)
+    got = space.flow(c, u, 0.7)
+    want = space.flow(np.broadcast_to(c, u.shape), u, np.full(64, 0.7))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape == u.shape
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_torus_wrap_and_distance():
     space = FlatTorus((1.0, 2.0))
     assert np.allclose(space.wrap(np.array([1.25, -0.5])), [0.25, 1.5])
